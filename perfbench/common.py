@@ -28,6 +28,14 @@ class OpLog:
     ``busy_s`` is the summed duration of the timed calls only; oracle
     checks and input preparation between calls are excluded, so a slower
     check never reads as a slower program.
+
+    ``mark()`` closes a window of like work: one pass over a fixed op
+    cycle, or one second of served traffic.  With three or more windows
+    every percentile and the throughput are the median over the windows
+    of that window's value, so host contention (or an idle neighbour)
+    that lasts a few seconds moves them little; with fewer, they are
+    taken over the whole phase.  A window's length is its busy time, or
+    the wall time given to ``mark()`` when calls overlap (served traffic).
     """
 
     def __init__(self) -> None:
@@ -36,18 +44,38 @@ class OpLog:
         self.busy_s = 0.0
         self.attempted = 0
         self.failed = 0
+        #: ``(first latency, end latency, queries, seconds)`` per window.
+        self.windows: List[tuple] = []
+        self._marked = (0, 0, 0.0)
 
     def add(self, seconds: float, queries: int) -> None:
         self.latencies_s.append(seconds)
         self.busy_s += seconds
         self.queries += queries
 
+    def mark(self, seconds: Optional[float] = None) -> None:
+        """Close a window that lasted ``seconds`` (default: its busy time)."""
+        first, queries, busy_s = self._marked
+        end = len(self.latencies_s)
+        if seconds is None:
+            seconds = self.busy_s - busy_s
+        if end > first and seconds > 0:
+            self.windows.append((first, end, self.queries - queries, seconds))
+        self._marked = (end, self.queries, self.busy_s)
+
     def percentile_ms(self, q: float) -> float:
         if not self.latencies_s:
             raise BenchmarkFailure("timed phase completed no operation")
-        return float(np.percentile(np.asarray(self.latencies_s), q) * 1e3)
+        latencies = np.asarray(self.latencies_s)
+        if len(self.windows) >= 3:
+            return median([np.percentile(latencies[a:b], q) for a, b, _, _ in self.windows]) * 1e3
+        return float(np.percentile(latencies, q) * 1e3)
 
     def throughput(self) -> float:
+        if len(self.windows) >= 3:
+            return median([queries / seconds for _, _, queries, seconds in self.windows])
+        if self.windows:
+            return sum(w[2] for w in self.windows) / sum(w[3] for w in self.windows)
         return self.queries / self.busy_s
 
 
@@ -67,14 +95,20 @@ class Canary:
     canary that moved together with a metric points at host drift.
     """
 
+    REPEATS = 5
+
     def __init__(self) -> None:
         self._data = np.random.default_rng(12345).random(1 << 18)
         self.samples_ms: List[float] = []
 
     def tick(self) -> None:
-        start = clock()
-        np.sort(self._data)
-        self.samples_ms.append((clock() - start) * 1e3)
+        """One sample: the median of ``REPEATS`` timed sorts (the first warms)."""
+        spent = []
+        for _ in range(self.REPEATS):
+            start = clock()
+            np.sort(self._data)
+            spent.append((clock() - start) * 1e3)
+        self.samples_ms.append(median(spent))
 
     @property
     def median_ms(self) -> float:
@@ -118,6 +152,7 @@ def host_stamp(root: Path, canary: Canary) -> Dict[str, object]:
         "machine": platform.machine(),
         "python": platform.python_version(),
         "numpy": np.__version__,
+        "python_hash_seed": os.environ.get("PYTHONHASHSEED"),
         "git_sha": _git_sha(root),
         "source_digest": _source_digest(root),
         "canary_ms": round(canary.median_ms, 4),

@@ -14,6 +14,10 @@ flights, which gives the layout monitor something to adapt to.  The read
 layers run here over pending rows and tombstones, so a gain for reads
 that costs writes, or the other way round, shows here.
 
+Each ``FULL_EVERY`` rounds, the same mix of work, are one window of
+``common.OpLog``: latency percentiles and throughput are the medians
+over the windows.
+
 Delete and update victims come from the benchmark's own list of live
 ids (``live_row_ids()`` is O(n)), chosen before the timed call.  The
 first ``SCRIPT_ROUNDS`` rounds are the deterministic script: counters
@@ -208,6 +212,7 @@ def run(seed: int, seconds: float, trace: bool, root) -> dict:
                     full["shard_ns"] += tracer.count("coax", "ns", ("compact",)) - compact_ns
         rounds += 1
         if rounds % FULL_EVERY == 0:
+            log.mark()  # a window of FULL_EVERY rounds: the same mix of work
             canary.tick()
         if rounds == SCRIPT_ROUNDS:
             at_script_end = _script_counters(engine, tracer, full)

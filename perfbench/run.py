@@ -14,9 +14,10 @@ Workloads (see ``BENCHMARK.json`` for why each exists):
 Each workload indexes the same table on every run — the dataset
 generator at its default seed — because the soft-FD structure COAX
 learns depends on the sample: with a per-run table, runs fell into two
-index shapes whose query cost differs by a fifth.  ``--seed`` draws
-everything else: the queries, the request sequence and the write
-stream.
+index shapes whose query cost differs by a fifth.  For the same kind
+of reason the benchmark runs with ``PYTHONHASHSEED=0`` (it re-executes
+itself under it).  ``--seed`` draws everything else: the queries, the
+request sequence and the write stream.
 
 ``--trace 0`` prints the end-to-end metrics, ``--trace 1`` the per-layer
 ones (spans taken around calls into each layer, see ``tracer.py``).  Every
@@ -40,6 +41,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -162,5 +164,20 @@ def main(argv=None) -> int:
     return _run_once(args)
 
 
+def _fixed_hash_seed() -> None:
+    """Re-execute this interpreter with ``PYTHONHASHSEED=0`` if it is not set so.
+
+    String hashes decide dict and set layouts, so with a random hash seed
+    the interpreter's speed differs from one process to the next (served
+    throughput read in two clusters about a third apart).  A fixed hash
+    seed, like the fixed table, is part of the benchmark's input;
+    ``--seed`` varies the rest.  ``exec`` replaces the process, so nothing
+    is left running.
+    """
+    if os.environ.get("PYTHONHASHSEED") != "0":
+        os.execve(sys.executable, [sys.executable, *sys.argv], {**os.environ, "PYTHONHASHSEED": "0"})
+
+
 if __name__ == "__main__":
+    _fixed_hash_seed()
     sys.exit(main())

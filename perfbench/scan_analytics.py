@@ -9,10 +9,16 @@ batch over the same rectangles, so two calls in three materialise and
 the median call sits inside one kind of call, not between two.
 It loads query translation, the grid kernels, the outlier index and
 scatter-gather, and bypasses the serving stack and the delta store.
+
+The cycle holds ``N_BATCHES`` distinct batches (8192 queries) so that
+its latency percentiles are a property of the query distribution, not
+of which few boxes a seed happened to draw.  Each pass over the cycle is
+one window of ``common.OpLog``: the run reports the median pass.
 """
 
 from __future__ import annotations
 
+import gc
 from functools import partial
 
 import numpy as np
@@ -27,7 +33,7 @@ from perfbench.tracer import Tracer, overhead_frac
 
 ROWS = 1_000_000
 BATCH = 64
-N_BATCHES = 8
+N_BATCHES = 128
 K_NEIGHBOURS = 400
 SETUP_REPEATS = 3
 SUM_COLUMN = "AirTime"
@@ -38,14 +44,15 @@ def setup(table, dims, config: EngineConfig = EngineConfig(**ENGINE)):
     """Learn the FD groups and build the engine ``SETUP_REPEATS`` times.
 
     Returns the last engine and ``(learn_s, build_s)`` per repeat; each
-    earlier engine is shut down before the next build starts, so peak
-    memory holds one engine.
+    earlier engine is shut down and collected before the next build
+    starts, so peak memory holds one engine.
     """
     engine, timings = None, []
     for _ in range(SETUP_REPEATS):
         if engine is not None:
             engine.shutdown()
             engine = None
+        gc.collect()  # free the previous engine and the inputs' garbage first
         start = common.clock()
         groups = learn_groups(table, config.coax.detection, dims)
         learned = common.clock()
@@ -76,7 +83,9 @@ class Ops:
 
     def answer(self, table) -> None:
         oracle = Oracle(table.columns())
-        self.expected_ids = [oracle.range_batch(lo, hi) for lo, hi in self.bounds]
+        flat = oracle.range_batch(np.concatenate([lo for lo, _ in self.bounds]),
+                                  np.concatenate([hi for _, hi in self.bounds]))
+        self.expected_ids = [flat[b * BATCH : (b + 1) * BATCH] for b in range(N_BATCHES)]
         self.expected_agg = []
         for b, ids in enumerate(self.expected_ids):
             if self.specs[b].op == "count":
@@ -109,6 +118,7 @@ def _timed_pass(engine, ops, log: common.OpLog):
             continue
         log.add(common.clock() - start, BATCH)
         log.failed += ops.mismatches(op, result)
+    log.mark()
 
 
 def _phase(engine, ops, seconds: float, canary: common.Canary, log: common.OpLog) -> None:

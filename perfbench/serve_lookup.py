@@ -2,7 +2,9 @@
 
 OSM at 100k rows (4 float64 columns, 3.2 MB — fits in the per-core L2)
 in a 4-shard engine that is saved as a format-v6 archive and attached
-with ``load_engine`` (the load is the set-up time).  A
+with ``load_engine`` (the load is the set-up time) by a server process
+of its own (``serve_process.py``), so the load generator — this
+process — and the server each have a core, pinned while serving.  Its
 ``CoalescingQueryServer`` serves two client connections in a closed
 loop: each connection keeps ``DEPTH`` requests in flight, sending the
 next one as soon as a reply arrives, so the server always has work
@@ -11,23 +13,29 @@ requests in five are point lookups of an existing row, the fifth a
 10-nearest-neighbour search on (Latitude, Longitude).  Each request does
 little engine work, so the wire protocol, the coalescer, the dispatcher
 and the engine's fixed per-call cost dominate; the delta store and the
-heavy scan kernels are not exercised.
+heavy scan kernels are not exercised.  Latency percentiles and
+throughput are medians over one-second windows (``common.OpLog``);
+``peak_rss_mb`` is the server process's.
 """
 
 from __future__ import annotations
 
 import asyncio
 import contextlib
+import json
 import os
 import shutil
+import subprocess
+import sys
 import tempfile
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 
 from repro import OSMConfig, EngineConfig, Rectangle, ShardedCOAX, TopK, generate_osm_dataset
 from repro import load_engine, save_index
-from repro.serve import CoalescingQueryServer, ServeClient, ServerConfig, ServerError
+from repro.serve import ServeClient, ServerError
 from repro.serve.protocol import encode_frame, ok_response, read_frame, request_from_wire
 from repro.serve.protocol import request_to_wire, split_response
 
@@ -38,13 +46,14 @@ from perfbench.tracer import Tracer, overhead_frac
 ROWS = 100_000
 CLIENTS = 2
 #: Requests each connection keeps in flight (pipelined on one socket).
-DEPTH = 8
+DEPTH = 2
 K = 10
 KNN_EVERY = 5
 N_DISTINCT = 2048
 SEQUENCE = 8192
-LOADS = 21
+LOADS = 41
 WARMUP_S = 1.0
+WINDOW_S = 1.0
 KNN_DIMS = ("Latitude", "Longitude")
 
 
@@ -80,6 +89,50 @@ class Requests:
         return engine.knn_attributed(spec.point, spec.k)[0]
 
 
+class ServerProcess:
+    """``serve_process.py`` running the server; always stopped and reaped."""
+
+    def __init__(self, archive: str, loads: int) -> None:
+        script = Path(__file__).with_name("serve_process.py")
+        self.process = subprocess.Popen(
+            [sys.executable, str(script), archive, str(loads)],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            hello = self._read()
+        except BaseException:
+            self.close()
+            raise
+        self.port, self.loads_s = hello["port"], hello["loads_s"]
+
+    def _read(self) -> dict:
+        line = self.process.stdout.readline()
+        if not line:
+            raise common.BenchmarkFailure("server process exited early")
+        return json.loads(line)
+
+    def snapshot(self) -> dict:
+        self.process.stdin.write("snapshot\n")
+        self.process.stdin.flush()
+        return self._read()
+
+    def close(self) -> None:
+        if self.process.poll() is None:
+            with contextlib.suppress(OSError):
+                self.process.stdin.write("stop\n")
+                self.process.stdin.flush()
+            with contextlib.suppress(OSError):
+                self.process.stdin.close()
+            try:
+                self.process.wait(timeout=30)
+            except subprocess.TimeoutExpired:
+                self.process.kill()
+                self.process.wait()
+        self.process.stdout.close()
+
+
 async def _client(client, requests: Requests, offset: int, deadline: float, log, record):
     position = offset
     while common.clock() < deadline:
@@ -102,9 +155,22 @@ async def _client(client, requests: Requests, offset: int, deadline: float, log,
             log.results.append((item, served.row_ids))
 
 
-async def _serve(engine, requests: Requests, seconds: float, log) -> dict:
-    server = CoalescingQueryServer(engine, config=ServerConfig(port=0))
-    await server.start()
+async def _windows(log, seconds: float) -> None:
+    """Split ``seconds`` of serving into windows of about ``WINDOW_S`` each.
+
+    A phase shorter than ``WINDOW_S`` is one window.
+    """
+    count = max(1, int(seconds // WINDOW_S))
+    at = common.clock()
+    log.mark()  # opens the first window; nothing is logged before it
+    for _ in range(count):
+        await asyncio.sleep(max(0.0, at + seconds / count - common.clock()))
+        now = common.clock()
+        log.mark(now - at)
+        at = now
+
+
+async def _serve(server: ServerProcess, requests: Requests, seconds: float, log) -> dict:
     clients = []
     try:
         for _ in range(CLIENTS):
@@ -113,16 +179,17 @@ async def _serve(engine, requests: Requests, seconds: float, log) -> dict:
         warm_until = common.clock() + WARMUP_S
         await asyncio.gather(*(_client(c, requests, o, warm_until, log, False) for c, o in slots))
         before = server.snapshot()
-        start = common.clock()
-        deadline = start + seconds
-        await asyncio.gather(*(_client(c, requests, o, deadline, log, True) for c, o in slots))
-        log.wall_s = common.clock() - start
+        deadline = common.clock() + seconds
+        await asyncio.gather(
+            _windows(log, seconds),
+            *(_client(c, requests, o, deadline, log, True) for c, o in slots),
+        )
         after = server.snapshot()
     finally:
         for client in clients:
             await client.close()
-        await server.stop()
-    delta = {key: after[key] - before.get(key, 0) for key in after if isinstance(after[key], (int, float))}
+    delta = {key: after[key] - before.get(key, 0) for key in after}
+    delta["peak_rss_mb"] = after["peak_rss_mb"]
     return delta
 
 
@@ -162,37 +229,43 @@ def run(seed: int, seconds: float, trace: bool, root) -> dict:
         archive = os.path.join(workdir, "engine")
         save_index(built, archive)
         built.shutdown()
-        engine, loads = None, []
-        for _ in range(LOADS):
-            if engine is not None:
-                engine.shutdown()
-            start = common.clock()
-            engine = load_engine(archive)
-            loads.append(common.clock() - start)
-        outcome = _measure(engine, requests, seconds, trace, canary)
-        engine.shutdown()
+        server = ServerProcess(archive, LOADS)
+        try:
+            outcome = _measure(server, archive, requests, seconds, trace, canary)
+        finally:
+            server.close()
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
         with contextlib.suppress(OSError):
             scratch.rmdir()  # only when no concurrent run still uses it
-    outcome["metrics"]["io.load_s" if trace else "setup_s"] = common.median(loads)
+    outcome["metrics"]["io.load_s" if trace else "setup_s"] = common.median(server.loads_s)
     return outcome
 
 
-def _measure(engine, requests: Requests, seconds: float, trace: bool, canary) -> dict:
+def _measure(server: ServerProcess, archive: str, requests: Requests, seconds: float,
+             trace: bool, canary) -> dict:
     tracer = Tracer() if trace else None
     log = common.OpLog()
     log.results = []
     canary.tick()
-    serving = asyncio.run(_serve(engine, requests, seconds, log))
+    cpus = os.sched_getaffinity(0)
+    if len(cpus) >= 2:
+        os.sched_setaffinity(0, {min(cpus)})  # the server runs on max(cpus)
+    try:
+        serving = asyncio.run(_serve(server, requests, seconds, log))
+    finally:
+        os.sched_setaffinity(0, cpus)
     canary.tick()
+    # A second attach of the same archive, in this process: its memory
+    # breakdown is the served engine's, and traced runs call it directly.
+    engine = load_engine(archive)
     breakdown = engine.memory_breakdown()
     metrics = {
         "p50_ms": log.percentile_ms(50),
         "p90_ms": log.percentile_ms(90),
-        "throughput_qps": log.queries / log.wall_s,
+        "throughput_qps": log.throughput(),
         "index_bytes": sum(breakdown.values()),
-        "peak_rss_mb": common.peak_rss_mb(),
+        "peak_rss_mb": serving["peak_rss_mb"],
     }
     failed = sum(
         not np.array_equal(ids, requests.expected[item]) for item, ids in log.results
@@ -240,5 +313,6 @@ def _measure(engine, requests: Requests, seconds: float, trace: bool, canary) ->
                 tracer, [partial(requests.direct, engine, item) for item in head]
             ),
         }
+    engine.shutdown()
     metrics["host.canary_ms"] = canary.median_ms
     return {"metrics": metrics, "attempted": log.attempted, "failed": log.failed + failed, "canary": canary, "tracer": tracer}
