@@ -8,9 +8,9 @@ scatters every query burst over the shards that can possibly match. The
 API. This example:
 
 1. builds a 4-shard range-partitioned engine over the synthetic airline
-   table with ``executor="process"`` — scatter runs on OS processes that
-   attach to mmap-backed shard spills, sidestepping the GIL — sharing
-   one set of learned FD groups across the shards;
+   table with two workers — scatter runs on a thread pool, whose NumPy
+   kernels release the GIL — sharing one set of learned FD groups
+   across the shards;
 2. answers a query burst through the scatter-gather batch path and shows
    the shard-pruning counters (``QueryStats.shards_pruned``);
 3. verifies the engine is bit-identical to an unsharded COAX index;
@@ -59,11 +59,11 @@ def main() -> None:
 
     # ------------------------------------------------------------------
     # 1. Build: 4 range-partitioned shards, groups learned once, scatter
-    #    backed by OS processes over mmap-shared shard replicas.
+    #    on a two-thread worker pool.
     # ------------------------------------------------------------------
     start = time.perf_counter()
     engine = ShardedCOAX(
-        table, config=EngineConfig(n_shards=4, workers=2, executor="process")
+        table, config=EngineConfig(n_shards=4, workers=2)
     )
     build_seconds = time.perf_counter() - start
     print("build")
@@ -73,7 +73,6 @@ def main() -> None:
     print(f"boundaries         : {np.round(engine.shard_boundaries, 1).tolist()}")
     print(f"rows per shard     : {[shard.n_rows for shard in engine.shards]}")
     print(f"build time         : {build_seconds:.2f}s (workers={engine.workers})")
-    print(f"executor           : {engine.executor}")
     print()
 
     # ------------------------------------------------------------------
@@ -144,7 +143,7 @@ def main() -> None:
         path = save_index(engine, Path(tmp) / "airline.coax")
         size_mb = sum(f.stat().st_size for f in path.rglob("*") if f.is_file()) / 1e6
         start = time.perf_counter()
-        restored = load_engine(path, workers=2, executor="thread")
+        restored = load_engine(path, workers=1)
         restart_ms = (time.perf_counter() - start) * 1e3
         probe = Rectangle({"Distance": Interval(500.0, 800.0)})
         match = np.array_equal(
@@ -154,7 +153,7 @@ def main() -> None:
         print("-----------")
         print(f"archive            : {path.name}/ ({size_mb:.1f} MB, format v7 columnar)")
         print(f"cold start         : {restart_ms:.1f} ms — mmap attach, no rebuild")
-        print(f"restored executor  : {restored.executor} (load-time override wins)")
+        print(f"restored workers   : {restored.workers} (load-time override wins)")
         print(f"restored shards    : {restored.n_shards}, round-trip identical: {match}")
         assert match
         restored.close()

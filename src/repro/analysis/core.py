@@ -2,8 +2,7 @@
 
 The codebase carries several load-bearing invariants that exist only as
 prose — the single-writer lock discipline of :mod:`repro.indexes.base`,
-the engine lock ordering of :mod:`repro.core.engine`, the spill-generation
-bump that keeps process-executor replica caches coherent, the serve
+the engine lock ordering of :mod:`repro.core.engine`, the serve
 layer's "never block the event loop" rule, and the mmap no-materialize
 policy of the batch read path.  This package turns each contract into an
 AST pass that runs over the source tree (``python -m repro.cli lint``)
@@ -209,24 +208,6 @@ class AnalysisConfig:
     )
     #: Classes whose ``self._write_lock`` is the *engine* (outermost) lock.
     engine_classes: Tuple[str, ...] = ("ShardedCOAX",)
-    #: Method names that mutate a *shard* when called on a non-``self``
-    #: receiver — every such call must be followed by a spill-generation
-    #: bump before the engine lock is released.
-    shard_mutators: Tuple[str, ...] = (
-        "insert_batch",
-        "delete_batch",
-        "update_batch",
-        "compact",
-        "delete_rows",
-        "delete_where",
-        "apply_refresh",
-        "_swap_reclaimed",
-        # Adopting a layout proposal replaces every shard's contents, so
-        # the spill generations must be bumped before the lock releases.
-        "note_adopted",
-    )
-    #: The generation-bump call every engine mutation path must make.
-    generation_bump: str = "_note_shard_mutation"
     #: Module prefixes whose ``async def`` bodies must never block.
     async_module_prefixes: Tuple[str, ...] = ("repro.serve",)
     #: Engine entry points that are blocking NumPy work — banned on the
@@ -262,8 +243,6 @@ class AnalysisConfig:
         "repro.core.engine:ShardedCOAX.batch_range_query_attributed",
         "repro.core.engine:ShardedCOAX.batch_aggregate_partial",
         "repro.core.engine:ShardedCOAX.batch_aggregate_attributed",
-        "repro.core.engine:_scatter_worker",
-        "repro.core.engine:_aggregate_worker",
         "repro.indexes.base:MultidimensionalIndex.batch_aggregate_partial",
         "repro.indexes.grid_file:SortedCellGridIndex.batch_range_query_flat",
         "repro.indexes.grid_file:SortedCellGridIndex.batch_aggregate_from_bounds",

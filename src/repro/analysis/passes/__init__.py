@@ -7,7 +7,6 @@ recipe).
 """
 
 from repro.analysis.passes.event_loop import EventLoopPass
-from repro.analysis.passes.generation_bump import GenerationBumpPass
 from repro.analysis.passes.lock_discipline import LockDisciplinePass
 from repro.analysis.passes.materialize import MaterializePass
 from repro.analysis.passes.typed_errors import TypedErrorsPass
@@ -15,7 +14,6 @@ from repro.analysis.passes.typed_errors import TypedErrorsPass
 __all__ = [
     "ALL_PASSES",
     "EventLoopPass",
-    "GenerationBumpPass",
     "LockDisciplinePass",
     "MaterializePass",
     "TypedErrorsPass",
@@ -23,7 +21,6 @@ __all__ = [
 
 ALL_PASSES = (
     LockDisciplinePass(),
-    GenerationBumpPass(),
     EventLoopPass(),
     MaterializePass(),
     TypedErrorsPass(),

@@ -14,7 +14,7 @@ Two rules, both from the concurrency contract documented in
 2. **Lock order is engine → shard → stats.**  Lock acquisitions nest
    only downward: the engine write lock (level 0) may be held while
    taking a shard's write lock (level 1), which may be held while taking
-   a stats/spill leaf lock (level 2) — never the other way around, and
+   a stats leaf lock (level 2) — never the other way around, and
    never two *different* same-level locks nested (a second shard's lock
    inside the first is an ordering deadlock between concurrent
    mutators).  Re-entering the same lock expression is legal: the write
@@ -53,7 +53,7 @@ def _lock_level(
 ) -> Optional[Tuple[int, str]]:
     """(level, canonical text) when ``expr`` is a lock acquisition."""
     text = ast.unparse(expr)
-    if "stats_lock" in text or "spill_lock" in text:
+    if "stats_lock" in text:
         return LEAF, text
     if "_maintenance_guard" in text:
         # The engine's read guard: the engine write lock (or a no-op).
@@ -206,7 +206,7 @@ class LockDisciplinePass:
                                 symbol=qualname,
                                 message=(
                                     f"self.{node.func.attr}() acquires a write lock "
-                                    "but is called while a stats/spill leaf lock is "
+                                    "but is called while a stats leaf lock is "
                                     "held — lock order is engine -> shard -> stats"
                                 ),
                             )
@@ -241,6 +241,6 @@ class LockDisciplinePass:
                     message=(
                         f"lock order inversion: acquiring {text!r} while holding "
                         f"{held_text!r} — the required order is engine write_lock "
-                        "-> shard write_lock -> stats/spill locks"
+                        "-> shard write_lock -> stats lock"
                     ),
                 )

@@ -29,7 +29,7 @@ import shutil
 import tempfile
 import time
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.bench.experiments.datasets import airline_table, standard_workloads
 from repro.bench.harness import count_mismatches
@@ -53,15 +53,12 @@ def run(
     n_shards: int = 8,
     n_queries: int = 64,
     seed: int = 23,
-    executor: Optional[str] = None,
     smoke: bool = False,
     repeats: int = 3,
 ) -> ExperimentResult:
     """Run the restart benchmark and return its result table.
 
-    ``executor`` overrides the scatter backend of every loaded engine
-    (``load_engine``'s override path); ``None`` keeps whatever the
-    archive remembers.  ``smoke`` shrinks everything to CI scale and
+    ``smoke`` shrinks everything to CI scale and
     asserts the v6 mmap cold start beats the legacy copy-load.
     """
     if smoke:
@@ -93,7 +90,7 @@ def run(
             best_probe = float("inf")
             for _ in range(repeats):
                 start = time.perf_counter()
-                loaded = load_engine(path, executor=executor)
+                loaded = load_engine(path)
                 load_seconds = time.perf_counter() - start
                 start = time.perf_counter()
                 got = loaded.batch_range_query(probes)
@@ -115,7 +112,7 @@ def run(
                     "format": format_name,
                     "n_rows": n_rows,
                     "shards": n_shards,
-                    "executor": executor or "thread",
+                    "executor": "thread",
                     "archive_mb": round(_tree_bytes(path) / 1e6, 2),
                     "cold_start_s": round(best_load, 4),
                     "first_probe_batch_s": round(best_probe, 4),

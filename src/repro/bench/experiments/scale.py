@@ -32,13 +32,6 @@ COAX baseline, and the average number of shards pruned per query — and
 verifies every result list element-for-element against an unsharded COAX
 oracle before any number is reported.
 
-``executor`` selects the scatter backend (``"thread"`` or ``"process"``)
-and is stamped on every engine row, so thread and process sweeps of the
-same grid can sit side by side in one artifact.  The process backend
-scatters over OS processes that attach to the engine's mmap-backed v6
-shard spills, sidestepping the GIL on the NumPy-light portions of the
-scatter path.
-
 A mixed-CRUD phase then drives interleaved insert/delete/update/compact
 rounds against the sharded engine and the unsharded oracle side by side
 and asserts bit-identical query results after every round — the
@@ -95,7 +88,6 @@ def _crud_phase(
     config: COAXConfig,
     n_shards: int,
     workers: int,
-    executor: str,
     seed: int,
     rounds: int,
 ) -> Dict[str, object]:
@@ -111,7 +103,7 @@ def _crud_phase(
     engine = ShardedCOAX(
         table,
         config=EngineConfig(
-            n_shards=n_shards, workers=workers, executor=executor, coax=config
+            n_shards=n_shards, workers=workers, coax=config
         ),
         groups=list(groups),
     )
@@ -166,7 +158,7 @@ def _crud_phase(
         "phase": "crud",
         "shards": n_shards,
         "workers": workers,
-        "executor": executor,
+        "executor": "thread",
         "mutations": ops,
         "probe_queries": checked,
         "mismatched_queries": mismatched,
@@ -180,15 +172,13 @@ def run(
     shard_counts: Optional[Sequence[int]] = None,
     worker_counts: Optional[Sequence[int]] = None,
     batch_size: int = 1024,
-    executor: str = "thread",
     smoke: bool = False,
     repeats: int = 3,
 ) -> ExperimentResult:
     """Run the scale benchmark and return its result table.
 
     Every combination is timed ``repeats`` times with the minimum
-    reported.  ``executor`` selects the scatter backend for every engine
-    built by the sweep.  ``smoke`` shrinks the dataset/workload to CI
+    reported.  ``smoke`` shrinks the dataset/workload to CI
     scale, keeps the full oracle-identity verification, and asserts that
     range partitioning prunes shards on the range workload.
     """
@@ -281,9 +271,7 @@ def run(
             if (n_shards, workers) != (1, 1)
         )
     for n_shards, workers in grid:
-        engine_config = EngineConfig(
-            n_shards=n_shards, workers=workers, executor=executor, coax=config
-        )
+        engine_config = EngineConfig(n_shards=n_shards, workers=workers, coax=config)
         build_start = time.perf_counter()
         engine = ShardedCOAX(table, config=engine_config, groups=groups)
         build_seconds = time.perf_counter() - build_start
@@ -314,7 +302,7 @@ def run(
                     "workload": workload_name,
                     "shards": n_shards,
                     "workers": workers,
-                    "executor": executor,
+                    "executor": "thread",
                     "build_s": round(build_seconds, 3),
                     "queries": len(queries),
                     "seconds": round(seconds, 4),
@@ -334,7 +322,6 @@ def run(
             config,
             n_shards=max(shard_counts),
             workers=max(worker_counts),
-            executor=executor,
             seed=seed + 29,
             rounds=crud_rounds,
         )
@@ -344,7 +331,6 @@ def run(
         "every sharded result verified element-for-element against the unsharded "
         "COAX oracle (query phase and mixed-CRUD phase)"
     )
-    notes.append(f"scatter backend: {executor}")
     notes.append(
         f"host cpu cores: {os.cpu_count()} — worker parallelism needs cores; "
         "on fewer cores than workers the speedup is algorithmic "

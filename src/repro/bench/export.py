@@ -21,9 +21,8 @@ __all__ = ["export_csv", "export_json", "export_all", "STANDARD_FIELDS"]
 PathLike = Union[str, Path]
 
 #: Fields every exported row carries, so artifacts from different
-#: experiments (and different executor sweeps of the same experiment)
-#: join on a stable schema.  ``executor`` names the scatter backend that
-#: produced the row (``""`` where execution played no part);
+#: experiments join on a stable schema.  ``executor`` names the scatter
+#: backend that produced the row (``""`` where execution played no part);
 #: ``cold_start_s`` is the restart latency (``None`` outside the restart
 #: benchmark); ``offered_qps``/``p50_ms``/``p99_ms``/``clients`` are the
 #: serving-load axes (``None`` outside the serve benchmark);

@@ -11,7 +11,7 @@ Usage::
     python -m repro.cli crud --deletes 10000 --export BENCH_crud.json
     python -m repro.cli crud --smoke
     python -m repro.cli scale-bench --shards 1 2 4 8 --workers 1 4 --export BENCH_scale.json
-    python -m repro.cli scale-bench --smoke --executor process
+    python -m repro.cli scale-bench --smoke
     python -m repro.cli restart-bench --rows 1000000 --export BENCH_restart.json
     python -m repro.cli restart-bench --smoke
     python -m repro.cli drift-bench --export BENCH_drift.json
@@ -31,12 +31,11 @@ delta-store update benchmark (an alias of the ``updates`` experiment id);
 ``query-bench`` runs the read-path benchmark (``read_path``); ``crud`` runs
 the delete/update benchmark against a delete-aware full-scan oracle;
 ``scale-bench`` runs the sharded-engine scaling benchmark (``scale``) over
-a ``--shards`` x ``--workers`` grid — ``--executor thread|process``
-selects the scatter backend; ``restart-bench`` times the v6 mmap cold
-start against the legacy npz copy-load (``restart``); ``drift-bench``
-runs the drifting
-insert stream comparing frozen vs adaptive FD models (``drift``), every
-result verified against a full-scan oracle; ``serve-bench`` drives TCP
+a ``--shards`` x ``--workers`` grid; ``restart-bench`` times the v6 mmap
+cold start against the legacy npz copy-load (``restart``);
+``drift-bench`` runs the drifting insert stream comparing frozen vs
+adaptive FD models (``drift``), every result verified against a
+full-scan oracle; ``serve-bench`` drives TCP
 load through the asyncio serving front end, comparing the adaptive
 query-coalescing server against a naive one-query-at-a-time baseline
 (``serve``), every served result verified against direct engine queries;
@@ -132,12 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker-pool sizes to sweep (scale-bench)",
     )
     parser.add_argument(
-        "--executor",
-        choices=("thread", "process"),
-        default=None,
-        help="scatter backend (scale-bench, restart-bench)",
-    )
-    parser.add_argument(
         "--n-shards",
         type=int,
         default=None,
@@ -190,7 +183,6 @@ def _run_experiment(
     batch_sizes: Optional[Sequence[int]] = None,
     shards: Optional[Sequence[int]] = None,
     workers: Optional[Sequence[int]] = None,
-    executor: Optional[str] = None,
     n_shards: Optional[int] = None,
     clients: Optional[Sequence[int]] = None,
     offered_qps: Optional[Sequence[int]] = None,
@@ -216,7 +208,6 @@ def _run_experiment(
         "batch_sizes": batch_sizes,
         "shard_counts": shards,
         "worker_counts": workers,
-        "executor": executor,
         "n_shards": n_shards,
         "client_counts": clients,
         "offered_qps": offered_qps,
@@ -242,7 +233,6 @@ def run_experiment(
     batch_sizes: Optional[Sequence[int]] = None,
     shards: Optional[Sequence[int]] = None,
     workers: Optional[Sequence[int]] = None,
-    executor: Optional[str] = None,
     n_shards: Optional[int] = None,
     clients: Optional[Sequence[int]] = None,
     offered_qps: Optional[Sequence[int]] = None,
@@ -262,7 +252,6 @@ def run_experiment(
         batch_sizes=batch_sizes,
         shards=shards,
         workers=workers,
-        executor=executor,
         n_shards=n_shards,
         clients=clients,
         offered_qps=offered_qps,
@@ -321,7 +310,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 batch_sizes=args.batch_sizes,
                 shards=args.shards,
                 workers=args.workers,
-                executor=args.executor,
                 n_shards=args.n_shards,
                 clients=args.clients,
                 offered_qps=args.offered_qps,

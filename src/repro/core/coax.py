@@ -731,8 +731,8 @@ class COAXIndex(MultidimensionalIndex):
         positionally aligned with it, so the sharded engine pays batch
         translation and planning once for all shards.  Returns one
         :class:`AggregatePartial` slot per sub-query; the caller owns the
-        cross-shard merge, which moves O(sub-batch) floats through a
-        process pool instead of O(rows) ids.
+        cross-shard merge, which moves O(sub-batch) floats instead of
+        O(rows) ids.
         """
         n_sub = len(slots)
         partial = AggregatePartial.identity(n_sub)

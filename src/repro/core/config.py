@@ -15,12 +15,6 @@ OUTLIER_INDEX_CHOICES: Tuple[str, ...] = ("sorted_cell_grid", "uniform_grid", "r
 #: Partitioning schemes the sharded engine supports.
 PARTITIONING_CHOICES: Tuple[str, ...] = ("range", "hash")
 
-#: Scatter-executor kinds of the sharded engine: ``"thread"`` runs shard
-#: scans on a thread pool (NumPy kernels release the GIL), ``"process"``
-#: on worker processes that attach to mmap-backed shard replicas, which
-#: also parallelises the Python-level planner/merge glue.
-EXECUTOR_CHOICES: Tuple[str, ...] = ("thread", "process")
-
 
 @dataclass(frozen=True)
 class MaintenanceConfig:
@@ -234,10 +228,8 @@ class EngineConfig:
     partition_dimension: Optional[str] = None
     #: Scatter/build/compact thread-pool size; 1 disables the pool.
     workers: int = 1
-    #: Batch-scatter execution backend: ``"thread"`` (default) scans shards
-    #: on the worker thread pool; ``"process"`` dispatches batch scans to
-    #: worker processes attached to mmap-backed shard replicas (builds,
-    #: mutations, compaction and scalar queries stay on threads either way).
+    #: Scatter backend; ``"thread"`` (the worker thread pool) is the only
+    #: one — the process executor was removed.
     executor: str = "thread"
     #: Configuration every per-shard COAX index is built with.
     coax: COAXConfig = field(default_factory=COAXConfig)
@@ -259,7 +251,8 @@ class EngineConfig:
             )
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
-        if self.executor not in EXECUTOR_CHOICES:
+        if self.executor != "thread":
             raise ValueError(
-                f"executor must be one of {EXECUTOR_CHOICES}, got {self.executor!r}"
+                'the process executor was removed; executor must be "thread", '
+                f"got {self.executor!r}"
             )

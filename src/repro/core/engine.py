@@ -36,25 +36,16 @@ Design pillars
   are conservative hulls (they grow with inserts and shrink only when a
   shard compaction rebuilds them from survivors), so pruning can hide no
   live row.
-* **Scatter/gather.**  ``batch_range_query`` plans and translates the
-  whole batch once (columnar bound matrices), scatters each shard's
-  surviving sub-batch across a thread pool (the NumPy kernels release the
-  GIL; ``workers=1`` falls back to a strictly serial loop), and gathers
-  with the existing fused-key merge
-  (:func:`repro.core.results.merge_flat_row_ids`).  Results are
+* **Scatter/gather.**  Every batch op — ``batch_range_query`` and
+  ``batch_aggregate`` — runs through one core: the whole batch is planned
+  and translated once (columnar bound matrices), each shard's surviving
+  sub-batch is scattered across a thread pool (the NumPy kernels release
+  the GIL; ``workers=1`` falls back to a strictly serial loop), and one
+  gather merges the shard outputs — flat row ids with the fused-key merge
+  (:func:`repro.core.results.merge_flat_row_ids`) or aggregate partials —
+  records the counters, feeds the layout monitor and attributes per-query
+  stats.  kNN and top-k fan out over the same pool.  Results are
   bit-identical to an unsharded COAX index over the same data.
-* **Process execution.**  With ``executor="process"`` batch scatters run
-  on worker *processes* instead of threads, which parallelises the
-  Python-level planner/merge glue the GIL serialises on the thread pool.
-  Each worker attaches to an mmap-backed columnar replica of its shard —
-  the engine spills a shard to a format-v6 archive on first dispatch and
-  re-spills only after a mutation bumped the shard's generation counter —
-  so the workers share the page cache with the parent and receive only
-  the sliced bound matrices per task, never the data.  Replica scans are
-  bit-identical (ids, order *and* stats) to the in-process shard scans:
-  structured restore reattaches the very same derived structures the
-  parent holds.  Builds, mutations, compactions and scalar queries stay
-  on threads either way.
 * **Independent per-shard compaction.**  Every shard carries its own
   delta store, tombstones and auto-compaction triggers, so reclaim work
   is amortised shard by shard as writes land instead of a stop-the-world
@@ -69,15 +60,11 @@ Design pillars
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-import shutil
-import tempfile
 import threading
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import replace
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
@@ -118,153 +105,21 @@ class EngineClosedError(RuntimeError):
     """
 
 
-def _stats_snapshot(stats: QueryStats) -> Tuple[int, ...]:
-    """Immutable copy of the counters a shard task may advance."""
-    return (
-        stats.queries,
-        stats.rows_examined,
-        stats.rows_matched,
-        stats.cells_visited,
-        stats.nodes_visited,
-        stats.aggregates,
-        stats.knn_queries,
-        stats.rings_expanded,
-    )
+#: One dispatched shard sub-batch: shard number, the batch slots that
+#: survived its pruning, and the planner's per-slot primary/outlier flags.
+_Task = Tuple[int, np.ndarray, np.ndarray, np.ndarray]
 
 
-def _stats_delta(before: Tuple[int, ...], stats: QueryStats) -> QueryStats:
-    """Counter advance of one shard between a snapshot and now."""
-    return QueryStats(
-        queries=stats.queries - before[0],
-        rows_examined=stats.rows_examined - before[1],
-        rows_matched=stats.rows_matched - before[2],
-        cells_visited=stats.cells_visited - before[3],
-        nodes_visited=stats.nodes_visited - before[4],
-        aggregates=stats.aggregates - before[5],
-        knn_queries=stats.knn_queries - before[6],
-        rings_expanded=stats.rings_expanded - before[7],
-    )
+class _BatchPlan(NamedTuple):
+    """A batch planned and translated once, ready to scatter."""
 
-
-def _stats_counters(delta: QueryStats) -> Tuple[int, ...]:
-    """Process-transport form of a counter delta (inverse of the literal below)."""
-    return (
-        delta.queries,
-        delta.rows_examined,
-        delta.rows_matched,
-        delta.cells_visited,
-        delta.nodes_visited,
-        delta.aggregates,
-        delta.knn_queries,
-        delta.rings_expanded,
-    )
-
-
-def _stats_from_counters(counters: Tuple[int, ...]) -> QueryStats:
-    """Rebuild a counter delta shipped back from a worker process."""
-    return QueryStats(
-        queries=counters[0],
-        rows_examined=counters[1],
-        rows_matched=counters[2],
-        cells_visited=counters[3],
-        nodes_visited=counters[4],
-        aggregates=counters[5],
-        knn_queries=counters[6],
-        rings_expanded=counters[7],
-    )
-
-
-#: Per-worker-process cache of mmap-attached shard replicas, keyed by
-#: shard number.  The spill path encodes the shard's generation, so a
-#: path mismatch means the parent re-spilled after a mutation and the
-#: stale replica is dropped; each engine owns its own process pool, so
-#: shard numbers cannot collide across engines within one worker.
-_REPLICA_CACHE: Dict[int, Tuple[str, "COAXIndex"]] = {}
-
-
-def _scatter_worker(payload):
-    """One shard sub-batch scan inside a worker process.
-
-    Attaches (or reuses) the shard's mmap-backed replica, runs the same
-    ``batch_scatter_flat`` core the thread path runs — the sub-batch is
-    pre-sliced, so local slot ``i`` is sub-query ``i`` — and returns flat
-    local ids, sub-batch query slots and the stats counter advance.  The
-    replica is restored from the shard's own persisted structures, so ids,
-    order and counters are bit-identical to scanning the live shard.
-    """
-    (
-        shard_no,
-        spill_path,
-        sub_queries,
-        sub_bounds,
-        sub_translated,
-        use_primary,
-        use_outlier,
-    ) = payload
-    cached = _REPLICA_CACHE.get(shard_no)
-    if cached is None or cached[0] != spill_path:
-        # Imported lazily: persistence imports this module at top level.
-        from repro.io.persistence import load_index
-
-        replica = load_index(spill_path)
-        _REPLICA_CACHE[shard_no] = (spill_path, replica)
-    else:
-        replica = cached[1]
-    n_sub = len(sub_queries)
-    before = _stats_snapshot(replica.stats)
-    local_ids, sub_qids = replica.batch_scatter_flat(
-        sub_queries,
-        np.arange(n_sub, dtype=np.int64),
-        sub_bounds,
-        sub_translated,
-        use_primary,
-        use_outlier,
-        n_sub,
-    )
-    delta = _stats_delta(before, replica.stats)
-    return (local_ids, sub_qids, _stats_counters(delta))
-
-
-def _aggregate_worker(payload):
-    """One shard sub-batch aggregate fold inside a worker process.
-
-    The twin of :func:`_scatter_worker` for the aggregate executor: it
-    runs the same ``batch_scatter_aggregate`` core the thread path runs
-    and ships back only the :class:`AggregatePartial` state arrays —
-    O(sub-batch) floats — plus the stats counter advance, never row ids.
-    """
-    (
-        shard_no,
-        spill_path,
-        sub_queries,
-        sub_bounds,
-        sub_translated,
-        use_primary,
-        use_outlier,
-        spec,
-    ) = payload
-    cached = _REPLICA_CACHE.get(shard_no)
-    if cached is None or cached[0] != spill_path:
-        from repro.io.persistence import load_index
-
-        replica = load_index(spill_path)
-        _REPLICA_CACHE[shard_no] = (spill_path, replica)
-    else:
-        replica = cached[1]
-    n_sub = len(sub_queries)
-    before = _stats_snapshot(replica.stats)
-    partial = replica.batch_scatter_aggregate(
-        sub_queries,
-        np.arange(n_sub, dtype=np.int64),
-        sub_bounds,
-        sub_translated,
-        use_primary,
-        use_outlier,
-        n_sub,
-        spec,
-    )
-    delta = _stats_delta(before, replica.stats)
-    return (partial.state(), _stats_counters(delta))
+    bounds: Dict[str, Tuple[np.ndarray, np.ndarray]]
+    translated: Dict[str, Tuple[np.ndarray, np.ndarray]]
+    live: np.ndarray
+    tasks: List[_Task]
+    pruned_per_query: np.ndarray
+    hits_by: np.ndarray
+    pruned_by: np.ndarray
 
 
 class ShardedCOAX(MultidimensionalIndex):
@@ -299,11 +154,6 @@ class ShardedCOAX(MultidimensionalIndex):
         self._stats_lock = threading.Lock()
         self._closed = False
         self._executor: Optional[ThreadPoolExecutor] = None
-        self._process_pools: Optional[List[ProcessPoolExecutor]] = None
-        self._spill_lock = threading.Lock()
-        self._spill_dir: Optional[str] = None
-        self._generations: List[int] = [0] * config.n_shards
-        self._spilled: List[Optional[Tuple[int, str]]] = [None] * config.n_shards
 
         # The FD groups are learned ONCE over the full table and shared by
         # every shard: per-shard detection could fit different models and
@@ -476,6 +326,24 @@ class ShardedCOAX(MultidimensionalIndex):
             return [future.result() for future in futures]
         return [fn(item) for item in items]
 
+    def _run_on_shard(
+        self, shard_no: int, fn: Callable[[COAXIndex, np.ndarray], _R]
+    ) -> Tuple[_R, QueryStats]:
+        """``fn(shard, global_of)`` under the shard lock, plus the shard's
+        counter advance.
+
+        ``global_of`` is the shard's local→global id map, read under the
+        same lock that extends it on insert, so every local id ``fn`` sees
+        resolves.  Snapshot and delta are both taken inside the lock: a
+        concurrent reader advancing the same shard's counters must not be
+        double-counted into this call's delta.
+        """
+        shard = self._shards[shard_no]
+        with shard.write_lock:
+            before = shard.stats.snapshot()
+            result = fn(shard, self._global_of[shard_no])
+            return result, shard.stats.delta(before)
+
     def _check_open(self) -> None:
         """Raise :class:`EngineClosedError` after :meth:`shutdown`."""
         if self._closed:
@@ -491,90 +359,19 @@ class ShardedCOAX(MultidimensionalIndex):
             )
         return self._executor
 
-    def _ensure_process_pools(self) -> List[ProcessPoolExecutor]:
-        """The lazily created worker pools (one single-process pool per slot).
-
-        Shard ``s`` is always dispatched to slot ``s % workers``, so every
-        worker process attaches (and caches) only the replicas of its own
-        residue class — at most ``ceil(n_shards / workers)`` per worker —
-        instead of every worker eventually touching every shard.  A shared
-        pool with arbitrary task placement keeps hitting cold
-        (worker, shard) pairs; pinned slots warm up after one batch.
-
-        Prefers the ``fork`` start method: the workers inherit the loaded
-        modules and start in milliseconds; replicas are attached from disk
-        either way, so no engine state needs to survive the fork.
-        """
-        self._check_open()
-        if self._process_pools is None:
-            try:
-                context = multiprocessing.get_context("fork")
-            except ValueError:  # pragma: no cover - non-POSIX fallback
-                context = multiprocessing.get_context()
-            self._process_pools = [
-                ProcessPoolExecutor(max_workers=1, mp_context=context)
-                for _ in range(self._config.workers)
-            ]
-        return self._process_pools
-
-    def _note_shard_mutation(self, shard_nos) -> None:
-        """Bump the mutated shards' generation counters (mutation entry
-        points call this *after* the mutation fully landed, so a replica
-        spilled under the new generation is always a complete snapshot)."""
-        for shard_no in np.atleast_1d(np.asarray(shard_nos, dtype=np.int64)):
-            self._generations[int(shard_no)] += 1
-
-    def _ensure_spilled(self, shard_no: int) -> str:
-        """Path of an up-to-date mmap-able replica archive of one shard.
-
-        Spills the shard to a format-v6 columnar directory on first use
-        and after every generation bump; the path encodes the generation,
-        so worker processes detect staleness by path comparison alone.
-        The archive write is atomic (tmp dir + rename), so a worker can
-        never attach a torn replica.
-        """
-        with self._spill_lock:
-            generation = self._generations[shard_no]
-            spilled = self._spilled[shard_no]
-            if spilled is not None and spilled[0] == generation:
-                return spilled[1]
-            if self._spill_dir is None:
-                self._spill_dir = tempfile.mkdtemp(prefix="coax-scatter-")
-            path = os.path.join(self._spill_dir, f"shard{shard_no}.g{generation}")
-            from repro.io.persistence import save_index
-
-            save_index(self._shards[shard_no], path)
-            if spilled is not None and os.path.exists(spilled[1]):
-                shutil.rmtree(spilled[1], ignore_errors=True)
-            self._spilled[shard_no] = (generation, path)
-            return path
-
     def close(self) -> None:
-        """Release execution resources (idempotent; queries stay usable
-        serially afterwards, and the pools are recreated on demand).
-
-        Shuts down the thread pool and the process pool (waiting for
-        in-flight work), and removes the spilled replica archives — the
-        worker-side mmap handles die with the worker processes.
-        """
+        """Release the worker thread pool, waiting for in-flight work
+        (idempotent; queries stay usable afterwards and the pool is
+        recreated on demand)."""
         if self._executor is not None:
             self._executor.shutdown(wait=True)
             self._executor = None
-        if self._process_pools is not None:
-            for pool in self._process_pools:
-                pool.shutdown(wait=True)
-            self._process_pools = None
-        with self._spill_lock:
-            if self._spill_dir is not None:
-                shutil.rmtree(self._spill_dir, ignore_errors=True)
-                self._spill_dir = None
-            self._spilled = [None] * len(self._shards)
 
     def shutdown(self) -> None:
         """Terminally close the engine (idempotent).
 
-        Unlike :meth:`close` — which only releases pools/spills and lets
-        later queries recreate them — ``shutdown`` marks the engine closed
+        Unlike :meth:`close` — which only releases the pool and lets later
+        queries recreate it — ``shutdown`` marks the engine closed
         first, so every subsequent query or mutation entry point raises
         :class:`EngineClosedError` instead of resurrecting resources.  The
         closed flag is set under the engine lock, which serialises the
@@ -616,11 +413,6 @@ class ShardedCOAX(MultidimensionalIndex):
     def workers(self) -> int:
         """Scatter/build/compact thread-pool size (1 = serial)."""
         return self._config.workers
-
-    @property
-    def executor(self) -> str:
-        """Batch-scatter backend: ``"thread"`` or ``"process"``."""
-        return self._config.executor
 
     @property
     def shards(self) -> Tuple[COAXIndex, ...]:
@@ -849,17 +641,12 @@ class ShardedCOAX(MultidimensionalIndex):
         for shard_no, visible in enumerate(visits):
             if not visible:
                 continue
-            shard = self._shards[shard_no]
-            # Snapshot and delta both inside the shard lock: a concurrent
-            # reader advancing the same shard's counters must not be
-            # double-counted into this query's delta.
-            with shard.write_lock:
-                before = _stats_snapshot(shard.stats)
-                local_ids = shard.range_query(query)
-                parts.append(self._global_of[shard_no][local_ids])
-                shard_delta = _stats_delta(before, shard.stats)
-            gathered.merge(shard_delta)
-            examined_by[shard_no] = shard_delta.rows_examined
+            global_ids, delta = self._run_on_shard(
+                shard_no, lambda shard, global_of: global_of[shard.range_query(query)]
+            )
+            parts.append(global_ids)
+            gathered.merge(delta)
+            examined_by[shard_no] = delta.rows_examined
         merged = merge_row_ids(parts)
         with self._stats_lock:
             self.stats.record(
@@ -897,12 +684,11 @@ class ShardedCOAX(MultidimensionalIndex):
         an unsharded COAX index.
         """
         queries = list(queries)
-        n_queries = len(queries)
-        if n_queries == 0:
+        if not queries:
             return []
         self._check_open()
         with self._maintenance_guard():
-            results, _ = self._batch_range_query_locked(queries, n_queries)
+            results, _ = self._batch_locked(queries, None, attribute=False)
             return results
 
     def batch_range_query_attributed(
@@ -928,40 +714,86 @@ class ShardedCOAX(MultidimensionalIndex):
           bit-for-bit.
         """
         queries = list(queries)
-        n_queries = len(queries)
-        if n_queries == 0:
+        if not queries:
             return [], []
         self._check_open()
         with self._maintenance_guard():
-            return self._batch_range_query_locked(queries, n_queries, attribute=True)
+            return self._batch_locked(queries, None, attribute=True)
 
-    def _batch_range_query_locked(
-        self, queries: List[Rectangle], n_queries: int, attribute: bool = False
-    ) -> Tuple[List[np.ndarray], List[QueryStats]]:
+    def _batch_locked(
+        self, queries: List[Rectangle], spec: Optional[Aggregate], attribute: bool
+    ) -> Tuple[object, List[QueryStats]]:
+        """The one batch core: plan, scatter, gather, account.
+
+        ``spec=None`` materialises ids — a list of global-id arrays comes
+        back — and an :class:`Aggregate` spec folds partials instead — an
+        :class:`AggregatePartial` comes back.  Both ops share the shard
+        visibility, the counters, the layout sketch and the attribution;
+        they differ only in the shard kernel and in what crosses the
+        gather boundary (ids vs O(batch) accumulator floats).
+        """
+        n_queries = len(queries)
+        per_query_aggregates = int(spec is not None)
+        plan = self._plan_batch(queries)
+        if plan is None:
+            with self._stats_lock:
+                self.stats.record_batch(0, aggregates=per_query_aggregates * n_queries)
+            per_query = (
+                [QueryStats(aggregates=per_query_aggregates) for _ in range(n_queries)]
+                if attribute
+                else []
+            )
+            if spec is not None:
+                return AggregatePartial.identity(n_queries), per_query
+            return [np.empty(0, dtype=np.int64) for _ in range(n_queries)], per_query
+        scattered = self._scatter_batch(queries, plan, spec)
+        deltas = [delta for _, delta in scattered]
+        output: object
+        if spec is None:
+            id_parts = [ids for (ids, _), _ in scattered if len(ids)]
+            if id_parts:
+                qid_parts = [qids for (ids, qids), _ in scattered if len(ids)]
+                output = merge_flat_row_ids(
+                    np.concatenate(id_parts), np.concatenate(qid_parts), n_queries
+                )
+            else:
+                output = [np.empty(0, dtype=np.int64) for _ in range(n_queries)]
+            matched = np.array([len(ids) for ids in output], dtype=np.int64)
+        else:
+            output = AggregatePartial.identity(n_queries)
+            for task, (sub_partial, _) in zip(plan.tasks, scattered):
+                output.merge_at(task[1], sub_partial)
+            matched = output.count
+        per_query = self._account_batch(
+            plan, deltas, matched, per_query_aggregates, attribute
+        )
+        return output, per_query
+
+    def _plan_batch(self, queries: List[Rectangle]) -> Optional[_BatchPlan]:
+        """Translate a batch once and prune it per shard (``None`` when no
+        query is live).
+
+        The batch form of :meth:`_scalar_visit_mask`, evaluated as
+        whole-batch array ops.  Each task carries the shard's surviving
+        slots and planner flags, so the shard executes without re-deriving
+        any of them.
+        """
+        n_queries = len(queries)
         bounds = batch_bounds(queries)
         live = np.ones(n_queries, dtype=bool)
         for lows, highs in bounds.values():
             live &= lows <= highs
-        n_live = int(live.sum())
-        if n_live == 0:
-            empties = [np.empty(0, dtype=np.int64) for _ in range(n_queries)]
-            return empties, [QueryStats() for _ in range(n_queries)] if attribute else []
-        translated_bounds, no_inlier = translate_bounds_batch(
-            bounds, n_queries, self._groups
-        )
-
-        # Per-shard visibility masks: the batch form of the scalar pruning
-        # rule, evaluated as whole-batch array ops.  Each task carries the
-        # shard's pre-sliced bound matrices and planner flags, so the
-        # shard executes without re-deriving any of them.
-        tasks: List[Tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
+        if not live.any():
+            return None
+        translated, no_inlier = translate_bounds_batch(bounds, n_queries, self._groups)
+        tasks: List[_Task] = []
         pruned_per_query = np.zeros(n_queries, dtype=np.int64)
         hits_by = np.zeros(len(self._shards), dtype=np.int64)
         pruned_by = np.zeros(len(self._shards), dtype=np.int64)
         for shard_no, shard in enumerate(self._shards):
             use_primary, use_outlier = plan_query_flags(
                 bounds,
-                translated_bounds,
+                translated,
                 no_inlier,
                 n_queries,
                 primary_box=shard.primary_box,
@@ -970,79 +802,79 @@ class ShardedCOAX(MultidimensionalIndex):
             visible = use_primary | use_outlier
             if shard.n_pending:
                 visible |= live & batch_overlaps_box(bounds, n_queries, shard.delta.box)
-            pruned_per_query += live & ~visible
-            pruned_by[shard_no] = int(np.count_nonzero(live & ~visible))
+            pruned = live & ~visible
+            pruned_per_query += pruned
+            pruned_by[shard_no] = int(np.count_nonzero(pruned))
             slots = np.flatnonzero(visible)
             hits_by[shard_no] = len(slots)
             if len(slots):
                 tasks.append((shard_no, slots, use_primary[slots], use_outlier[slots]))
-        shards_pruned = int(pruned_per_query.sum())
+        return _BatchPlan(
+            bounds, translated, live, tasks, pruned_per_query, hits_by, pruned_by
+        )
 
-        def run_shard(
-            task: Tuple[int, np.ndarray, np.ndarray, np.ndarray],
-        ) -> Tuple[np.ndarray, np.ndarray, QueryStats]:
+    def _scatter_batch(
+        self, queries: List[Rectangle], plan: _BatchPlan, spec: Optional[Aggregate]
+    ) -> List[Tuple[object, QueryStats]]:
+        """Run every planned shard task on the worker pool.
+
+        Per task (positionally aligned with ``plan.tasks``) it returns the
+        shard's output — ``(global ids, batch slots)`` of its matches, or
+        its :class:`AggregatePartial` — and the shard's counter advance.
+        """
+
+        def run_shard(task: _Task) -> Tuple[object, QueryStats]:
             shard_no, slots, use_primary, use_outlier = task
-            shard = self._shards[shard_no]
-            sub_bounds = {
-                dim: (lows[slots], highs[slots])
-                for dim, (lows, highs) in bounds.items()
-            }
-            sub_translated = {
-                dim: (lows[slots], highs[slots])
-                for dim, (lows, highs) in translated_bounds.items()
-            }
-            # Snapshot and delta both inside the shard lock (see
-            # range_query): concurrent readers must not double-count each
-            # other's per-shard work.
-            with shard.write_lock:
-                before = _stats_snapshot(shard.stats)
-                local_ids, sub_qids = shard.batch_scatter_flat(
-                    queries,
-                    slots,
-                    sub_bounds,
-                    sub_translated,
-                    use_primary,
-                    use_outlier,
-                    len(slots),
-                )
-                global_ids = self._global_of[shard_no][local_ids]
-                delta = _stats_delta(before, shard.stats)
-            return global_ids, slots[sub_qids], delta
-
-        if (
-            self._config.executor == "process"
-            and self._config.workers > 1
-            and len(tasks) > 1
-        ):
-            scattered = self._scatter_processes(
-                queries, bounds, translated_bounds, tasks
+            args = (
+                queries,
+                slots,
+                {dim: (lows[slots], highs[slots]) for dim, (lows, highs) in plan.bounds.items()},
+                {
+                    dim: (lows[slots], highs[slots])
+                    for dim, (lows, highs) in plan.translated.items()
+                },
+                use_primary,
+                use_outlier,
+                len(slots),
             )
-        else:
-            scattered = self._map_shards(run_shard, tasks)
 
+            def scan(shard: COAXIndex, global_of: np.ndarray):
+                if spec is not None:
+                    return shard.batch_scatter_aggregate(*args, spec)
+                local_ids, sub_qids = shard.batch_scatter_flat(*args)
+                return global_of[local_ids], slots[sub_qids]
+
+            return self._run_on_shard(shard_no, scan)
+
+        return self._map_shards(run_shard, plan.tasks)
+
+    def _account_batch(
+        self,
+        plan: _BatchPlan,
+        deltas: List[QueryStats],
+        matched: np.ndarray,
+        per_query_aggregates: int,
+        attribute: bool,
+    ) -> List[QueryStats]:
+        """Record a gathered batch: engine counters, layout sketch and —
+        when ``attribute`` — one :class:`QueryStats` per query.
+
+        ``deltas`` are the shard counter advances aligned with
+        ``plan.tasks``; ``matched`` is each query's exact match count.
+        """
+        n_queries = len(plan.live)
         gathered = QueryStats()
-        id_parts: List[np.ndarray] = []
-        qid_parts: List[np.ndarray] = []
-        for global_ids, qids, delta in scattered:
+        for delta in deltas:
             gathered.merge(delta)
-            if len(global_ids):
-                id_parts.append(global_ids)
-                qid_parts.append(qids)
-        if id_parts:
-            results = merge_flat_row_ids(
-                np.concatenate(id_parts), np.concatenate(qid_parts), n_queries
-            )
-        else:
-            results = [np.empty(0, dtype=np.int64) for _ in range(n_queries)]
-        total_matched = int(sum(len(result) for result in results))
         with self._stats_lock:
             self.stats.record_batch(
-                n_live,
+                int(plan.live.sum()),
                 rows_examined=gathered.rows_examined,
-                rows_matched=total_matched,
+                rows_matched=int(matched.sum()),
                 cells_visited=gathered.cells_visited,
                 nodes_visited=gathered.nodes_visited,
-                shards_pruned=shards_pruned,
+                shards_pruned=int(plan.pruned_per_query.sum()),
+                aggregates=per_query_aggregates * n_queries,
             )
         if self._layout is not None:
             # Outside the stats lock: the monitor has its own leaf lock.
@@ -1050,104 +882,48 @@ class ShardedCOAX(MultidimensionalIndex):
             # translator produced any (those drive primary-box pruning),
             # the original bounds otherwise.
             examined_by = np.zeros(len(self._shards), dtype=np.int64)
-            for task, (_, _, delta) in zip(tasks, scattered):
+            for task, delta in zip(plan.tasks, deltas):
                 examined_by[task[0]] = delta.rows_examined
-            if self._partition_dim in translated_bounds:
-                part_lows, part_highs = translated_bounds[self._partition_dim]
-            elif self._partition_dim in bounds:
-                part_lows, part_highs = bounds[self._partition_dim]
+            if self._partition_dim in plan.translated:
+                part_lows, part_highs = plan.translated[self._partition_dim]
+            elif self._partition_dim in plan.bounds:
+                part_lows, part_highs = plan.bounds[self._partition_dim]
             else:
                 part_lows = np.full(n_queries, -np.inf)
                 part_highs = np.full(n_queries, np.inf)
             self._layout.observe(
-                part_lows[live],
-                part_highs[live],
-                hits=hits_by,
-                pruned=pruned_by,
+                part_lows[plan.live],
+                part_highs[plan.live],
+                hits=plan.hits_by,
+                pruned=plan.pruned_by,
                 examined=examined_by,
             )
-        per_query: List[QueryStats] = []
-        if attribute:
-            # Scan/directory counters accumulate per shard sub-batch; each
-            # shard's delta is attributed evenly over exactly the queries
-            # it was dispatched (tasks and scattered results are
-            # positionally aligned), so the per-query stats sum back to
-            # the batch-global counters exactly.
-            examined = np.zeros(n_queries, dtype=np.int64)
-            cells = np.zeros(n_queries, dtype=np.int64)
-            nodes = np.zeros(n_queries, dtype=np.int64)
-            for task, (_, _, delta) in zip(tasks, scattered):
-                slots = task[1]
-                examined[slots] += split_counter_evenly(delta.rows_examined, len(slots))
-                cells[slots] += split_counter_evenly(delta.cells_visited, len(slots))
-                nodes[slots] += split_counter_evenly(delta.nodes_visited, len(slots))
-            per_query = [
-                QueryStats(
-                    queries=int(live[i]),
-                    rows_examined=int(examined[i]),
-                    rows_matched=len(results[i]),
-                    cells_visited=int(cells[i]),
-                    nodes_visited=int(nodes[i]),
-                    shards_pruned=int(pruned_per_query[i]),
-                )
-                for i in range(n_queries)
-            ]
-        return results, per_query
-
-    def _scatter_processes(
-        self,
-        queries: List[Rectangle],
-        bounds: Dict[str, Tuple[np.ndarray, np.ndarray]],
-        translated_bounds: Dict[str, Tuple[np.ndarray, np.ndarray]],
-        tasks: List[Tuple[int, np.ndarray, np.ndarray, np.ndarray]],
-    ) -> List[Tuple[np.ndarray, np.ndarray, QueryStats]]:
-        """Run the surviving shard tasks on the process pool.
-
-        Each payload carries the shard's replica path plus its pre-sliced
-        sub-batch (queries, bound matrices, planner flags) — a few KB per
-        task; the data itself reaches the worker through the mmap.  Local
-        ids are mapped to global ids and sub-batch slots to batch slots
-        here in the parent, so the gather below is executor-agnostic.
-        Shard ``s`` always runs on worker slot ``s % workers`` (see
-        :meth:`_ensure_process_pools`), keeping every worker's replica
-        cache small and warm.
-        """
-        pools = self._ensure_process_pools()
-        futures = []
-        for shard_no, slots, use_primary, use_outlier in tasks:
-            path = self._ensure_spilled(shard_no)
-            payload = (
-                shard_no,
-                path,
-                [queries[slot] for slot in slots],
-                {
-                    dim: (lows[slots], highs[slots])
-                    for dim, (lows, highs) in bounds.items()
-                },
-                {
-                    dim: (lows[slots], highs[slots])
-                    for dim, (lows, highs) in translated_bounds.items()
-                },
-                use_primary,
-                use_outlier,
+        if not attribute:
+            return []
+        # Scan/directory counters accumulate per shard sub-batch; each
+        # shard's delta is attributed evenly over exactly the queries it
+        # was dispatched, so the per-query stats sum back to the
+        # batch-global counters exactly.
+        examined = np.zeros(n_queries, dtype=np.int64)
+        cells = np.zeros(n_queries, dtype=np.int64)
+        nodes = np.zeros(n_queries, dtype=np.int64)
+        for task, delta in zip(plan.tasks, deltas):
+            slots = task[1]
+            examined[slots] += split_counter_evenly(delta.rows_examined, len(slots))
+            cells[slots] += split_counter_evenly(delta.cells_visited, len(slots))
+            nodes[slots] += split_counter_evenly(delta.nodes_visited, len(slots))
+        return [
+            QueryStats(
+                queries=int(plan.live[i]),
+                rows_examined=int(examined[i]),
+                rows_matched=int(matched[i]),
+                cells_visited=int(cells[i]),
+                nodes_visited=int(nodes[i]),
+                shards_pruned=int(plan.pruned_per_query[i]),
+                aggregates=per_query_aggregates,
             )
-            try:
-                futures.append(
-                    pools[shard_no % len(pools)].submit(_scatter_worker, payload)
-                )
-            except RuntimeError as exc:
-                raise EngineClosedError(
-                    "engine worker pool was shut down while dispatching"
-                ) from exc
-        scattered: List[Tuple[np.ndarray, np.ndarray, QueryStats]] = []
-        for task, future in zip(tasks, futures):
-            shard_no, slots = task[0], task[1]
-            local_ids, sub_qids, counters = future.result()
-            delta = _stats_from_counters(counters)
-            scattered.append(
-                (self._global_of[shard_no][local_ids], slots[sub_qids], delta)
-            )
-        return scattered
+            for i in range(n_queries)
+        ]
 
     def _range_query_positions(self, query: Rectangle) -> np.ndarray:
         """Positions equal global row ids (the engine-wide invariant)."""
@@ -1180,22 +956,21 @@ class ShardedCOAX(MultidimensionalIndex):
     ) -> AggregatePartial:
         """Per-query accumulators, scatter-gathered as partials not ids.
 
-        The aggregate twin of :meth:`batch_range_query`: the batch is
-        translated and planned once, every visible shard folds its
-        sub-batch with :meth:`COAXIndex.batch_scatter_aggregate`, and the
-        gather merges one :class:`AggregatePartial` slot per query — so
-        only O(shards × batch) accumulator floats cross the executor
-        boundary, never candidate row ids.  Results are exact (bit-for-bit
-        for COUNT/MIN/MAX) against an unsharded index because the shards'
-        row subsets are disjoint.
+        The aggregate twin of :meth:`batch_range_query` through the same
+        batch core: every visible shard folds its sub-batch with
+        :meth:`COAXIndex.batch_scatter_aggregate`, and the gather merges
+        one :class:`AggregatePartial` slot per query — so only O(shards ×
+        batch) accumulator floats cross the executor boundary, never
+        candidate row ids.  Results are exact (bit-for-bit for
+        COUNT/MIN/MAX) against an unsharded index because the shards' row
+        subsets are disjoint.
         """
         queries = list(queries)
-        n_queries = len(queries)
-        if n_queries == 0:
+        if not queries:
             return AggregatePartial.identity(0)
         self._check_open()
         with self._maintenance_guard():
-            partial, _ = self._batch_aggregate_locked(queries, n_queries, spec)
+            partial, _ = self._batch_locked(queries, spec, attribute=False)
         return partial
 
     def batch_aggregate_attributed(
@@ -1210,191 +985,33 @@ class ShardedCOAX(MultidimensionalIndex):
         dispatched queries.
         """
         queries = list(queries)
-        n_queries = len(queries)
-        if n_queries == 0:
+        if not queries:
             return np.empty(0, dtype=np.float64), []
         self._check_open()
         with self._maintenance_guard():
-            partial, per_query = self._batch_aggregate_locked(
-                queries, n_queries, spec, attribute=True
-            )
+            partial, per_query = self._batch_locked(queries, spec, attribute=True)
         return partial.finalize(spec), per_query
 
-    def _batch_aggregate_locked(
+    def _keyed_fan_out(
         self,
-        queries: List[Rectangle],
-        n_queries: int,
-        spec: Aggregate,
-        attribute: bool = False,
-    ) -> Tuple[AggregatePartial, List[QueryStats]]:
-        partial = AggregatePartial.identity(n_queries)
-        bounds = batch_bounds(queries)
-        live = np.ones(n_queries, dtype=bool)
-        for lows, highs in bounds.values():
-            live &= lows <= highs
-        n_live = int(live.sum())
-        if n_live == 0:
-            with self._stats_lock:
-                self.stats.record_batch(0, aggregates=n_queries)
-            per_query = (
-                [QueryStats(aggregates=1) for _ in range(n_queries)]
-                if attribute
-                else []
-            )
-            return partial, per_query
-        translated_bounds, no_inlier = translate_bounds_batch(
-            bounds, n_queries, self._groups
-        )
+        shard_nos: Sequence[int],
+        partial: Callable[[COAXIndex], Tuple[np.ndarray, np.ndarray]],
+    ) -> Tuple[List[Tuple[np.ndarray, np.ndarray]], QueryStats]:
+        """``(keys, global ids)`` of ``partial`` on every listed shard,
+        fanned out over the worker pool, plus the summed counter advance."""
 
-        # Identical shard visibility/pruning to the materialising path —
-        # the executors differ only in what crosses the gather boundary.
-        tasks: List[Tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
-        pruned_per_query = np.zeros(n_queries, dtype=np.int64)
-        for shard_no, shard in enumerate(self._shards):
-            use_primary, use_outlier = plan_query_flags(
-                bounds,
-                translated_bounds,
-                no_inlier,
-                n_queries,
-                primary_box=shard.primary_box,
-                outlier_box=shard.outlier_box,
-            )
-            visible = use_primary | use_outlier
-            if shard.n_pending:
-                visible |= live & batch_overlaps_box(bounds, n_queries, shard.delta.box)
-            pruned_per_query += live & ~visible
-            slots = np.flatnonzero(visible)
-            if len(slots):
-                tasks.append((shard_no, slots, use_primary[slots], use_outlier[slots]))
-        shards_pruned = int(pruned_per_query.sum())
+        def run(shard_no: int) -> Tuple[Tuple[np.ndarray, np.ndarray], QueryStats]:
+            def call(shard: COAXIndex, global_of: np.ndarray):
+                keys, local_ids = partial(shard)
+                return keys, global_of[local_ids]
 
-        def run_shard(
-            task: Tuple[int, np.ndarray, np.ndarray, np.ndarray],
-        ) -> Tuple[AggregatePartial, np.ndarray, QueryStats]:
-            shard_no, slots, use_primary, use_outlier = task
-            shard = self._shards[shard_no]
-            sub_bounds = {
-                dim: (lows[slots], highs[slots])
-                for dim, (lows, highs) in bounds.items()
-            }
-            sub_translated = {
-                dim: (lows[slots], highs[slots])
-                for dim, (lows, highs) in translated_bounds.items()
-            }
-            with shard.write_lock:
-                before = _stats_snapshot(shard.stats)
-                sub_partial = shard.batch_scatter_aggregate(
-                    queries,
-                    slots,
-                    sub_bounds,
-                    sub_translated,
-                    use_primary,
-                    use_outlier,
-                    len(slots),
-                    spec,
-                )
-                delta = _stats_delta(before, shard.stats)
-            return sub_partial, slots, delta
+            return self._run_on_shard(shard_no, call)
 
-        if (
-            self._config.executor == "process"
-            and self._config.workers > 1
-            and len(tasks) > 1
-        ):
-            scattered = self._aggregate_processes(
-                queries, bounds, translated_bounds, tasks, spec
-            )
-        else:
-            scattered = self._map_shards(run_shard, tasks)
-
+        scattered = self._map_shards(run, shard_nos)
         gathered = QueryStats()
-        for sub_partial, slots, delta in scattered:
+        for _, delta in scattered:
             gathered.merge(delta)
-            partial.merge_at(slots, sub_partial)
-        with self._stats_lock:
-            self.stats.record_batch(
-                n_live,
-                rows_examined=gathered.rows_examined,
-                rows_matched=int(partial.count.sum()),
-                cells_visited=gathered.cells_visited,
-                nodes_visited=gathered.nodes_visited,
-                shards_pruned=shards_pruned,
-                aggregates=n_queries,
-            )
-        per_query: List[QueryStats] = []
-        if attribute:
-            examined = np.zeros(n_queries, dtype=np.int64)
-            cells = np.zeros(n_queries, dtype=np.int64)
-            nodes = np.zeros(n_queries, dtype=np.int64)
-            for task, (_, _, delta) in zip(tasks, scattered):
-                slots = task[1]
-                examined[slots] += split_counter_evenly(delta.rows_examined, len(slots))
-                cells[slots] += split_counter_evenly(delta.cells_visited, len(slots))
-                nodes[slots] += split_counter_evenly(delta.nodes_visited, len(slots))
-            per_query = [
-                QueryStats(
-                    queries=int(live[i]),
-                    rows_examined=int(examined[i]),
-                    rows_matched=int(partial.count[i]),
-                    cells_visited=int(cells[i]),
-                    nodes_visited=int(nodes[i]),
-                    shards_pruned=int(pruned_per_query[i]),
-                    aggregates=1,
-                )
-                for i in range(n_queries)
-            ]
-        return partial, per_query
-
-    def _aggregate_processes(
-        self,
-        queries: List[Rectangle],
-        bounds: Dict[str, Tuple[np.ndarray, np.ndarray]],
-        translated_bounds: Dict[str, Tuple[np.ndarray, np.ndarray]],
-        tasks: List[Tuple[int, np.ndarray, np.ndarray, np.ndarray]],
-        spec: Aggregate,
-    ) -> List[Tuple[AggregatePartial, np.ndarray, QueryStats]]:
-        """Run the surviving aggregate tasks on the process pool.
-
-        Payloads mirror :meth:`_scatter_processes`; results ship back as
-        :meth:`AggregatePartial.state` arrays — four floats per sub-query
-        regardless of how many rows the fold covered.
-        """
-        pools = self._ensure_process_pools()
-        futures = []
-        for shard_no, slots, use_primary, use_outlier in tasks:
-            path = self._ensure_spilled(shard_no)
-            payload = (
-                shard_no,
-                path,
-                [queries[slot] for slot in slots],
-                {
-                    dim: (lows[slots], highs[slots])
-                    for dim, (lows, highs) in bounds.items()
-                },
-                {
-                    dim: (lows[slots], highs[slots])
-                    for dim, (lows, highs) in translated_bounds.items()
-                },
-                use_primary,
-                use_outlier,
-                spec,
-            )
-            try:
-                futures.append(
-                    pools[shard_no % len(pools)].submit(_aggregate_worker, payload)
-                )
-            except RuntimeError as exc:
-                raise EngineClosedError(
-                    "engine worker pool was shut down while dispatching"
-                ) from exc
-        scattered: List[Tuple[AggregatePartial, np.ndarray, QueryStats]] = []
-        for task, future in zip(tasks, futures):
-            slots = task[1]
-            state, counters = future.result()
-            scattered.append(
-                (AggregatePartial.from_state(state), slots, _stats_from_counters(counters))
-            )
-        return scattered
+        return [part for part, _ in scattered], gathered
 
     def knn_partial(
         self, point: Mapping[str, float], k: int, *, metric: str = "l2"
@@ -1423,14 +1040,10 @@ class ShardedCOAX(MultidimensionalIndex):
         # gather keeps the k best (global-id tie-break; local id order
         # equals global id order within a shard, so per-shard truncation
         # never drops a tie winner).
-        gathered = QueryStats()
-        parts: List[Tuple[np.ndarray, np.ndarray]] = []
-        for shard_no, shard in enumerate(self._shards):
-            with shard.write_lock:
-                before = _stats_snapshot(shard.stats)
-                keys, local_ids = shard.knn_partial(point, k, metric=metric)
-                parts.append((keys, self._global_of[shard_no][local_ids]))
-                gathered.merge(_stats_delta(before, shard.stats))
+        parts, gathered = self._keyed_fan_out(
+            range(len(self._shards)),
+            lambda shard: shard.knn_partial(point, k, metric=metric),
+        )
         keys, ids = merge_topk(parts, k)
         record = QueryStats(
             queries=1,
@@ -1474,17 +1087,10 @@ class ShardedCOAX(MultidimensionalIndex):
             return empty[0], empty[1], record
         translated = translate_query(query, self._groups)
         visits = self._scalar_visit_mask(query, translated)
-        gathered = QueryStats()
-        parts: List[Tuple[np.ndarray, np.ndarray]] = []
-        for shard_no, visible in enumerate(visits):
-            if not visible:
-                continue
-            shard = self._shards[shard_no]
-            with shard.write_lock:
-                before = _stats_snapshot(shard.stats)
-                keys, local_ids = shard.topk_partial(query, spec)
-                parts.append((keys, self._global_of[shard_no][local_ids]))
-                gathered.merge(_stats_delta(before, shard.stats))
+        parts, gathered = self._keyed_fan_out(
+            [shard_no for shard_no, visible in enumerate(visits) if visible],
+            lambda shard: shard.topk_partial(query, spec),
+        )
         keys, ids = merge_topk(parts, spec.k, largest=spec.largest)
         record = QueryStats(
             queries=1,
@@ -1544,7 +1150,6 @@ class ShardedCOAX(MultidimensionalIndex):
             self._shard_of = np.concatenate([self._shard_of, assignment])
             self._local_of = np.concatenate([self._local_of, local_ids])
             self._next_global_id += n_new
-            self._note_shard_mutation(np.unique(assignment))
             self._observe_columns(columns, masks)
             return global_ids
 
@@ -1628,7 +1233,6 @@ class ShardedCOAX(MultidimensionalIndex):
             for shard_no in np.unique(shard_ids):
                 local = self._local_of[known[shard_ids == shard_no]]
                 deleted += self._shards[shard_no].delete_batch(local)
-            self._note_shard_mutation(np.unique(shard_ids))
             return int(deleted)
 
     def delete_rows(self, row_ids: np.ndarray, *, assume_unique: bool = False) -> int:
@@ -1698,7 +1302,6 @@ class ShardedCOAX(MultidimensionalIndex):
                 shard = self._shards[shard_no]
                 shard.update_batch(local_ids[routed], sub_columns)
                 self._gather_shard_masks(shard, routed, masks, sub_columns)
-            self._note_shard_mutation(touched)
             self._observe_columns(columns, masks)
             return row_ids
 
@@ -1761,8 +1364,8 @@ class ShardedCOAX(MultidimensionalIndex):
         monitor exists).  Phase 1 is pure — live rows are gathered and
         fresh shards built without mutating anything, so a build failure
         leaves the engine on the old layout, fully consistent.  Phase 2
-        swaps shard list, boundaries and the global-id mapping and resizes
-        the spill bookkeeping; global ids survive verbatim (dead ids map
+        swaps shard list, boundaries and the global-id mapping; global ids
+        survive verbatim (dead ids map
         to the ``-1`` local sentinel no shard ever matches), so results
         are bit-identical across the re-layout.
         """
@@ -1805,16 +1408,6 @@ class ShardedCOAX(MultidimensionalIndex):
             self._local_of[ids] = np.arange(len(ids), dtype=np.int64)
         if n_new != self._config.n_shards:
             self._config = replace(self._config, n_shards=n_new)
-        with self._spill_lock:
-            # Strictly increasing generations across the re-layout: a
-            # reused (shard, generation) pair would alias an old spill
-            # path and worker replica caches would serve stale bytes.
-            base = (max(self._generations) + 1) if self._generations else 1
-            for spilled in self._spilled:
-                if spilled is not None and os.path.exists(spilled[1]):
-                    shutil.rmtree(spilled[1], ignore_errors=True)
-            self._generations = [base] * n_new
-            self._spilled = [None] * n_new
 
     def compact(self, shard: Optional[int] = None) -> "ShardedCOAX":
         """Fold delta stores and reclaim tombstones — per shard.
@@ -1855,7 +1448,6 @@ class ShardedCOAX(MultidimensionalIndex):
             self._check_open()
             if shard is not None:
                 self._shards[shard].compact()
-                self._note_shard_mutation(shard)
                 return self
             outcome = None
             refreshed = False
@@ -1899,7 +1491,6 @@ class ShardedCOAX(MultidimensionalIndex):
                 self._maintenance.commit(outcome)
             if proposal is None:
                 self._map_shards(lambda s: s.compact(), self._shards)
-            self._note_shard_mutation(np.arange(len(self._shards)))
             if refreshed or proposal is not None:
                 # The refreshed band's baseline follows the inlier
                 # fractions the rebuild/folds just recomputed — the
@@ -1980,11 +1571,6 @@ class ShardedCOAX(MultidimensionalIndex):
         self._stats_lock = threading.Lock()
         self._closed = False
         self._executor = None
-        self._process_pools = None
-        self._spill_lock = threading.Lock()
-        self._spill_dir = None
-        self._generations = [0] * config.n_shards
-        self._spilled = [None] * config.n_shards
         self._groups = list(groups)
         self._partition_dim = partition_dimension
         self._boundaries = np.asarray(boundaries, dtype=np.float64)
@@ -2028,9 +1614,7 @@ class ShardedCOAX(MultidimensionalIndex):
         return self
 
     @classmethod
-    def from_index(
-        cls, index: COAXIndex, *, workers: int = 1, executor: str = "thread"
-    ) -> "ShardedCOAX":
+    def from_index(cls, index: COAXIndex, *, workers: int = 1) -> "ShardedCOAX":
         """Wrap an existing (e.g. legacy-archive) COAX index as one shard.
 
         The shard's local ids are the global ids, so the mapping is the
@@ -2040,7 +1624,6 @@ class ShardedCOAX(MultidimensionalIndex):
             n_shards=1,
             partitioning="hash",
             workers=workers,
-            executor=executor,
             coax=index.config,
         )
         return cls._from_shards(

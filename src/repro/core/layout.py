@@ -33,9 +33,7 @@ Concurrency: the monitor is a leaf structure with its own write lock;
 mutation entry points (``observe`` / ``note_adopted`` / ``reset`` /
 ``load_state``) take it first, and readers snapshot under it.  The
 engine registers these entry points with repro-lint's lock-discipline
-pass, and ``note_adopted`` with the generation-bump pass: adopting a
-layout replaces every shard's contents, so the spill generations must
-be bumped before the engine lock is released.
+pass.
 """
 
 from __future__ import annotations

@@ -251,14 +251,14 @@ class AggregatePartial:
         )
 
     def state(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Plain-array form for process-executor transport."""
+        """Plain-array form: the four accumulator arrays, for serialisation."""
         return self.count, self.total, self.minimum, self.maximum
 
     @classmethod
     def from_state(
         cls, state: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     ) -> "AggregatePartial":
-        """Rebuild from :meth:`state` output (inverse of transport)."""
+        """Rebuild from :meth:`state` output (its inverse)."""
         count, total, minimum, maximum = state
         return cls(
             count=np.asarray(count, dtype=np.int64),

@@ -43,11 +43,12 @@ the loaders dispatch on *file* (npz, v1–v5) vs *directory with manifest*
 (v6) — and saving a loaded index writes v6.  ``save_index(...,
 layout="npz")`` still writes the v5 single-file layout for compatibility
 tooling and benchmarks.  :func:`load_engine` wraps any flat archive into
-a 1-shard engine; sharded archives remember the engine's ``workers`` and
-``executor`` settings, and both can be overridden at load time (a
-deployment knob, not part of the data).  Unsupported versions raise the
-typed :class:`UnsupportedFormatError` carrying the supported-version
-list.
+a 1-shard engine; sharded archives remember the engine's ``workers``
+setting, which can be overridden at load time (a deployment knob, not
+part of the data).  Their ``executor`` key is written for compatibility
+and ignored on load: archives saved with the removed process executor
+load as thread engines.  Unsupported versions raise the typed
+:class:`UnsupportedFormatError` carrying the supported-version list.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ import re
 import shutil
 from dataclasses import asdict
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -66,7 +67,6 @@ from repro.core.coax import COAXIndex
 from repro.core.config import (
     COAXConfig,
     EngineConfig,
-    EXECUTOR_CHOICES,
     LayoutConfig,
     MaintenanceConfig,
 )
@@ -758,7 +758,6 @@ def _restore_engine(
     arrays: Mapping[str, np.ndarray],
     *,
     workers: Optional[int] = None,
-    executor: Optional[str] = None,
 ) -> ShardedCOAX:
     """Rebuild a sharded engine from a sharded (format 4+) archive's contents."""
     engine_meta = meta["engine"]
@@ -779,7 +778,6 @@ def _restore_engine(
         partitioning=engine_meta["partitioning"],
         partition_dimension=engine_meta.get("partition_dimension"),
         workers=int(workers if workers is not None else engine_meta.get("workers", 1)),
-        executor=executor if executor is not None else engine_meta.get("executor", "thread"),
         coax=_config_from_dict(engine_meta["config"]),
         # Archives written before format v7 carry no layout section; the
         # default (disabled) configuration is exactly their behaviour.
@@ -851,7 +849,6 @@ def load_engine(
     path: Union[str, Path],
     *,
     workers: Optional[int] = None,
-    executor: Optional[str] = None,
 ) -> ShardedCOAX:
     """Load any supported archive as a sharded engine.
 
@@ -859,22 +856,11 @@ def load_engine(
     1-shard engine whose shard is the loaded COAX index, so legacy
     archives adopt the engine API without conversion (an adaptive flat
     index's drift monitors are promoted to the engine, which coordinates
-    every refresh from then on).  ``workers`` and ``executor`` override
-    the saved pool size and scatter backend — deployment knobs, not part
-    of the data; a sharded archive remembers both, but a load-time
-    override always wins.
+    every refresh from then on).  ``workers`` overrides the saved pool
+    size — a deployment knob, not part of the data; a sharded archive
+    remembers it, but a load-time override always wins.
     """
-    if executor is not None and executor not in EXECUTOR_CHOICES:
-        raise ValueError(
-            f"executor must be one of {EXECUTOR_CHOICES}, got {executor!r}"
-        )
     meta, arrays = _read_archive(Path(path))
     if "engine" in meta:
-        engine = _restore_engine(meta, arrays, workers=workers, executor=executor)
-    else:
-        engine = ShardedCOAX.from_index(
-            _restore_flat_index(meta, arrays),
-            workers=workers or 1,
-            executor=executor or "thread",
-        )
-    return engine
+        return _restore_engine(meta, arrays, workers=workers)
+    return ShardedCOAX.from_index(_restore_flat_index(meta, arrays), workers=workers or 1)

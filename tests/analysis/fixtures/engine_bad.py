@@ -1,4 +1,4 @@
-"""Seeded violations for the lock-discipline and generation-bump passes.
+"""Seeded violations for the lock-discipline pass.
 
 Every line expected to produce an UNWAIVED finding carries a trailing
 ``# EXPECT[<pass-id>]`` marker; ``tests/analysis/test_fixtures.py``
@@ -25,7 +25,6 @@ class BadEngine:
         with self._write_lock:
             shard = self.shards[0]
             shard.insert_batch(rows)
-            self._note_shard_mutation([0])
             return len(rows)
 
     def insert(self, row):
@@ -36,37 +35,6 @@ class BadEngine:
         # repro-lint: allow[lock-discipline] fixture: proves a reasoned waiver suppresses the finding
         self.log.append(rows)
         return len(rows)
-
-    # -- generation-bump: bump before the lock is released --------------
-    def delete_batch(self, ids):
-        with self._write_lock:
-            shard = self.shards[0]
-            shard.delete_batch(ids)  # EXPECT[generation-bump]
-
-    def update_batch(self, ids):
-        with self._write_lock:
-            shard = self.shards[0]
-            shard.update_batch(ids)
-            self._note_shard_mutation([0])
-            return len(ids)
-
-    def compact(self, flag=True):
-        with self._write_lock:
-            shard = self.shards[0]
-            shard.compact()
-            if flag:  # EXPECT[generation-bump]
-                self.log.append("compacted")
-            else:
-                self._note_shard_mutation([0])
-
-    def delete_rows(self, ids):
-        with self._write_lock:
-            shard = self.shards[0]
-            shard.delete_rows(ids)
-            if not ids:
-                return 0  # EXPECT[generation-bump]
-            self._note_shard_mutation([0])
-            return len(ids)
 
     # -- lock ordering --------------------------------------------------
     def inverted_stats(self):
@@ -93,5 +61,3 @@ class BadEngine:
                     with self._stats_lock:
                         return shard.n_rows
 
-    def _note_shard_mutation(self, shard_nos):
-        self.log.append(shard_nos)

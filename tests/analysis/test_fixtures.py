@@ -30,10 +30,6 @@ FIXTURE_CONFIG = AnalysisConfig().with_overrides(
             "insert",
             "insert_batch",
             "waived_insert",
-            "delete_batch",
-            "update_batch",
-            "compact",
-            "delete_rows",
         )
     },
     engine_classes=("BadEngine",),

@@ -325,7 +325,3 @@ class TestRestart:
         v6 = next(row for row in result.rows if row["format"] == "v6-columnar")
         # Smoke mode gates on the mmap attach beating the npz copy-load.
         assert v6["speedup_vs_npz"] > 1.0
-
-    def test_executor_override_reaches_loaded_engines(self):
-        result = restart.run(n_rows=SMALL, executor="process", smoke=True)
-        assert all(row["executor"] == "process" for row in result.rows)

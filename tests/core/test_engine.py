@@ -12,8 +12,8 @@ concurrency contract and the persistence surface.
 from __future__ import annotations
 
 import gc
-import multiprocessing
 import os
+import sys
 import threading
 
 import numpy as np
@@ -23,6 +23,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.core.coax import COAXIndex
 from repro.core.config import COAXConfig, EngineConfig, LayoutConfig, MaintenanceConfig
 from repro.core.engine import EngineClosedError, ShardedCOAX
+from repro.data.executors import TopK
 from repro.data.predicates import Interval, Rectangle
 from repro.data.table import Table
 from repro.fd.groups import FDGroup
@@ -457,16 +458,18 @@ class TestReLayoutEquivalenceProperty:
 
 
 class TestProcessExecutor:
-    """``executor="process"``: batch scatters run on worker processes
-    attached to mmap-backed shard replicas.  Must be bit-identical — ids,
-    order AND every ``QueryStats`` counter — to the thread and the serial
-    execution of the same engine shape, under interleaved CRUD + compact
-    (mutations bump the shard generations, so the workers re-attach)."""
+    """The contract the removed process executor was held to, now held by
+    the thread pool: a 4-worker engine stays bit-identical — ids, order
+    AND every ``QueryStats`` counter — to the serial execution of the same
+    engine shape under interleaved CRUD + compact, and ``close()``
+    releases every pool thread and fd."""
 
     def test_executor_config_validation(self):
+        with pytest.raises(ValueError, match="process executor was removed"):
+            EngineConfig(executor="process")
         with pytest.raises(ValueError):
             EngineConfig(executor="fibers")
-        assert EngineConfig(executor="process").executor == "process"
+        assert EngineConfig(executor="thread").executor == "thread"
         assert EngineConfig().executor == "thread"
 
     @given(seed=st.integers(min_value=0, max_value=10_000))
@@ -477,10 +480,9 @@ class TestProcessExecutor:
         rng = np.random.default_rng(seed)
         table = linear_table(seed)
         oracle = COAXIndex(table, groups=linear_groups())
-        process = build_engine(table, 4, 4, executor="process")
-        threaded = build_engine(table, 4, 4, executor="thread")
+        threaded = build_engine(table, 4, 4)
         serial = build_engine(table, 4, 1)
-        engines = [process, threaded, serial]
+        engines = [threaded, serial]
         try:
             for round_no in range(2):
                 k = int(rng.integers(5, 40))
@@ -514,53 +516,50 @@ class TestProcessExecutor:
                     if round_no == 1:
                         engine.compact()
                 # assert_engine_matches_oracle also pins batch == scalar
-                # counters; on the process engine the batch path runs on
-                # worker processes while the scalar path stays in-process,
-                # so this is the cross-executor stats-parity check.
+                # counters; the threaded batch path scatters on the pool
+                # while the serial one runs inline, so this is the
+                # cross-worker stats-parity check.
                 round_stats = [
                     assert_engine_matches_oracle(engine, oracle, PROBES)
                     for engine in engines
                 ]
-                assert round_stats[0] == round_stats[1] == round_stats[2]
+                assert round_stats[0] == round_stats[1]
         finally:
             for engine in engines:
                 engine.close()
 
     def test_close_releases_workers_processes_and_fds(self):
-        """Satellite regression: after ``close()`` no scatter threads, no
-        worker processes and no spill directory (or fds on it) survive."""
+        """Satellite regression: after ``close()`` no scatter threads and
+        no fds opened by the scatter survive."""
         gc.collect()
         baseline_fds = set(os.listdir("/proc/self/fd"))
-        engine = build_engine(linear_table(40), 4, 4, executor="process")
+        engine = build_engine(linear_table(40), 4, 4)
         engine.insert_batch({"x": [10.0, 90.0], "y": [20.0, 180.0]})
-        results = engine.batch_range_query(PROBES)  # spills + starts the pool
-        assert engine._process_pools is not None
-        spill_dir = engine._spill_dir
-        assert spill_dir is not None and os.path.isdir(spill_dir)
-        assert multiprocessing.active_children()
+        results = engine.batch_range_query(PROBES)  # starts the pool
+        assert any(
+            thread.name.startswith("sharded-coax")
+            for thread in threading.enumerate()
+        )
         engine.close()
         gc.collect()
-        assert not multiprocessing.active_children()
         assert not any(
             thread.name.startswith("sharded-coax")
             for thread in threading.enumerate()
         )
-        assert engine._spill_dir is None
-        assert not os.path.isdir(spill_dir)
         leaked = set(os.listdir("/proc/self/fd")) - baseline_fds
         assert not leaked, f"fds leaked across close(): {sorted(leaked)}"
-        # Queries stay usable after close (pools recreate on demand) and
-        # still return the same results.
+        # Queries stay usable after close (the pool recreates on demand)
+        # and still return the same results.
         again = engine.batch_range_query(PROBES)
         for want, got in zip(results, again):
             assert np.array_equal(want, got)
         engine.close()
 
     def test_context_manager_closes(self):
-        with build_engine(linear_table(41), 2, 2, executor="process") as engine:
+        with build_engine(linear_table(41), 2, 2) as engine:
             engine.batch_range_query(PROBES)
-        assert engine._process_pools is None
-        assert engine._spill_dir is None
+            assert engine._executor is not None
+        assert engine._executor is None
 
 
 class TestAdaptiveMaintenanceCoordination:
@@ -752,6 +751,49 @@ class TestConcurrency:
         assert engine.next_row_id == table.n_rows + total_new
         # Every id assigned exactly once and every record visible.
         assert len(engine.range_query(Rectangle())) == table.n_rows + total_new
+        engine.close()
+
+    def test_concurrent_knn_and_topk_fan_out_keep_counters_exact(self):
+        """kNN and top-k scatter over the pool: readers racing on shared
+        shards (more threads than cores, tiny switch interval) must get
+        the serial answers and leave exact engine counters."""
+        table = linear_table(12, n=2_000)
+        engine = build_engine(table, 7, 4)
+        spec = TopK(5, column="y", largest=True)
+        probe = Rectangle({"x": Interval(10.0, 80.0)})
+        want_knn = engine.knn({"x": 40.0, "y": 80.0}, 9)
+        want_topk = engine.topk(probe, spec)
+        engine.stats.reset()
+        engine.knn({"x": 40.0, "y": 80.0}, 9)
+        engine.topk(probe, spec)
+        examined_per_pair = engine.stats.rows_examined
+        engine.stats.reset()
+        n_threads, rounds = 6, 15
+        errors = []
+
+        def reader():
+            try:
+                for _ in range(rounds):
+                    assert np.array_equal(engine.knn({"x": 40.0, "y": 80.0}, 9), want_knn)
+                    assert np.array_equal(engine.topk(probe, spec), want_topk)
+            except Exception as exc:  # pragma: no cover - failure reporting
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=reader) for _ in range(n_threads)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        calls = n_threads * rounds
+        assert engine.stats.knn_queries == 2 * calls
+        assert engine.stats.rows_examined == examined_per_pair * calls
         engine.close()
 
     def test_readers_during_adaptive_refresh_see_consistent_state(self):

@@ -1,7 +1,7 @@
 """Sharded executor tests: aggregates/kNN/top-k across the shard fleet.
 
-Every sharding (1/2/7 shards, thread and process executors) must answer
-executor queries bit-identically (COUNT/MIN/MAX, all kNN/top-k ids) to
+Every sharding (1/2/7 shards, serial and on 2- and 4-thread pools) must
+answer executor queries bit-identically (COUNT/MIN/MAX, all kNN/top-k ids) to
 the unsharded COAX index and the full-scan oracle — SUM/AVG to 1e-9,
 since shard merge order re-associates the float folds — including with
 pending deltas and tombstones in play, and per-query attribution must
@@ -13,14 +13,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.config import EngineConfig
+from repro.core.config import EngineConfig, LayoutConfig
 from repro.core.engine import ShardedCOAX
 from repro.data.executors import AGGREGATE_OPS, Aggregate, TopK
 from repro.data.predicates import Interval, Rectangle
 from repro.data.table import Table
 from repro.indexes.full_scan import FullScanIndex
 
-SHARDINGS = [(1, "thread", 1), (2, "thread", 2), (7, "process", 4)]
+SHARDINGS = [(1, "thread", 1), (2, "thread", 2), (7, "thread", 4)]
 
 
 @pytest.fixture(scope="module")
@@ -144,6 +144,31 @@ def test_aggregate_attribution_sums_to_batch(table, queries):
         assert sum(s.aggregates for s in per_query) == len(queries)
         assert all(s.aggregates == 1 for s in per_query)
         assert all(s.knn_queries == 0 for s in per_query)
+        # Attributed counters sum back to the engine's batch counters.
+        for field in (
+            "rows_examined",
+            "rows_matched",
+            "cells_visited",
+            "nodes_visited",
+            "shards_pruned",
+        ):
+            assert sum(getattr(s, field) for s in per_query) == getattr(
+                engine.stats, field
+            ), field
+    finally:
+        engine.close()
+
+
+def test_aggregate_batches_feed_the_layout_monitor(table, queries):
+    # The adaptive layout sketches every batch op, not only range queries.
+    engine = ShardedCOAX(
+        table,
+        config=EngineConfig(n_shards=4, workers=2, layout=LayoutConfig(enabled=True)),
+    )
+    try:
+        engine.batch_aggregate(queries, Aggregate("count", None))
+        engine.batch_aggregate_attributed(queries, Aggregate("sum", "v"))
+        assert engine.layout.observed > 0
     finally:
         engine.close()
 

@@ -726,8 +726,9 @@ class TestColumnarZeroCopy:
 
 
 class TestEngineExecutorPersistence:
-    """``workers`` / ``executor`` round-trip through the engine header and
-    are overridable at load time (deployment knobs — the override wins)."""
+    """``workers`` round-trips through the engine header and is
+    overridable at load time (a deployment knob — the override wins);
+    the header's ``executor`` key no longer selects anything."""
 
     @staticmethod
     def _engine(tmp_path, **config_kwargs):
@@ -740,41 +741,42 @@ class TestEngineExecutorPersistence:
         return save_index(engine, tmp_path / "engine.coax")
 
     def test_saved_executor_round_trips(self, tmp_path):
-        path = self._engine(tmp_path, workers=4, executor="process")
+        path = self._engine(tmp_path, workers=4)
+        manifest = json.loads((path / "manifest.json").read_text())
+        assert manifest["meta"]["engine"]["executor"] == "thread"
         loaded = load_engine(path)
-        assert loaded.executor == "process"
+        assert loaded.config.executor == "thread"
         assert loaded.workers == 4
         loaded.close()
 
     def test_load_time_override_always_wins(self, tmp_path):
-        path = self._engine(tmp_path, workers=4, executor="process")
-        loaded = load_engine(path, workers=2, executor="thread")
-        assert loaded.executor == "thread"
+        path = self._engine(tmp_path, workers=4)
+        loaded = load_engine(path, workers=2)
         assert loaded.workers == 2
-        # And the other direction: a thread-saved archive serves from
-        # processes on request.
-        path2 = self._engine(tmp_path, workers=1, executor="thread")
-        loaded2 = load_engine(path2, workers=3, executor="process")
-        assert loaded2.executor == "process"
-        assert loaded2.workers == 3
         loaded.close()
-        loaded2.close()
 
-    def test_invalid_executor_override_rejected(self, tmp_path):
-        path = self._engine(tmp_path, workers=1)
-        with pytest.raises(ValueError, match="executor"):
-            load_engine(path, executor="fibers")
-
-    def test_flat_archive_wraps_with_requested_executor(self, tmp_path):
-        rng = np.random.default_rng(42)
-        x = rng.uniform(0.0, 100.0, size=400)
-        table = Table({"x": x, "y": 2.0 * x + rng.uniform(-1, 1, size=400)})
-        path = save_index(COAXIndex(table), tmp_path / "flat.coax")
-        engine = load_engine(path, workers=2, executor="process")
-        assert engine.n_shards == 1
-        assert engine.executor == "process"
-        assert engine.workers == 2
-        engine.close()
+    def test_process_executor_archive_loads_as_thread_engine(self, tmp_path):
+        path = self._engine(tmp_path, workers=2)
+        saved = load_engine(path)
+        probes = [
+            Rectangle({"x": Interval(10.0, 60.0)}),
+            Rectangle({"y": Interval(30.0, 130.0)}),
+            Rectangle({"x": Interval(5.0, 1.0)}),
+            Rectangle(),
+        ]
+        expected = saved.batch_range_query(probes)
+        saved.close()
+        # An archive written while the process executor existed.
+        manifest_path = path / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["meta"]["engine"]["executor"] = "process"
+        manifest_path.write_text(json.dumps(manifest))
+        loaded = load_engine(path)
+        assert loaded.config.executor == "thread"
+        assert loaded.workers == 2
+        for want, got in zip(expected, loaded.batch_range_query(probes)):
+            assert np.array_equal(want, got)
+        loaded.close()
 
     def test_pre_v6_archives_default_to_thread_executor(self, tmp_path):
         path = self._engine(tmp_path, workers=2)
@@ -791,7 +793,7 @@ class TestEngineExecutorPersistence:
         with legacy.open("wb") as handle:
             np.savez_compressed(handle, **arrays)
         loaded = load_engine(legacy)
-        assert loaded.executor == "thread"
+        assert loaded.config.executor == "thread"
         assert loaded.workers == 2
 
 
