@@ -19,7 +19,7 @@ from repro.core.query_translation import (
     translated_predictor_interval,
 )
 from repro.core.partitioner import PartitionResult, partition_rows
-from repro.core.planner import QueryPlan, plan_queries, plan_query, plan_query_flags
+from repro.core.planner import QueryPlan, plan_query, plan_query_flags
 from repro.core.results import (
     QueryResult,
     merge_flat_row_ids,
@@ -43,7 +43,6 @@ __all__ = [
     "partition_rows",
     "QueryPlan",
     "plan_query",
-    "plan_queries",
     "plan_query_flags",
     "QueryResult",
     "merge_row_ids",

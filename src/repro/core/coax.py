@@ -59,12 +59,12 @@ from repro.core.query_translation import (
 )
 from repro.core.results import QueryResult, merge_flat_row_ids, merge_row_ids
 from repro.data.executors import Aggregate, AggregatePartial, TopK, merge_topk
-from repro.data.predicates import Rectangle, batch_bounds
+from repro.data.predicates import Rectangle, batch_bounds, batch_live
 from repro.data.table import Table
 from repro.fd.detection import DetectionConfig, FDCandidate, detect_soft_fds, evaluate_pair
 from repro.fd.groups import FDGroup, build_groups
 from repro.fd.maintenance import REFIT, REUSE, MaintenanceManager
-from repro.indexes.base import IndexBuildError, MultidimensionalIndex, register_index
+from repro.indexes.base import IndexBuildError, MultidimensionalIndex, QueryStats, register_index
 from repro.indexes.grid_file import SortedCellGridIndex
 from repro.indexes.rtree import RTreeIndex
 from repro.indexes.uniform_grid import UniformGridIndex
@@ -486,8 +486,7 @@ class COAXIndex(MultidimensionalIndex):
     def query(self, query: Rectangle) -> QueryResult:
         """Full query execution returning per-sub-index attribution."""
         plan = self.plan(query)
-        rows_before = self._primary.stats.rows_examined + self._outlier.stats.rows_examined
-        cells_before = self._primary.stats.cells_visited + self._outlier.stats.cells_visited
+        before = self._sub_index_stats()
         primary_ids = (
             self._primary.range_query(plan.primary_query.intersect(query))
             if plan.use_primary
@@ -500,17 +499,16 @@ class COAXIndex(MultidimensionalIndex):
         )
         pending_ids = self._scan_pending(query)
         merged = merge_row_ids([primary_ids, outlier_ids, pending_ids])
-        rows_after = self._primary.stats.rows_examined + self._outlier.stats.rows_examined
-        cells_after = self._primary.stats.cells_visited + self._outlier.stats.cells_visited
+        work = self._sub_index_stats().delta(before)
         # The delta scan examines every pending row (a vectorised rectangle
         # check over the whole buffer), so those rows count as examined too
         # — otherwise benchmarks under-report the work of un-compacted
         # inserts.  An empty rectangle scans nothing, mirroring scan().
         pending_examined = 0 if query.is_empty else self._delta.n_pending
         self.stats.record(
-            rows_examined=rows_after - rows_before + pending_examined,
+            rows_examined=work.rows_examined + pending_examined,
             rows_matched=len(merged),
-            cells_visited=cells_after - cells_before,
+            cells_visited=work.cells_visited,
         )
         return QueryResult(
             row_ids=merged,
@@ -540,21 +538,28 @@ class COAXIndex(MultidimensionalIndex):
         ``[range_query(q) for q in queries]``.
         """
         queries = list(queries)
+        plan = self._plan_batch(queries)
+        if plan is None:
+            return [np.empty(0, dtype=np.int64) for _ in queries]
+        ids, qids = self.batch_scatter_flat(queries, *plan)
+        return merge_flat_row_ids(ids, qids, len(queries))
+
+    def _plan_batch(self, queries: List[Rectangle]) -> Optional[tuple]:
+        """Plan a whole batch against this index (``None`` when no query
+        is live).
+
+        Returns the leading arguments of :meth:`batch_scatter_flat` /
+        :meth:`batch_scatter_aggregate` for the full batch: ``(slots,
+        bounds, translated_bounds, use_primary, use_outlier, n_live)``.
+        Translation is Equation 2 as array arithmetic over the columnar
+        bound matrices, and planning (empty / no-inlier / bounding-box
+        pruning) runs as masks.
+        """
         n_queries = len(queries)
-        if n_queries == 0:
-            return []
-
-        # Columnar form of the whole batch: per-attribute bound matrices.
         bounds = batch_bounds(queries)
-        live = np.ones(n_queries, dtype=bool)
-        for lows, highs in bounds.values():
-            live &= lows <= highs
-        n_live = int(live.sum())
+        n_live = int(batch_live(bounds, n_queries).sum())
         if n_live == 0:
-            return [np.empty(0, dtype=np.int64) for _ in range(n_queries)]
-
-        # Vectorized batch translation (Equation 2 as array arithmetic) and
-        # batch planning (empty / no-inlier / bounding-box pruning as masks).
+            return None
         translated_bounds, no_inlier = translate_bounds_batch(
             bounds, n_queries, self._groups
         )
@@ -566,16 +571,8 @@ class COAXIndex(MultidimensionalIndex):
             primary_box=self._primary_box,
             outlier_box=self._outlier_box,
         )
-        ids, qids = self.batch_scatter_flat(
-            queries,
-            np.arange(n_queries, dtype=np.int64),
-            bounds,
-            translated_bounds,
-            use_primary,
-            use_outlier,
-            n_live,
-        )
-        return merge_flat_row_ids(ids, qids, n_queries)
+        slots = np.arange(n_queries, dtype=np.int64)
+        return slots, bounds, translated_bounds, use_primary, use_outlier, n_live
 
     def batch_scatter_flat(
         self,
@@ -607,8 +604,7 @@ class COAXIndex(MultidimensionalIndex):
         there).
         """
         n_sub = len(slots)
-        rows_before = self._primary.stats.rows_examined + self._outlier.stats.rows_examined
-        cells_before = self._primary.stats.cells_visited + self._outlier.stats.cells_visited
+        before = self._sub_index_stats()
 
         # One batched call per sub-index.  The primary consumes the
         # translated bound matrices directly (it is always a sorted-cell
@@ -646,16 +642,15 @@ class COAXIndex(MultidimensionalIndex):
 
         flat_ids = np.concatenate(id_parts)
         flat_qids = np.concatenate(qid_parts)
-        rows_after = self._primary.stats.rows_examined + self._outlier.stats.rows_examined
-        cells_after = self._primary.stats.cells_visited + self._outlier.stats.cells_visited
+        work = self._sub_index_stats().delta(before)
         # Every live (non-empty) query of the batch examines the whole
         # pending buffer, exactly like the scalar path records per query —
         # batch and sequential execution must leave identical statistics.
         self.stats.record_batch(
             n_live,
-            rows_examined=rows_after - rows_before + self._delta.n_pending * n_live,
+            rows_examined=work.rows_examined + self._delta.n_pending * n_live,
             rows_matched=int(len(flat_ids)),
-            cells_visited=cells_after - cells_before,
+            cells_visited=work.cells_visited,
         )
         return flat_ids, flat_qids
 
@@ -675,42 +670,11 @@ class COAXIndex(MultidimensionalIndex):
         component-wise — exact because the row subsets are disjoint.
         """
         queries = list(queries)
-        n_queries = len(queries)
-        partial = AggregatePartial.identity(n_queries)
-        if n_queries == 0:
-            return partial
-        bounds = batch_bounds(queries)
-        live = np.ones(n_queries, dtype=bool)
-        for lows, highs in bounds.values():
-            live &= lows <= highs
-        n_live = int(live.sum())
-        if n_live == 0:
-            self.stats.record_batch(0, aggregates=n_queries)
-            return partial
-        translated_bounds, no_inlier = translate_bounds_batch(
-            bounds, n_queries, self._groups
-        )
-        use_primary, use_outlier = plan_query_flags(
-            bounds,
-            translated_bounds,
-            no_inlier,
-            n_queries,
-            primary_box=self._primary_box,
-            outlier_box=self._outlier_box,
-        )
-        partial.merge(
-            self.batch_scatter_aggregate(
-                queries,
-                np.arange(n_queries, dtype=np.int64),
-                bounds,
-                translated_bounds,
-                use_primary,
-                use_outlier,
-                n_live,
-                spec,
-            )
-        )
-        return partial
+        plan = self._plan_batch(queries)
+        if plan is None:
+            self.stats.record_batch(0, aggregates=len(queries))
+            return AggregatePartial.identity(len(queries))
+        return self.batch_scatter_aggregate(queries, *plan, spec)
 
     def batch_scatter_aggregate(
         self,
@@ -736,8 +700,7 @@ class COAXIndex(MultidimensionalIndex):
         """
         n_sub = len(slots)
         partial = AggregatePartial.identity(n_sub)
-        rows_before = self._primary.stats.rows_examined + self._outlier.stats.rows_examined
-        cells_before = self._primary.stats.cells_visited + self._outlier.stats.cells_visited
+        before = self._sub_index_stats()
         partial.merge(
             self._primary.batch_aggregate_from_bounds(
                 translated_bounds, n_sub, use_primary, int(use_primary.sum()), spec
@@ -760,13 +723,12 @@ class COAXIndex(MultidimensionalIndex):
             self._delta.fold_aggregate_batch(
                 [queries[i] for i in slots], spec, partial
             )
-        rows_after = self._primary.stats.rows_examined + self._outlier.stats.rows_examined
-        cells_after = self._primary.stats.cells_visited + self._outlier.stats.cells_visited
+        work = self._sub_index_stats().delta(before)
         self.stats.record_batch(
             n_live,
-            rows_examined=rows_after - rows_before + self._delta.n_pending * n_live,
+            rows_examined=work.rows_examined + self._delta.n_pending * n_live,
             rows_matched=int(partial.count.sum()),
-            cells_visited=cells_after - cells_before,
+            cells_visited=work.cells_visited,
             aggregates=n_sub,
         )
         return partial
@@ -805,9 +767,7 @@ class COAXIndex(MultidimensionalIndex):
         self, point: Mapping[str, float], k: int, *, metric: str = "l2"
     ) -> Tuple[np.ndarray, np.ndarray]:
         """kNN candidates merged across primary (ring search), outlier, delta."""
-        rows_before = self._primary.stats.rows_examined + self._outlier.stats.rows_examined
-        cells_before = self._primary.stats.cells_visited + self._outlier.stats.cells_visited
-        rings_before = self._primary.stats.rings_expanded + self._outlier.stats.rings_expanded
+        before = self._sub_index_stats()
         parts = [
             self._primary.knn_partial(
                 point, k, metric=metric, aux_axes=self._knn_aux_axes(point)
@@ -816,14 +776,12 @@ class COAXIndex(MultidimensionalIndex):
             self._delta.knn_candidates(point, k, metric),
         ]
         keys, ids = merge_topk(parts, k)
-        rows_after = self._primary.stats.rows_examined + self._outlier.stats.rows_examined
-        cells_after = self._primary.stats.cells_visited + self._outlier.stats.cells_visited
-        rings_after = self._primary.stats.rings_expanded + self._outlier.stats.rings_expanded
+        work = self._sub_index_stats().delta(before)
         self.stats.record(
-            rows_examined=rows_after - rows_before + self._delta.n_pending,
-            cells_visited=cells_after - cells_before,
+            rows_examined=work.rows_examined + self._delta.n_pending,
+            cells_visited=work.cells_visited,
             knn_queries=1,
-            rings_expanded=rings_after - rings_before,
+            rings_expanded=work.rings_expanded,
         )
         return keys, ids
 
@@ -835,8 +793,7 @@ class COAXIndex(MultidimensionalIndex):
             self.stats.record(knn_queries=1)
             return np.empty(0, dtype=np.float64), np.empty(0, dtype=np.int64)
         plan = self.plan(query)
-        rows_before = self._primary.stats.rows_examined + self._outlier.stats.rows_examined
-        cells_before = self._primary.stats.cells_visited + self._outlier.stats.cells_visited
+        before = self._sub_index_stats()
         parts = []
         if plan.use_primary:
             parts.append(
@@ -846,11 +803,10 @@ class COAXIndex(MultidimensionalIndex):
             parts.append(self._outlier.topk_partial(plan.outlier_query, spec))
         parts.append(self._delta.topk_candidates(query, spec))
         keys, ids = merge_topk(parts, spec.k, largest=spec.largest)
-        rows_after = self._primary.stats.rows_examined + self._outlier.stats.rows_examined
-        cells_after = self._primary.stats.cells_visited + self._outlier.stats.cells_visited
+        work = self._sub_index_stats().delta(before)
         self.stats.record(
-            rows_examined=rows_after - rows_before + self._delta.n_pending,
-            cells_visited=cells_after - cells_before,
+            rows_examined=work.rows_examined + self._delta.n_pending,
+            cells_visited=work.cells_visited,
             knn_queries=1,
         )
         return keys, ids
@@ -869,6 +825,14 @@ class COAXIndex(MultidimensionalIndex):
     def _scan_pending(self, query: Rectangle) -> np.ndarray:
         """Vectorised rectangle scan of the delta store."""
         return self._delta.scan(query)
+
+    def _sub_index_stats(self) -> QueryStats:
+        """Primary plus outlier counters, summed into a snapshot.
+
+        A facade call brackets its sub-index work with two of these:
+        ``self._sub_index_stats().delta(before)`` is the work in between.
+        """
+        return self._primary.stats.snapshot().merge(self._outlier.stats)
 
     # ------------------------------------------------------------------
     # Updates (paper future work)

@@ -23,7 +23,7 @@ so persistence can round-trip an index without forcing a compaction first.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -426,27 +426,21 @@ class DeltaStore:
     #: the (block x pending) mask matrix to a few MB however large the batch.
     SCAN_BATCH_BLOCK = 256
 
-    def scan_batch(self, queries: Sequence[Rectangle]) -> List[np.ndarray]:
-        """Row ids of buffered records matching each query of a batch.
+    def _match_blocks(
+        self, queries: List[Rectangle]
+    ) -> Iterator[Tuple[List[int], np.ndarray]]:
+        """Blocked broadcast match of a query batch against the buffer.
 
-        The whole batch is answered with one pass over the buffer: per
-        attribute constrained by *any* query the column prefix is gathered
-        once and compared against the per-query bound vectors by
-        broadcasting, instead of re-reading every column for every query.
-        Results are positionally aligned with ``queries`` and identical to
-        ``[scan(q) for q in queries]``.
+        Yields ``(block, mask)`` per block of at most
+        :attr:`SCAN_BATCH_BLOCK` non-empty queries: ``block`` holds their
+        positions in ``queries`` and ``mask[j]`` marks the buffered rows
+        matching query ``block[j]``.  Per attribute constrained by *any*
+        query the column prefix is read once and compared against the
+        per-query bound vectors by broadcasting, instead of re-reading
+        every column for every query.
         """
-        queries = list(queries)
-        results: List[np.ndarray] = [
-            np.empty(0, dtype=np.int64) for _ in range(len(queries))
-        ]
-        if self._size == 0 or not queries:
-            return results
         live = [i for i, query in enumerate(queries) if not query.is_empty]
-        if not live:
-            return results
         dims = sorted({dim for i in live for dim in queries[i].constrained_dims})
-        row_ids = self._row_ids[: self._size]
         for block_start in range(0, len(live), self.SCAN_BATCH_BLOCK):
             block = live[block_start : block_start + self.SCAN_BATCH_BLOCK]
             mask = np.ones((len(block), self._size), dtype=bool)
@@ -455,6 +449,23 @@ class DeltaStore:
                 highs = np.array([queries[i].interval(dim).high for i in block])
                 values = self._buffers[dim][: self._size]
                 mask &= (values >= lows[:, None]) & (values <= highs[:, None])
+            yield block, mask
+
+    def scan_batch(self, queries: Sequence[Rectangle]) -> List[np.ndarray]:
+        """Row ids of buffered records matching each query of a batch.
+
+        The whole batch is answered with one pass over the buffer (see
+        :meth:`_match_blocks`).  Results are positionally aligned with
+        ``queries`` and identical to ``[scan(q) for q in queries]``.
+        """
+        queries = list(queries)
+        results: List[np.ndarray] = [
+            np.empty(0, dtype=np.int64) for _ in range(len(queries))
+        ]
+        if self._size == 0:
+            return results
+        row_ids = self._row_ids[: self._size]
+        for block, mask in self._match_blocks(queries):
             for row, i in enumerate(block):
                 results[i] = np.sort(row_ids[mask[row]])
         return results
@@ -473,25 +484,11 @@ class DeltaStore:
         keeping the aggregate path materialization-free end to end.
         ``partial`` must have one slot per query.
         """
-        if self._size == 0 or not queries:
+        if self._size == 0:
             return
-        queries = list(queries)
-        live = [i for i, query in enumerate(queries) if not query.is_empty]
-        if not live:
-            return
-        dims = sorted({dim for i in live for dim in queries[i].constrained_dims})
         values = self._buffers[spec.column][: self._size] if spec.column else None
-        for block_start in range(0, len(live), self.SCAN_BATCH_BLOCK):
-            block = live[block_start : block_start + self.SCAN_BATCH_BLOCK]
-            mask = np.ones((len(block), self._size), dtype=bool)
-            for dim in dims:
-                lows = np.array([queries[i].interval(dim).low for i in block])
-                highs = np.array([queries[i].interval(dim).high for i in block])
-                column = self._buffers[dim][: self._size]
-                mask &= (column >= lows[:, None]) & (column <= highs[:, None])
+        for block, mask in self._match_blocks(list(queries)):
             block_rows, pending_rows = np.nonzero(mask)
-            if len(block_rows) == 0:
-                continue
             qids = np.asarray(block, dtype=np.int64)[block_rows]
             partial.fold_values(qids, None if values is None else values[pending_rows])
 

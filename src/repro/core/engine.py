@@ -81,7 +81,7 @@ from repro.core.query_translation import (
 )
 from repro.core.results import merge_flat_row_ids, merge_row_ids, split_counter_evenly
 from repro.data.executors import Aggregate, AggregatePartial, TopK, merge_topk
-from repro.data.predicates import Rectangle, batch_bounds
+from repro.data.predicates import Rectangle, batch_bounds, batch_live
 from repro.data.table import Table
 from repro.fd.groups import FDGroup, per_model_inlier_masks
 from repro.indexes.base import IndexBuildError, MultidimensionalIndex, QueryStats
@@ -780,9 +780,7 @@ class ShardedCOAX(MultidimensionalIndex):
         """
         n_queries = len(queries)
         bounds = batch_bounds(queries)
-        live = np.ones(n_queries, dtype=bool)
-        for lows, highs in bounds.values():
-            live &= lows <= highs
+        live = batch_live(bounds, n_queries)
         if not live.any():
             return None
         translated, no_inlier = translate_bounds_batch(bounds, n_queries, self._groups)

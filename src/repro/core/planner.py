@@ -14,16 +14,14 @@ The planner performs exactly that pruning:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.data.predicates import Rectangle, batch_bounds
+from repro.data.predicates import Rectangle
 from repro.data.table import Table
 from repro.core.query_translation import (
     BoundsMap,
-    rewritten_queries_from_bounds,
-    translate_bounds_batch,
     translate_query,
     translated_predictor_interval,
 )
@@ -32,7 +30,6 @@ from repro.fd.groups import FDGroup
 __all__ = [
     "QueryPlan",
     "plan_query",
-    "plan_queries",
     "plan_query_flags",
     "batch_overlaps_box",
     "bounding_box_of_rows",
@@ -211,66 +208,3 @@ def plan_query_flags(
             | _batch_misses_box(bounds, n_queries, outlier_box)
         )
     return use_primary, use_outlier
-
-
-def plan_queries(
-    queries: Sequence[Rectangle],
-    groups: Sequence[FDGroup],
-    *,
-    primary_box: Optional[Tuple[Dict[str, float], Dict[str, float]]] = None,
-    outlier_box: Optional[Tuple[Dict[str, float], Dict[str, float]]] = None,
-) -> List[QueryPlan]:
-    """Plans for a whole batch of queries, translated in one vectorized pass.
-
-    The rectangle-level convenience wrapper over the array-level batch
-    machinery COAX uses directly: translation through
-    :func:`translate_query_batch` / :func:`translate_bounds_batch` and
-    routing through :func:`plan_query_flags`, plus the per-query skip
-    reasons of :func:`plan_query`.  Decision-identical to
-    ``[plan_query(q, groups, ...) for q in queries]`` (guarded by the
-    planner tests).
-    """
-    queries = list(queries)
-    n_queries = len(queries)
-    bounds = batch_bounds(queries)
-    translated_bounds, no_inlier = translate_bounds_batch(bounds, n_queries, groups)
-    translated_queries = rewritten_queries_from_bounds(
-        queries, translated_bounds, groups
-    )
-    use_primary, use_outlier = plan_query_flags(
-        bounds,
-        translated_bounds,
-        no_inlier,
-        n_queries,
-        primary_box=primary_box,
-        outlier_box=outlier_box,
-    )
-    plans: List[QueryPlan] = []
-    for i, (query, translated) in enumerate(zip(queries, translated_queries)):
-        skip_reasons: Dict[str, str] = {}
-        if not use_primary[i]:
-            if primary_box is None:
-                skip_reasons["primary"] = "primary index is empty"
-            elif translated.is_empty or no_inlier[i]:
-                skip_reasons["primary"] = (
-                    "translated constraint is empty (no inlier can match)"
-                )
-            else:
-                skip_reasons["primary"] = "query misses the primary bounding box"
-        if not use_outlier[i]:
-            if outlier_box is None:
-                skip_reasons["outlier"] = "outlier index is empty"
-            elif query.is_empty:
-                skip_reasons["outlier"] = "query is empty"
-            else:
-                skip_reasons["outlier"] = "query misses the outlier bounding box"
-        plans.append(
-            QueryPlan(
-                primary_query=translated,
-                outlier_query=query,
-                use_primary=bool(use_primary[i]),
-                use_outlier=bool(use_outlier[i]),
-                skip_reasons=skip_reasons,
-            )
-        )
-    return plans

@@ -250,23 +250,6 @@ class AggregatePartial:
             maximum=self.maximum[slots],
         )
 
-    def state(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Plain-array form: the four accumulator arrays, for serialisation."""
-        return self.count, self.total, self.minimum, self.maximum
-
-    @classmethod
-    def from_state(
-        cls, state: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-    ) -> "AggregatePartial":
-        """Rebuild from :meth:`state` output (its inverse)."""
-        count, total, minimum, maximum = state
-        return cls(
-            count=np.asarray(count, dtype=np.int64),
-            total=np.asarray(total, dtype=np.float64),
-            minimum=np.asarray(minimum, dtype=np.float64),
-            maximum=np.asarray(maximum, dtype=np.float64),
-        )
-
     def finalize(self, spec: Aggregate) -> np.ndarray:
         """Per-query results of ``spec`` (int64 for COUNT, float64 otherwise).
 

@@ -16,7 +16,7 @@ from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["Interval", "Rectangle", "batch_bounds"]
+__all__ = ["Interval", "Rectangle", "batch_bounds", "batch_live"]
 
 
 @dataclass(frozen=True)
@@ -306,6 +306,21 @@ def batch_bounds(
             bounds[name][0][i] = interval.low
             bounds[name][1][i] = interval.high
     return bounds
+
+
+def batch_live(
+    bounds: Dict[str, Tuple[np.ndarray, np.ndarray]], n_queries: int
+) -> np.ndarray:
+    """Mask of the queries of a columnar batch that are not empty.
+
+    A query is empty when any of its intervals is (``low > high``); the
+    batch paths run only the live ones while the empty ones still count
+    as answered.
+    """
+    live = np.ones(n_queries, dtype=bool)
+    for lows, highs in bounds.values():
+        live &= lows <= highs
+    return live
 
 
 @dataclass

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.data.executors import Aggregate, AggregatePartial, point_distances, select_topk
-from repro.data.predicates import Rectangle, batch_bounds
+from repro.data.predicates import Rectangle, batch_bounds, batch_live
 from repro.data.table import Table
 from repro.indexes.base import IndexBuildError, MultidimensionalIndex, register_index
 from repro.indexes.kernels import (
@@ -411,9 +411,7 @@ class SortedCellGridIndex(MultidimensionalIndex):
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
         n_queries = len(queries)
         bounds = batch_bounds(queries)
-        live = np.ones(n_queries, dtype=bool)
-        for lows, highs in bounds.values():
-            live &= lows <= highs
+        live = batch_live(bounds, n_queries)
         return self.batch_flat_from_bounds(bounds, n_queries, live, n_queries)
 
     def batch_flat_from_bounds(
@@ -437,19 +435,39 @@ class SortedCellGridIndex(MultidimensionalIndex):
         if self.n_rows == 0:
             self.stats.record_batch(n_recorded)
             return np.empty(0, dtype=np.int64), np.zeros(n_queries, dtype=np.int64)
-        matches, counts = self._batch_positions_from_bounds(
-            bounds, n_queries, execute, n_recorded
+        _, _, filter_needed, cells, cell_qid, first, last = self._candidate_runs(
+            bounds, n_queries, execute
         )
-        return self._row_ids[matches], counts
+        matches, row_qid, n_examined = self._filter_runs(
+            bounds, filter_needed, cell_qid, first, last
+        )
+        self.stats.record_batch(
+            n_recorded,
+            rows_examined=n_examined,
+            rows_matched=len(matches),
+            cells_visited=len(cells),
+        )
+        # row_qid is non-decreasing, so `matches` holds the per-query results
+        # back to back, each in the exact order the sequential path produces.
+        return self._row_ids[matches], np.bincount(row_qid, minlength=n_queries)
 
-    def _batch_positions_from_bounds(
+    def _candidate_runs(
         self,
         bounds: Dict[str, Tuple[np.ndarray, np.ndarray]],
         n_queries: int,
-        live: np.ndarray,
-        n_recorded: int,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Flat positional matches plus per-query counts for a batch."""
+        execute: np.ndarray,
+    ) -> Tuple[np.ndarray, ...]:
+        """Candidate ``(query, cell)`` sort-key runs of a columnar batch.
+
+        The planning half both batch kernels share.  Returns ``(axis_lo,
+        axis_hi, filter_needed, cells, cell_qid, first, last)``: per grid
+        axis and query (``n_axes x n_queries``) the inclusive cell range
+        and whether the axis still needs the exact post-filter; then the
+        enumerated cells, the query each belongs to, and each cell's
+        ``[first, last)`` run in ``_row_order`` from the sort-key
+        bisection.  Queries outside ``execute`` enumerate no cells.
+        """
+        execute = np.asarray(execute, dtype=bool)
         # Per-axis cell ranges for the whole batch: one searchsorted pair
         # per axis instead of one per (query, axis).
         n_axes = len(self._grid_dimensions)
@@ -485,13 +503,13 @@ class SortedCellGridIndex(MultidimensionalIndex):
         # ranges are non-empty (the emptiness may come from another
         # attribute, or the planner routed them elsewhere) — and they must
         # not force a post-filter pass on any axis either.
-        if not live.all():
-            axis_hi[:, ~live] = -1
-            filter_needed[:, ~live] = False
-        all_cells, cells_per_query = enumerate_cells_batch(axis_lo, axis_hi, self._shape)
+        if not execute.all():
+            axis_hi[:, ~execute] = -1
+            filter_needed[:, ~execute] = False
+        cells, cells_per_query = enumerate_cells_batch(axis_lo, axis_hi, self._shape)
         if n_axes == 0:
-            cells_per_query = live.astype(np.int64)
-            all_cells = np.zeros(int(cells_per_query.sum()), dtype=np.int64)
+            cells_per_query = execute.astype(np.int64)
+            cells = np.zeros(int(cells_per_query.sum()), dtype=np.int64)
         cell_qid = np.repeat(np.arange(n_queries, dtype=np.int64), cells_per_query)
 
         # One batched sorted-key bisection over every (query, cell) pair.
@@ -500,30 +518,39 @@ class SortedCellGridIndex(MultidimensionalIndex):
         else:
             sort_lows = np.full(n_queries, -np.inf)
             sort_highs = np.full(n_queries, np.inf)
-        first, last = self._bisect_cells(
-            all_cells, sort_lows[cell_qid], sort_highs[cell_qid]
-        )
+        first, last = self._bisect_cells(cells, sort_lows[cell_qid], sort_highs[cell_qid])
+        return axis_lo, axis_hi, filter_needed, cells, cell_qid, first, last
+
+    def _filter_runs(
+        self,
+        bounds: Dict[str, Tuple[np.ndarray, np.ndarray]],
+        filter_needed: np.ndarray,
+        cell_qid: np.ndarray,
+        first: np.ndarray,
+        last: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray, int]:
+        """Gather candidate runs and apply the exact post-filter.
+
+        Returns the surviving positions, their query ids and the number of
+        gathered (examined) rows.  Tombstoned rows are masked out first,
+        then one vectorized pass per attribute runs over the whole batch.
+        The sort dimension is proven by the bisection; a grid dimension is
+        checked only if pruning failed for at least one query, and only
+        that query's bounds stay finite.  The candidate set is compressed
+        after every attribute that rejected something, so later column
+        gathers touch only the still-plausible rows — same final set and
+        order (mask selection is order-preserving), substantially fewer
+        gathered values on selective batches.
+        """
         gathered, run_lengths = gather_ranges(first, last)
         candidates = self._row_order[gathered]
         row_qid = np.repeat(cell_qid, run_lengths)
-
-        # One vectorized post-filter pass per attribute over the whole
-        # batch.  The sort dimension is proven by the bisection; a grid
-        # dimension is checked only if pruning failed for at least one
-        # query, and only that query's bounds stay finite.  Tombstoned
-        # rows are masked out of the gathered runs here — before the
-        # fused-key merge — exactly like the scalar path's exact filter,
-        # so the batch path stays one pass under deletes.  The candidate
-        # set is compressed after every attribute that rejected something,
-        # so later column gathers touch only the still-plausible rows —
-        # same final set and order (mask selection is order-preserving),
-        # substantially fewer gathered values on selective batches.
         n_examined = len(candidates)
-        axis_of = {dim: axis for axis, dim in enumerate(self._grid_dimensions)}
         live = live_candidate_mask(candidates, self._tombstone)
         if live is not None and not live.all():
             candidates = candidates[live]
             row_qid = row_qid[live]
+        axis_of = {dim: axis for axis, dim in enumerate(self._grid_dimensions)}
         for dim, (lows, highs) in bounds.items():
             if dim == self._sort_dimension:
                 continue
@@ -539,17 +566,7 @@ class SortedCellGridIndex(MultidimensionalIndex):
             if not mask.all():
                 candidates = candidates[mask]
                 row_qid = row_qid[mask]
-        matches = candidates
-        counts = np.bincount(row_qid, minlength=n_queries)
-        self.stats.record_batch(
-            n_recorded,
-            rows_examined=n_examined,
-            rows_matched=len(matches),
-            cells_visited=len(all_cells),
-        )
-        # row_qid is non-decreasing, so `matches` holds the per-query results
-        # back to back, each in the exact order the sequential path produces.
-        return matches, counts
+        return candidates, row_qid, n_examined
 
     # ------------------------------------------------------------------
     # Aggregate pushdown
@@ -577,9 +594,7 @@ class SortedCellGridIndex(MultidimensionalIndex):
         if not n_queries:
             return AggregatePartial.identity(0)
         bounds = batch_bounds(queries)
-        live = np.ones(n_queries, dtype=bool)
-        for lows, highs in bounds.values():
-            live &= lows <= highs
+        live = batch_live(bounds, n_queries)
         return self.batch_aggregate_from_bounds(bounds, n_queries, live, n_queries, spec)
 
     def batch_aggregate_from_bounds(
@@ -616,46 +631,8 @@ class SortedCellGridIndex(MultidimensionalIndex):
         if self.n_rows == 0:
             self.stats.record_batch(n_recorded, aggregates=n_recorded)
             return partial
-        n_axes = len(self._grid_dimensions)
-        axis_lo = np.zeros((n_axes, n_queries), dtype=np.int64)
-        axis_hi = np.full((n_axes, n_queries), -1, dtype=np.int64)
-        filter_needed = np.zeros((n_axes, n_queries), dtype=bool)
-        for axis, dim in enumerate(self._grid_dimensions):
-            if dim in bounds:
-                lows, highs = bounds[dim]
-            else:
-                lows = np.full(n_queries, -np.inf)
-                highs = np.full(n_queries, np.inf)
-            axis_lo[axis], axis_hi[axis] = axis_cell_ranges(
-                self._boundaries[axis], lows, highs, self._cells_per_dim
-            )
-            boundaries = self._boundaries[axis]
-            lower_bound = np.where(
-                axis_lo[axis] > 0, boundaries[axis_lo[axis]], self._axis_lows[axis]
-            )
-            upper_bound = np.where(
-                axis_hi[axis] < self._cells_per_dim - 1,
-                boundaries[np.minimum(axis_hi[axis] + 1, self._cells_per_dim)],
-                self._axis_highs[axis],
-            )
-            filter_needed[axis] = ~((lows <= lower_bound) & (highs >= upper_bound))
-        execute = np.asarray(execute, dtype=bool)
-        if not execute.all():
-            axis_hi[:, ~execute] = -1
-            filter_needed[:, ~execute] = False
-        all_cells, cells_per_query = enumerate_cells_batch(axis_lo, axis_hi, self._shape)
-        if n_axes == 0:
-            cells_per_query = execute.astype(np.int64)
-            all_cells = np.zeros(int(cells_per_query.sum()), dtype=np.int64)
-        cell_qid = np.repeat(np.arange(n_queries, dtype=np.int64), cells_per_query)
-
-        if self._sort_dimension in bounds:
-            sort_lows, sort_highs = bounds[self._sort_dimension]
-        else:
-            sort_lows = np.full(n_queries, -np.inf)
-            sort_highs = np.full(n_queries, np.inf)
-        first, last = self._bisect_cells(
-            all_cells, sort_lows[cell_qid], sort_highs[cell_qid]
+        axis_lo, axis_hi, filter_needed, cells, cell_qid, first, last = (
+            self._candidate_runs(bounds, n_queries, execute)
         )
 
         # Which runs are provably exact without the post-filter?  A query
@@ -663,20 +640,17 @@ class SortedCellGridIndex(MultidimensionalIndex):
         # dimensions constrains it and no tombstone hides inside the runs
         # (run lengths cannot see deletes).
         grid_dims = set(self._grid_dimensions)
-        eligible = np.ones(n_queries, dtype=bool) if self._n_tombstoned == 0 else np.zeros(n_queries, dtype=bool)
+        eligible = np.full(n_queries, self._n_tombstoned == 0)
         if self._n_tombstoned == 0:
             for dim, (lows, highs) in bounds.items():
                 if dim == self._sort_dimension or dim in grid_dims:
                     continue
                 eligible &= np.isinf(lows) & np.isinf(highs) & (lows < 0) & (highs > 0)
         covered_run = eligible[cell_qid]
-        if n_axes and len(all_cells):
-            for axis in range(n_axes):
-                coords = (all_cells // self._cell_strides[axis]) % self._cells_per_dim
-                interior = (coords > axis_lo[axis][cell_qid]) & (
-                    coords < axis_hi[axis][cell_qid]
-                )
-                covered_run &= interior | ~filter_needed[axis][cell_qid]
+        for axis in range(len(axis_lo)):
+            coords = (cells // self._cell_strides[axis]) % self._cells_per_dim
+            interior = (coords > axis_lo[axis][cell_qid]) & (coords < axis_hi[axis][cell_qid])
+            covered_run &= interior | ~filter_needed[axis][cell_qid]
 
         values = self._columns[spec.column] if spec.column is not None else None
         run_lengths_all = last - first
@@ -712,30 +686,14 @@ class SortedCellGridIndex(MultidimensionalIndex):
         n_examined = int(folded_examined)
         remaining = ~covered_run
         if remaining.any():
-            gathered, run_lengths = gather_ranges(first[remaining], last[remaining])
-            candidates = self._row_order[gathered]
-            row_qid = np.repeat(cell_qid[remaining], run_lengths)
-            n_examined += len(candidates)
-            live_mask = live_candidate_mask(candidates, self._tombstone)
-            if live_mask is not None and not live_mask.all():
-                candidates = candidates[live_mask]
-                row_qid = row_qid[live_mask]
-            axis_of = {dim: axis for axis, dim in enumerate(self._grid_dimensions)}
-            for dim, (lows, highs) in bounds.items():
-                if dim == self._sort_dimension:
-                    continue
-                axis = axis_of.get(dim)
-                if axis is not None:
-                    needed = filter_needed[axis]
-                    if not needed.any():
-                        continue
-                    lows = np.where(needed, lows, -np.inf)
-                    highs = np.where(needed, highs, np.inf)
-                column = self._columns[dim][candidates]
-                mask = (column >= lows[row_qid]) & (column <= highs[row_qid])
-                if not mask.all():
-                    candidates = candidates[mask]
-                    row_qid = row_qid[mask]
+            candidates, row_qid, n_gathered = self._filter_runs(
+                bounds,
+                filter_needed,
+                cell_qid[remaining],
+                first[remaining],
+                last[remaining],
+            )
+            n_examined += n_gathered
             partial.fold_values(
                 row_qid, values[candidates] if values is not None else None
             )
@@ -743,7 +701,7 @@ class SortedCellGridIndex(MultidimensionalIndex):
             n_recorded,
             rows_examined=n_examined,
             rows_matched=int(partial.count.sum()),
-            cells_visited=len(all_cells),
+            cells_visited=len(cells),
             aggregates=n_recorded,
         )
         return partial

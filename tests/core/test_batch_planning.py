@@ -1,31 +1,32 @@
-"""Parity of the rectangle-level batch planning/translation/merge wrappers.
+"""Parity of the batch planning/translation/merge forms with their scalar twins.
 
 The array-level batch machinery (``translate_bounds_batch`` /
 ``plan_query_flags`` / ``merge_flat_row_ids``) is exercised end to end by
 the batch equivalence suite through ``COAXIndex.batch_range_query``.  These
-tests pin the rectangle-level wrappers on top of it to their scalar
-counterparts, query by query, so the two forms can never drift apart:
+tests pin each batch form to its scalar counterpart, query by query, so the
+two can never drift apart:
 
-* ``plan_queries(qs)``            == ``[plan_query(q) for q in qs]``
+* ``plan_query_flags`` (fed by ``translate_bounds_batch``) == the
+  ``use_primary`` / ``use_outlier`` decisions of ``plan_query`` per query
 * ``translate_query_batch(qs)``   == ``[translate_query(q) for q in qs]``
 * ``translated_predictor_intervals_batch`` == the scalar interval per query
 * ``merge_row_ids_batch``         == ``merge_row_ids`` per query
 """
-
 from __future__ import annotations
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.core.planner import plan_queries, plan_query
+from repro.core.planner import plan_query, plan_query_flags
 from repro.core.query_translation import (
+    translate_bounds_batch,
     translate_query,
     translate_query_batch,
     translated_predictor_interval,
     translated_predictor_intervals_batch,
 )
 from repro.core.results import merge_row_ids, merge_row_ids_batch
-from repro.data.predicates import Interval, Rectangle
+from repro.data.predicates import Interval, Rectangle, batch_bounds
 from repro.fd.groups import FDGroup
 from repro.fd.model import LinearFDModel, SplineFDModel, SplineSegment
 
@@ -83,18 +84,23 @@ class TestPlanQueriesParity:
         groups = make_groups()
         primary_box = BOXES["primary"] if with_primary else None
         outlier_box = BOXES["outlier"] if with_outlier else None
-        batch = plan_queries(
-            queries, groups, primary_box=primary_box, outlier_box=outlier_box
+        n_queries = len(queries)
+        bounds = batch_bounds(queries)
+        translated, no_inlier = translate_bounds_batch(bounds, n_queries, groups)
+        use_primary, use_outlier = plan_query_flags(
+            bounds,
+            translated,
+            no_inlier,
+            n_queries,
+            primary_box=primary_box,
+            outlier_box=outlier_box,
         )
-        for query, plan in zip(queries, batch):
+        for i, query in enumerate(queries):
             scalar = plan_query(
                 query, groups, primary_box=primary_box, outlier_box=outlier_box
             )
-            assert plan.use_primary == scalar.use_primary, query
-            assert plan.use_outlier == scalar.use_outlier, query
-            assert plan.primary_query == scalar.primary_query, query
-            assert plan.outlier_query == scalar.outlier_query, query
-            assert plan.skip_reasons == scalar.skip_reasons, query
+            assert bool(use_primary[i]) == scalar.use_primary, query
+            assert bool(use_outlier[i]) == scalar.use_outlier, query
 
 
 class TestTranslateBatchParity:

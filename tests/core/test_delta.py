@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.delta import DeltaStore, NonFiniteBatchError, coerce_batch
+from repro.data.executors import Aggregate, AggregatePartial
 from repro.data.predicates import Interval, Rectangle
 from repro.data.table import Table
 from repro.fd.groups import FDGroup
@@ -162,6 +163,96 @@ class TestScan:
         store.append_batch(batch([5.0, 1.0, 3.0], [10.0, 2.0, 6.0]), np.array([30, 10, 20]))
         hits = store.scan(Rectangle({"x": Interval(0.0, 10.0)}))
         assert hits.tolist() == [10, 20, 30]
+
+
+def mixed_queries(rng, n_queries: int) -> list:
+    """Empty, unconstrained and x-only / y-only / x-and-y rectangles."""
+    queries = []
+    for i in range(n_queries):
+        x_low, y_low = rng.uniform(0.0, 100.0), rng.uniform(0.0, 250.0)
+        x = Interval(x_low, x_low + rng.uniform(0.0, 40.0))
+        y = Interval(y_low, y_low + rng.uniform(0.0, 100.0))
+        kind = i % 10
+        if kind == 0:
+            queries.append(Rectangle({"x": x, "y": Interval.empty()}))
+        elif kind == 1:
+            queries.append(Rectangle.unconstrained())
+        elif kind % 3 == 0:
+            queries.append(Rectangle({"x": x}))
+        elif kind % 3 == 1:
+            queries.append(Rectangle({"y": y}))
+        else:
+            queries.append(Rectangle({"x": x, "y": y}))
+    return queries
+
+
+def brute_force_mask(store: DeltaStore, query: Rectangle) -> np.ndarray:
+    """Rows of the buffer matching ``query``, one explicit check per bound."""
+    mask = np.full(store.n_pending, not query.is_empty)
+    for dim, interval in query.items():
+        column = store.column(dim)
+        mask &= (column >= interval.low) & (column <= interval.high)
+    return mask
+
+
+class TestBatchMatch:
+    """``scan_batch`` and ``fold_aggregate_batch`` share one blocked match;
+    both must agree with a brute-force mask over the buffer."""
+
+    N_QUERIES = 300
+
+    def _store(self):
+        rng = np.random.default_rng(19)
+        n = 800
+        store = make_store()
+        store.append_batch(
+            batch(rng.uniform(0.0, 100.0, n), rng.uniform(0.0, 250.0, n)),
+            np.arange(1_000, 1_000 + n),
+        )
+        return store, mixed_queries(rng, self.N_QUERIES)
+
+    def _check(self, store, queries):
+        # More non-empty queries than one broadcast block holds.
+        assert sum(not query.is_empty for query in queries) > store.SCAN_BATCH_BLOCK
+        masks = [brute_force_mask(store, query) for query in queries]
+        for got, mask in zip(store.scan_batch(queries), masks):
+            assert np.array_equal(got, np.sort(store.row_ids[mask]))
+        values = store.column("y")
+        for spec in (
+            Aggregate("count"),
+            Aggregate("sum", "y"),
+            Aggregate("min", "y"),
+            Aggregate("max", "y"),
+        ):
+            partial = AggregatePartial.identity(len(queries))
+            store.fold_aggregate_batch(queries, spec, partial)
+            got = partial.finalize(spec)
+            for i, mask in enumerate(masks):
+                if spec.op == "count":
+                    assert got[i] == np.count_nonzero(mask)
+                elif spec.op == "sum":
+                    assert got[i] == pytest.approx(values[mask].sum(), rel=1e-12)
+                elif not mask.any():
+                    assert np.isnan(got[i])
+                else:
+                    assert got[i] == getattr(np, spec.op)(values[mask])
+
+    def test_batch_match_equals_brute_force(self):
+        store, queries = self._store()
+        self._check(store, queries)
+
+    def test_batch_match_after_delete_rows(self):
+        store, queries = self._store()
+        assert store.delete_rows(store.row_ids[::3].copy()) > 0
+        self._check(store, queries)
+
+    def test_batch_match_on_empty_store(self):
+        store = make_store()
+        queries = mixed_queries(np.random.default_rng(3), 5)
+        assert all(len(ids) == 0 for ids in store.scan_batch(queries))
+        partial = AggregatePartial.identity(len(queries))
+        store.fold_aggregate_batch(queries, Aggregate("count"), partial)
+        assert partial.count.tolist() == [0] * len(queries)
 
 
 class TestStateRoundTrip:

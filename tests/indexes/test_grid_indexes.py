@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.data.predicates import Interval, Rectangle
+from repro.data.executors import Aggregate
+from repro.data.predicates import Interval, Rectangle, batch_bounds, batch_live
 from repro.data.table import Table
 from repro.indexes.base import IndexBuildError
 from repro.indexes.column_files import ColumnFilesIndex
@@ -149,6 +150,65 @@ class TestSortedCellGrid:
         assert np.array_equal(
             np.sort(grid.range_query(query)), np.sort(sorted_column.range_query(query))
         )
+
+
+class TestSharedBatchCore:
+    """``batch_flat_from_bounds`` and ``batch_aggregate_from_bounds`` run on
+    one candidate-run core; fed the same bounds batch they must agree."""
+
+    def _batch(self, table):
+        rng = np.random.default_rng(5)
+        queries = []
+        for i in range(48):
+            anchor = table.row(int(rng.integers(0, table.n_rows)))
+            intervals = {
+                "a": Interval(anchor["a"] - 25, anchor["a"] + 25),
+                "b": Interval(anchor["b"] - 20, anchor["b"] + 20),
+            }
+            if i % 2:
+                # "c" is neither a grid nor the sort dimension.
+                intervals["c"] = Interval(anchor["c"] - 15, anchor["c"] + 15)
+            if i % 8 == 5:
+                intervals["b"] = Interval.empty()
+            queries.append(Rectangle(intervals))
+        return queries
+
+    def test_dropped_queries_and_counters_agree(self, table):
+        index = SortedCellGridIndex(
+            table, cells_per_dim=8, sort_dimension="a", dimensions=("a", "b")
+        )
+        deleted = np.arange(0, table.n_rows, 7)
+        index.delete_rows(deleted)
+        queries = self._batch(table)
+        n_queries = len(queries)
+        bounds = batch_bounds(queries)
+        # COAX routes a planner-chosen subset while counting fewer queries.
+        execute = batch_live(bounds, n_queries) & (np.arange(n_queries) % 3 != 0)
+        n_recorded = int(execute.sum())
+        assert 0 < n_recorded < n_queries
+
+        index.stats.reset()
+        ids, counts = index.batch_flat_from_bounds(bounds, n_queries, execute, n_recorded)
+        flat_stats = index.stats.snapshot()
+        index.stats.reset()
+        partial = index.batch_aggregate_from_bounds(
+            bounds, n_queries, execute, n_recorded, Aggregate("count")
+        )
+        agg_stats = index.stats.snapshot()
+
+        per_query = np.split(ids, np.cumsum(counts)[:-1])
+        for i, query in enumerate(queries):
+            if execute[i]:
+                expected = np.setdiff1d(table.select(query), deleted)
+                assert np.array_equal(np.sort(per_query[i]), expected), i
+            else:
+                assert len(per_query[i]) == 0, i
+                assert partial.count[i] == 0 and partial.total[i] == 0.0, i
+                assert partial.minimum[i] == np.inf and partial.maximum[i] == -np.inf, i
+        assert counts.sum() > 0
+        assert np.array_equal(partial.count, counts)
+        assert flat_stats.queries == agg_stats.queries == n_recorded
+        assert flat_stats.cells_visited == agg_stats.cells_visited > 0
 
 
 class TestSortedColumn:
