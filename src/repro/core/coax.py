@@ -610,27 +610,31 @@ class COAXIndex(MultidimensionalIndex):
         # translated bound matrices directly (it is always a sorted-cell
         # grid); so does a grid-family outlier index, while other outlier
         # structures fall back to their rectangle-level batch entry point.
+        # A sub-index no query routes to is not called: it would record an
+        # empty batch, which changes no counter.
         id_parts: List[np.ndarray] = []
         qid_parts: List[np.ndarray] = []
         all_qids = np.arange(n_sub, dtype=np.int64)
-        ids, counts = self._primary.batch_flat_from_bounds(
-            translated_bounds, n_sub, use_primary, int(use_primary.sum())
-        )
-        id_parts.append(ids)
-        qid_parts.append(np.repeat(all_qids, counts))
-        if isinstance(self._outlier, SortedCellGridIndex):
-            ids, counts = self._outlier.batch_flat_from_bounds(
-                bounds, n_sub, use_outlier, int(use_outlier.sum())
+        n_primary = int(np.count_nonzero(use_primary))
+        if n_primary:
+            ids, counts = self._primary.batch_flat_from_bounds(
+                translated_bounds, n_sub, use_primary, n_primary
             )
             id_parts.append(ids)
-            qid_parts.append(np.repeat(all_qids, counts))
-        else:
+            qid_parts.append(all_qids.repeat(counts))
+        n_outlier = int(np.count_nonzero(use_outlier))
+        if n_outlier and isinstance(self._outlier, SortedCellGridIndex):
+            ids, counts = self._outlier.batch_flat_from_bounds(
+                bounds, n_sub, use_outlier, n_outlier
+            )
+            id_parts.append(ids)
+            qid_parts.append(all_qids.repeat(counts))
+        elif n_outlier:
             outlier_slots = np.flatnonzero(use_outlier)
-            if len(outlier_slots):
-                batch = [queries[slots[i]] for i in outlier_slots]
-                ids, counts = self._outlier.batch_range_query_flat(batch)
-                id_parts.append(ids)
-                qid_parts.append(np.repeat(outlier_slots, counts))
+            batch = [queries[slots[i]] for i in outlier_slots]
+            ids, counts = self._outlier.batch_range_query_flat(batch)
+            id_parts.append(ids)
+            qid_parts.append(outlier_slots.repeat(counts))
 
         # One delta-store pass for every rectangle of the sub-batch.
         if self._delta.n_pending:
@@ -640,8 +644,10 @@ class COAXIndex(MultidimensionalIndex):
                 np.repeat(all_qids, [len(part) for part in pending_results])
             )
 
-        flat_ids = np.concatenate(id_parts)
-        flat_qids = np.concatenate(qid_parts)
+        if id_parts:
+            flat_ids, flat_qids = np.concatenate(id_parts), np.concatenate(qid_parts)
+        else:
+            flat_ids = flat_qids = np.empty(0, dtype=np.int64)
         work = self._sub_index_stats().delta(before)
         # Every live (non-empty) query of the batch examines the whole
         # pending buffer, exactly like the scalar path records per query —
@@ -701,24 +707,27 @@ class COAXIndex(MultidimensionalIndex):
         n_sub = len(slots)
         partial = AggregatePartial.identity(n_sub)
         before = self._sub_index_stats()
-        partial.merge(
-            self._primary.batch_aggregate_from_bounds(
-                translated_bounds, n_sub, use_primary, int(use_primary.sum()), spec
+        # Idle sub-indexes are skipped exactly like in batch_scatter_flat.
+        n_primary = int(np.count_nonzero(use_primary))
+        if n_primary:
+            partial.merge(
+                self._primary.batch_aggregate_from_bounds(
+                    translated_bounds, n_sub, use_primary, n_primary, spec
+                )
             )
-        )
-        if isinstance(self._outlier, SortedCellGridIndex):
+        n_outlier = int(np.count_nonzero(use_outlier))
+        if n_outlier and isinstance(self._outlier, SortedCellGridIndex):
             partial.merge(
                 self._outlier.batch_aggregate_from_bounds(
-                    bounds, n_sub, use_outlier, int(use_outlier.sum()), spec
+                    bounds, n_sub, use_outlier, n_outlier, spec
                 )
             )
-        else:
+        elif n_outlier:
             outlier_slots = np.flatnonzero(use_outlier)
-            if len(outlier_slots):
-                sub = self._outlier.batch_aggregate_partial(
-                    [queries[slots[i]] for i in outlier_slots], spec
-                )
-                partial.merge_at(outlier_slots, sub)
+            sub = self._outlier.batch_aggregate_partial(
+                [queries[slots[i]] for i in outlier_slots], spec
+            )
+            partial.merge_at(outlier_slots, sub)
         if self._delta.n_pending:
             self._delta.fold_aggregate_batch(
                 [queries[i] for i in slots], spec, partial

@@ -73,7 +73,7 @@ from repro.core.config import COAXConfig, EngineConfig
 from repro.core.delta import BatchLike, coerce_batch
 from repro.core.layout import LayoutMonitor, LayoutProposal
 from repro.fd.maintenance import REUSE, MaintenanceManager
-from repro.core.planner import batch_overlaps_box, plan_query_flags
+from repro.core.planner import batch_overlaps_boxes
 from repro.core.query_translation import (
     translate_bounds_batch,
     translate_query,
@@ -781,34 +781,47 @@ class ShardedCOAX(MultidimensionalIndex):
         n_queries = len(queries)
         bounds = batch_bounds(queries)
         live = batch_live(bounds, n_queries)
-        if not live.any():
+        if not np.count_nonzero(live):
             return None
         translated, no_inlier = translate_bounds_batch(bounds, n_queries, self._groups)
-        tasks: List[_Task] = []
-        pruned_per_query = np.zeros(n_queries, dtype=np.int64)
-        hits_by = np.zeros(len(self._shards), dtype=np.int64)
-        pruned_by = np.zeros(len(self._shards), dtype=np.int64)
-        for shard_no, shard in enumerate(self._shards):
-            use_primary, use_outlier = plan_query_flags(
-                bounds,
-                translated,
-                no_inlier,
-                n_queries,
-                primary_box=shard.primary_box,
-                outlier_box=shard.outlier_box,
+        # The planner rules of plan_query_flags for every shard at once:
+        # one (shards x queries) broadcast per bounds map over the stacked
+        # shard boxes, and the shard-independent masks computed once.
+        # Rectangle bounds are never NaN, so ``live`` is exactly "the
+        # original rectangle is not empty", and the translated rectangle
+        # of a live query is empty exactly when some group's effective
+        # predictor constraint is (``no_inlier``).
+        shards = self._shards
+        use_primary = batch_overlaps_boxes(
+            translated, n_queries, [shard.primary_box for shard in shards]
+        )
+        use_primary &= live & ~no_inlier
+        use_outlier = batch_overlaps_boxes(
+            bounds, n_queries, [shard.outlier_box for shard in shards]
+        )
+        use_outlier &= live
+        visible = use_primary | use_outlier
+        pending = [shard_no for shard_no, shard in enumerate(shards) if shard.n_pending]
+        if pending:
+            visible[pending] |= live & batch_overlaps_boxes(
+                bounds, n_queries, [shards[shard_no].delta.box for shard_no in pending]
             )
-            visible = use_primary | use_outlier
-            if shard.n_pending:
-                visible |= live & batch_overlaps_box(bounds, n_queries, shard.delta.box)
-            pruned = live & ~visible
-            pruned_per_query += pruned
-            pruned_by[shard_no] = int(np.count_nonzero(pruned))
-            slots = np.flatnonzero(visible)
-            hits_by[shard_no] = len(slots)
-            if len(slots):
-                tasks.append((shard_no, slots, use_primary[slots], use_outlier[slots]))
+        pruned = live & ~visible
+        hits_by = np.add.reduce(visible, axis=1)
+        tasks: List[_Task] = []
+        for shard_no in hits_by.nonzero()[0]:
+            slots = visible[shard_no].nonzero()[0]
+            tasks.append(
+                (int(shard_no), slots, use_primary[shard_no, slots], use_outlier[shard_no, slots])
+            )
         return _BatchPlan(
-            bounds, translated, live, tasks, pruned_per_query, hits_by, pruned_by
+            bounds,
+            translated,
+            live,
+            tasks,
+            np.add.reduce(pruned, axis=0),
+            hits_by,
+            np.add.reduce(pruned, axis=1),
         )
 
     def _scatter_batch(
@@ -821,20 +834,17 @@ class ShardedCOAX(MultidimensionalIndex):
         its :class:`AggregatePartial` — and the shard's counter advance.
         """
 
+        n_queries = len(queries)
+
         def run_shard(task: _Task) -> Tuple[object, QueryStats]:
             shard_no, slots, use_primary, use_outlier = task
-            args = (
-                queries,
-                slots,
-                {dim: (lows[slots], highs[slots]) for dim, (lows, highs) in plan.bounds.items()},
-                {
-                    dim: (lows[slots], highs[slots])
-                    for dim, (lows, highs) in plan.translated.items()
-                },
-                use_primary,
-                use_outlier,
-                len(slots),
-            )
+            bounds, translated = plan.bounds, plan.translated
+            if len(slots) < n_queries:
+                bounds = {dim: (lows[slots], highs[slots]) for dim, (lows, highs) in bounds.items()}
+                translated = {
+                    dim: (lows[slots], highs[slots]) for dim, (lows, highs) in translated.items()
+                }
+            args = (queries, slots, bounds, translated, use_primary, use_outlier, len(slots))
 
             def scan(shard: COAXIndex, global_of: np.ndarray):
                 if spec is not None:
@@ -866,7 +876,7 @@ class ShardedCOAX(MultidimensionalIndex):
             gathered.merge(delta)
         with self._stats_lock:
             self.stats.record_batch(
-                int(plan.live.sum()),
+                int(np.count_nonzero(plan.live)),
                 rows_examined=gathered.rows_examined,
                 rows_matched=int(matched.sum()),
                 cells_visited=gathered.cells_visited,
@@ -902,25 +912,29 @@ class ShardedCOAX(MultidimensionalIndex):
         # shard's delta is attributed evenly over exactly the queries it
         # was dispatched, so the per-query stats sum back to the
         # batch-global counters exactly.
-        examined = np.zeros(n_queries, dtype=np.int64)
-        cells = np.zeros(n_queries, dtype=np.int64)
-        nodes = np.zeros(n_queries, dtype=np.int64)
+        work = np.zeros((3, n_queries), dtype=np.int64)
         for task, delta in zip(plan.tasks, deltas):
             slots = task[1]
-            examined[slots] += split_counter_evenly(delta.rows_examined, len(slots))
-            cells[slots] += split_counter_evenly(delta.cells_visited, len(slots))
-            nodes[slots] += split_counter_evenly(delta.nodes_visited, len(slots))
+            work[:, slots] += split_counter_evenly(
+                (delta.rows_examined, delta.cells_visited, delta.nodes_visited), len(slots)
+            )
+        per_query = zip(
+            plan.live.tolist(),  # repro-lint: allow[materialize] per-query counters, O(queries) not O(rows)
+            *work.tolist(),  # repro-lint: allow[materialize] per-query counters, O(queries) not O(rows)
+            matched.tolist(),  # repro-lint: allow[materialize] per-query counters, O(queries) not O(rows)
+            plan.pruned_per_query.tolist(),  # repro-lint: allow[materialize] per-query counters, O(queries) not O(rows)
+        )
         return [
             QueryStats(
-                queries=int(plan.live[i]),
-                rows_examined=int(examined[i]),
-                rows_matched=int(matched[i]),
-                cells_visited=int(cells[i]),
-                nodes_visited=int(nodes[i]),
-                shards_pruned=int(plan.pruned_per_query[i]),
+                queries=int(live),
+                rows_examined=examined,
+                rows_matched=n_matched,
+                cells_visited=cells,
+                nodes_visited=nodes,
+                shards_pruned=pruned,
                 aggregates=per_query_aggregates,
             )
-            for i in range(n_queries)
+            for live, examined, cells, nodes, n_matched, pruned in per_query
         ]
 
     def _range_query_positions(self, query: Rectangle) -> np.ndarray:

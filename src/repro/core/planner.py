@@ -14,6 +14,7 @@ The planner performs exactly that pruning:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -32,6 +33,7 @@ __all__ = [
     "plan_query",
     "plan_query_flags",
     "batch_overlaps_box",
+    "batch_overlaps_boxes",
     "bounding_box_of_rows",
     "merge_boxes",
 ]
@@ -141,19 +143,58 @@ def _batch_empty(bounds: BoundsMap, n_queries: int) -> np.ndarray:
     return empty
 
 
-def _batch_misses_box(
+def batch_overlaps_boxes(
     bounds: BoundsMap,
     n_queries: int,
-    box: Tuple[Dict[str, float], Dict[str, float]],
+    boxes: Sequence[Optional[Tuple[Dict[str, float], Dict[str, float]]]],
 ) -> np.ndarray:
-    """Mask of queries whose rectangle misses an axis-aligned bounding box."""
-    misses = np.zeros(n_queries, dtype=bool)
-    box_lows, box_highs = box
-    for dim, (lows, highs) in bounds.items():
-        if dim not in box_lows:
-            continue
-        misses |= (highs < box_lows[dim]) | (lows > box_highs[dim])
-    return misses
+    """``(len(boxes), n_queries)`` mask: does query ``j`` intersect box ``i``?
+
+    The vectorized counterpart of :meth:`Rectangle.overlaps_box` for many
+    boxes at once — the sharded engine prunes every shard of a batch with
+    one broadcast over the stacked box bounds.  A ``None`` box (an empty
+    row set) overlaps nothing; a dimension a box does not carry does not
+    constrain, and NaN box bounds (dead slots in a partially reclaimed
+    shard) compare as overlapping, so pruning stays conservative.
+    """
+    present = [i for i, box in enumerate(boxes) if box is not None]
+    if len(present) < len(boxes):
+        overlaps = np.zeros((len(boxes), n_queries), dtype=bool)
+        if present:
+            overlaps[present] = batch_overlaps_boxes(
+                bounds, n_queries, [boxes[i] for i in present]
+            )
+        return overlaps
+    dims = list(bounds)
+    if not boxes or not dims:
+        return np.ones((len(boxes), n_queries), dtype=bool)
+    # (boxes, low/high, dims) against (dims, low/high, queries).  One
+    # itemgetter per box side is the fast form; a box lacking a queried
+    # dimension raises KeyError and takes the per-dimension form, in which
+    # that dimension spans (-inf, inf) and so never misses.
+    pick = itemgetter(*dims) if len(dims) > 1 else (lambda box: (box[dims[0]],))
+    try:
+        stacked = np.array(
+            [value for lows, highs in boxes for value in pick(lows) + pick(highs)],
+            dtype=np.float64,
+        )
+    except KeyError:
+        stacked = np.array(
+            [
+                (
+                    [box_lows.get(dim, -np.inf) for dim in dims],
+                    [box_highs[dim] if dim in box_lows else np.inf for dim in dims],
+                )
+                for box_lows, box_highs in boxes
+            ],
+            dtype=np.float64,
+        )
+    stacked = stacked.reshape(len(boxes), 2, len(dims), 1)
+    queries = np.array([side for dim in dims for side in bounds[dim]]).reshape(
+        len(dims), 2, n_queries
+    )
+    misses = (queries[:, 1] < stacked[:, 0]) | (queries[:, 0] > stacked[:, 1])
+    return ~np.logical_or.reduce(misses, axis=1)
 
 
 def batch_overlaps_box(
@@ -161,17 +202,9 @@ def batch_overlaps_box(
     n_queries: int,
     box: Optional[Tuple[Dict[str, float], Dict[str, float]]],
 ) -> np.ndarray:
-    """Mask of queries whose rectangle intersects an axis-aligned box.
-
-    The vectorized counterpart of :meth:`Rectangle.overlaps_box` over a
-    columnar query batch, shared by the sharded engine's per-shard pruning.
-    A ``None`` box (an empty row set) overlaps nothing.  NaN box bounds
-    (dead slots in a partially reclaimed shard) compare as overlapping, so
-    pruning stays conservative.
-    """
-    if box is None:
-        return np.zeros(n_queries, dtype=bool)
-    return ~_batch_misses_box(bounds, n_queries, box)
+    """Mask of queries whose rectangle intersects one axis-aligned box
+    (the single-box form of :func:`batch_overlaps_boxes`)."""
+    return batch_overlaps_boxes(bounds, n_queries, [box])[0]
 
 
 def plan_query_flags(
@@ -192,19 +225,10 @@ def plan_query_flags(
     decision-identical to :func:`plan_query` per query — the same empty /
     no-inlier / bounding-box pruning evaluated as whole-batch array ops.
     """
-    if primary_box is None:
-        use_primary = np.zeros(n_queries, dtype=bool)
-    else:
-        use_primary = ~(
-            _batch_empty(translated_bounds, n_queries)
-            | np.asarray(no_inlier, dtype=bool)
-            | _batch_misses_box(translated_bounds, n_queries, primary_box)
-        )
-    if outlier_box is None:
-        use_outlier = np.zeros(n_queries, dtype=bool)
-    else:
-        use_outlier = ~(
-            _batch_empty(bounds, n_queries)
-            | _batch_misses_box(bounds, n_queries, outlier_box)
-        )
+    use_primary = batch_overlaps_box(translated_bounds, n_queries, primary_box)
+    use_primary &= ~(
+        _batch_empty(translated_bounds, n_queries) | np.asarray(no_inlier, dtype=bool)
+    )
+    use_outlier = batch_overlaps_box(bounds, n_queries, outlier_box)
+    use_outlier &= ~_batch_empty(bounds, n_queries)
     return use_primary, use_outlier

@@ -11,7 +11,7 @@ enforced rather than assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Union
 
 import numpy as np
 
@@ -24,7 +24,7 @@ __all__ = [
 ]
 
 
-def split_counter_evenly(total: int, n_parts: int) -> np.ndarray:
+def split_counter_evenly(total: Union[int, Sequence[int]], n_parts: int) -> np.ndarray:
     """Split an integer work counter into ``n_parts`` shares, sum-preserving.
 
     The attribution primitive of the flat batch path: the batch kernels
@@ -32,14 +32,13 @@ def split_counter_evenly(total: int, n_parts: int) -> np.ndarray:
     so a per-query breakdown has to *divide* those deltas.  The split is
     even with largest-remainder rounding — ``out.sum() == total`` exactly,
     so per-query stats aggregated back always reproduce the batch-global
-    counters instead of drifting by rounding.
+    counters instead of drifting by rounding.  ``total`` may also be an
+    array of counters; each is split the same way (shape ``total.shape +
+    (n_parts,)``).
     """
-    if n_parts <= 0:
-        return np.empty(0, dtype=np.int64)
-    base, remainder = divmod(int(total), n_parts)
-    out = np.full(n_parts, base, dtype=np.int64)
-    out[:remainder] += 1
-    return out
+    base, remainder = np.divmod(np.asarray(total, dtype=np.int64), max(n_parts, 1))
+    shares = base[..., None] + (np.arange(max(n_parts, 0)) < remainder[..., None])
+    return shares.astype(np.int64, copy=False)
 
 
 def merge_row_ids(parts: Sequence[np.ndarray]) -> np.ndarray:
@@ -69,14 +68,20 @@ def merge_flat_row_ids(
         return [empty for _ in range(n_queries)]
     ids = np.asarray(ids, dtype=np.int64)
     qids = np.asarray(qids, dtype=np.int64)
+    if total == 1:
+        # One row id (the common point lookup) is its query's whole result.
+        merged = [empty for _ in range(n_queries)]
+        merged[int(qids[0])] = ids
+        return merged
     id_span = int(ids.max()) + 1
-    if id_span * n_queries < np.iinfo(np.int64).max // 2 and int(ids.min()) >= 0:
-        keys = np.sort(qids * id_span + ids)
-        keep = np.ones(total, dtype=bool)
-        keep[1:] = keys[1:] != keys[:-1]
-        keys = keys[keep]
-        out_ids = keys % id_span
-        out_qids = keys // id_span
+    if id_span * n_queries < (1 << 62) - 1 and int(ids.min()) >= 0:
+        keys = qids * id_span
+        keys += ids
+        keys.sort()
+        keep = np.empty(total, dtype=bool)
+        keep[0] = True
+        np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+        out_qids, out_ids = np.divmod(keys[keep], id_span)
     else:  # pragma: no cover - needs >2^62 fused key space
         order = np.lexsort((ids, qids))
         ids = ids[order]
@@ -86,7 +91,8 @@ def merge_flat_row_ids(
         out_ids = ids[keep]
         out_qids = qids[keep]
     counts = np.bincount(out_qids, minlength=n_queries)
-    return np.split(out_ids, np.cumsum(counts)[:-1])
+    ends = counts.cumsum()
+    return [out_ids[end - count : end] for count, end in zip(counts, ends)]
 
 
 def merge_row_ids_batch(parts_per_query: Sequence[Sequence[np.ndarray]]) -> List[np.ndarray]:

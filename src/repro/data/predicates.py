@@ -295,17 +295,17 @@ def batch_bounds(
     """
     queries = list(queries)
     n_queries = len(queries)
-    bounds: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
+    columns: Dict[str, Tuple[list, list]] = {}
     for i, query in enumerate(queries):
         for name, interval in query.items():
-            if name not in bounds:
-                bounds[name] = (
-                    np.full(n_queries, -np.inf),
-                    np.full(n_queries, np.inf),
-                )
-            bounds[name][0][i] = interval.low
-            bounds[name][1][i] = interval.high
-    return bounds
+            if name not in columns:
+                columns[name] = ([-math.inf] * n_queries, [math.inf] * n_queries)
+            columns[name][0][i] = interval.low
+            columns[name][1][i] = interval.high
+    return {
+        name: (np.array(lows, dtype=np.float64), np.array(highs, dtype=np.float64))
+        for name, (lows, highs) in columns.items()
+    }
 
 
 def batch_live(

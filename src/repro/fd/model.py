@@ -156,8 +156,8 @@ class LinearFDModel:
             out_low = np.where(lows > highs, np.inf, -np.inf)
             out_high = np.where(lows > highs, -np.inf, np.inf)
             return out_low, out_high
-        lo_target = np.where(np.isneginf(lows), -np.inf, lows - self.eps_ub)
-        hi_target = np.where(np.isposinf(highs), np.inf, highs + self.eps_lb)
+        lo_target = np.where(lows == -np.inf, -np.inf, lows - self.eps_ub)
+        hi_target = np.where(highs == np.inf, np.inf, highs + self.eps_lb)
         # (±inf - intercept) / slope keeps the sign bookkeeping of
         # ``_invert_scalar`` for free under IEEE arithmetic.
         x_at_lo = (lo_target - self.intercept) / self.slope
@@ -165,7 +165,7 @@ class LinearFDModel:
         out_low = np.minimum(x_at_lo, x_at_hi)
         out_high = np.maximum(x_at_lo, x_at_hi)
         empty = lows > highs
-        if empty.any():
+        if np.count_nonzero(empty):
             out_low = np.where(empty, np.inf, out_low)
             out_high = np.where(empty, -np.inf, out_high)
         return out_low, out_high

@@ -339,7 +339,11 @@ class MultidimensionalIndex(ABC):
         self._table = table
         self._row_ids = np.asarray(row_ids, dtype=np.int64)
         self._dimensions = tuple(dimensions)
-        self._columns = dict(columns)
+        # Plain-ndarray views of the (typically memmap) columns: same
+        # mapped buffer, no copy, but gathers and comparisons on them skip
+        # np.memmap's per-result Python hooks, which dominate on the few
+        # rows a point lookup touches.
+        self._columns = {name: column.view(np.ndarray) for name, column in columns.items()}
         self._row_id_order = None
         self._sorted_row_ids = None
         self._tombstone = None

@@ -132,6 +132,7 @@ class SortedCellGridIndex(MultidimensionalIndex):
         index._boundaries = [np.asarray(b, dtype=np.float64) for b in boundaries]
         index._axis_lows = [float(v) for v in axis_lows]
         index._axis_highs = [float(v) for v in axis_highs]
+        index._refresh_edges()
         index._row_order = np.asarray(row_order, dtype=np.int64)
         index._offsets = np.asarray(offsets, dtype=np.int64)
         index._sorted_keys = np.asarray(sorted_keys, dtype=np.float64)
@@ -180,6 +181,21 @@ class SortedCellGridIndex(MultidimensionalIndex):
         self._axis_lows, self._axis_highs = observed_axis_spans(
             self._columns, self._grid_dimensions
         )
+        self._refresh_edges()
+
+    def _refresh_edges(self) -> None:
+        """Value bounds of every cell run per grid axis, ``(n_axes,
+        cells_per_dim + 1)``: cells ``lo..hi`` of an axis hold values in
+        ``[edges[lo], edges[hi + 1]]``.  These are the boundaries with the
+        clipped catch-all ends replaced by the observed axis span; the batch
+        filter-pruning check reads them, so every change of boundaries or
+        spans refreshes them."""
+        edges = np.empty((len(self._boundaries), self._cells_per_dim + 1))
+        for axis, boundaries in enumerate(self._boundaries):
+            edges[axis] = boundaries
+            edges[axis, 0] = self._axis_lows[axis]
+            edges[axis, -1] = self._axis_highs[axis]
+        self._edges = edges
 
     # ------------------------------------------------------------------
     # Incremental maintenance
@@ -221,6 +237,7 @@ class SortedCellGridIndex(MultidimensionalIndex):
             new_values = self._columns[dim][old_n:]
             self._axis_lows[axis] = min(self._axis_lows[axis], float(new_values.min()))
             self._axis_highs[axis] = max(self._axis_highs[axis], float(new_values.max()))
+        self._refresh_edges()
         new_positions = old_n + np.arange(k, dtype=np.int64)
         if self._grid_dimensions:
             cell_coordinates = [
@@ -468,57 +485,56 @@ class SortedCellGridIndex(MultidimensionalIndex):
         bisection.  Queries outside ``execute`` enumerate no cells.
         """
         execute = np.asarray(execute, dtype=bool)
-        # Per-axis cell ranges for the whole batch: one searchsorted pair
-        # per axis instead of one per (query, axis).
+        # Every grid axis's query intervals as the rows of two (n_axes x
+        # n_queries) matrices — an axis no query constrains spans the grid
+        # — and all cell ranges from one searchsorted per axis.
         n_axes = len(self._grid_dimensions)
-        axis_lo = np.zeros((n_axes, n_queries), dtype=np.int64)
-        axis_hi = np.full((n_axes, n_queries), -1, dtype=np.int64)
-        filter_needed = np.zeros((n_axes, n_queries), dtype=bool)
+        spans = np.empty((2, n_axes, n_queries))
         for axis, dim in enumerate(self._grid_dimensions):
             if dim in bounds:
-                lows, highs = bounds[dim]
+                spans[0, axis], spans[1, axis] = bounds[dim]
             else:
-                lows = np.full(n_queries, -np.inf)
-                highs = np.full(n_queries, np.inf)
-            axis_lo[axis], axis_hi[axis] = axis_cell_ranges(
-                self._boundaries[axis], lows, highs, self._cells_per_dim
-            )
-            # Vectorized filter-pruning check (see _axis_filter_needed): the
-            # post-filter on this axis only matters for queries whose
-            # interval does not cover every visited cell.  Phrased as the
+                spans[0, axis] = -np.inf
+                spans[1, axis] = np.inf
+        axis_lows, axis_highs = spans
+        axis_lo, axis_hi = axis_cell_ranges(
+            self._boundaries, axis_lows, axis_highs, self._cells_per_dim
+        )
+        filter_needed = np.zeros((n_axes, n_queries), dtype=bool)
+        if n_axes:
+            # Vectorized filter-pruning check (see _axis_filter_needed) for
+            # all axes at once: the post-filter on an axis only matters for
+            # queries whose interval does not cover the value bounds of
+            # every visited cell (see _refresh_edges).  Phrased as the
             # negation of "provably covered" so NaN (from NaN-polluted
             # boundaries or spans) conservatively keeps the filter, exactly
             # like the scalar path.
-            boundaries = self._boundaries[axis]
-            lower_bound = np.where(
-                axis_lo[axis] > 0, boundaries[axis_lo[axis]], self._axis_lows[axis]
+            rows = np.arange(n_axes)[:, None]
+            filter_needed = ~(
+                (axis_lows <= self._edges[rows, axis_lo])
+                & (axis_highs >= self._edges[rows, axis_hi + 1])
             )
-            upper_bound = np.where(
-                axis_hi[axis] < self._cells_per_dim - 1,
-                boundaries[np.minimum(axis_hi[axis] + 1, self._cells_per_dim)],
-                self._axis_highs[axis],
-            )
-            filter_needed[axis] = ~((lows <= lower_bound) & (highs >= upper_bound))
         # Masked-out queries must enumerate no cells even when their grid
         # ranges are non-empty (the emptiness may come from another
         # attribute, or the planner routed them elsewhere) — and they must
         # not force a post-filter pass on any axis either.
-        if not execute.all():
+        if np.count_nonzero(execute) < n_queries:
             axis_hi[:, ~execute] = -1
             filter_needed[:, ~execute] = False
         cells, cells_per_query = enumerate_cells_batch(axis_lo, axis_hi, self._shape)
         if n_axes == 0:
             cells_per_query = execute.astype(np.int64)
             cells = np.zeros(int(cells_per_query.sum()), dtype=np.int64)
-        cell_qid = np.repeat(np.arange(n_queries, dtype=np.int64), cells_per_query)
+        cell_qid = np.arange(n_queries, dtype=np.int64).repeat(cells_per_query)
 
         # One batched sorted-key bisection over every (query, cell) pair.
         if self._sort_dimension in bounds:
             sort_lows, sort_highs = bounds[self._sort_dimension]
+            sort_lows, sort_highs = sort_lows[cell_qid], sort_highs[cell_qid]
         else:
-            sort_lows = np.full(n_queries, -np.inf)
-            sort_highs = np.full(n_queries, np.inf)
-        first, last = self._bisect_cells(cells, sort_lows[cell_qid], sort_highs[cell_qid])
+            sort_lows = np.full(len(cells), -np.inf)
+            sort_highs = np.full(len(cells), np.inf)
+        first, last = self._bisect_cells(cells, sort_lows, sort_highs)
         return axis_lo, axis_hi, filter_needed, cells, cell_qid, first, last
 
     def _filter_runs(
@@ -540,30 +556,35 @@ class SortedCellGridIndex(MultidimensionalIndex):
         after every attribute that rejected something, so later column
         gathers touch only the still-plausible rows — same final set and
         order (mask selection is order-preserving), substantially fewer
-        gathered values on selective batches.
+        gathered values on selective batches; once no candidate is left
+        the remaining attributes are skipped.
         """
         gathered, run_lengths = gather_ranges(first, last)
         candidates = self._row_order[gathered]
-        row_qid = np.repeat(cell_qid, run_lengths)
+        row_qid = cell_qid.repeat(run_lengths)
         n_examined = len(candidates)
         live = live_candidate_mask(candidates, self._tombstone)
-        if live is not None and not live.all():
+        if live is not None and np.count_nonzero(live) < len(live):
             candidates = candidates[live]
             row_qid = row_qid[live]
         axis_of = {dim: axis for axis, dim in enumerate(self._grid_dimensions)}
         for dim, (lows, highs) in bounds.items():
+            if not len(candidates):
+                break
             if dim == self._sort_dimension:
                 continue
             axis = axis_of.get(dim)
             if axis is not None:
                 needed = filter_needed[axis]
-                if not needed.any():
-                    continue
-                lows = np.where(needed, lows, -np.inf)
-                highs = np.where(needed, highs, np.inf)
+                n_needed = np.count_nonzero(needed)
+                if n_needed < len(needed):
+                    if not n_needed:
+                        continue
+                    lows = np.where(needed, lows, -np.inf)
+                    highs = np.where(needed, highs, np.inf)
             values = self._columns[dim][candidates]
             mask = (values >= lows[row_qid]) & (values <= highs[row_qid])
-            if not mask.all():
+            if np.count_nonzero(mask) < len(mask):
                 candidates = candidates[mask]
                 row_qid = row_qid[mask]
         return candidates, row_qid, n_examined

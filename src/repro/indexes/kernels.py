@@ -28,13 +28,13 @@ interpreter overhead is paid once per *batch* instead of once per cell:
   ``[start, stop)`` ranges into the concatenated index array in one shot,
   replacing the per-cell slice/append/``np.concatenate`` chain;
 * :func:`axis_cell_ranges` — batched boundary bisection: the inclusive
-  cell-index range along one axis for *many* query intervals with one
-  ``np.searchsorted`` pair per axis.
+  cell-index ranges of *many* query intervals with one
+  ``np.searchsorted`` per axis.
 """
 
 from __future__ import annotations
 
-from typing import List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -186,7 +186,9 @@ def enumerate_cells_batch(
     The whole batch is enumerated without a per-query Python step: one
     global arange is decomposed into per-query mixed-radix digits — one
     floor-divide/mod pair per axis — and re-composed into flat ids with the
-    grid strides.
+    grid strides.  When no query covers more than one cell (point
+    lookups), each id is just the dot product of its range starts with the
+    strides.
     """
     lo_cells = np.asarray(lo_cells, dtype=np.int64)
     hi_cells = np.asarray(hi_cells, dtype=np.int64)
@@ -194,11 +196,14 @@ def enumerate_cells_batch(
     if not shape or n_axes == 0:
         counts = np.ones(n_queries, dtype=np.int64)
         return np.zeros(n_queries, dtype=np.int64), counts
-    lengths = np.maximum(hi_cells - lo_cells + 1, 0)
-    counts = lengths.prod(axis=0)
+    lengths = hi_cells - lo_cells
+    lengths += 1
+    np.maximum(lengths, 0, out=lengths)
+    counts = np.multiply.reduce(lengths, axis=0)
+    if n_queries == 0 or counts.max() <= 1:
+        cells = np.dot(row_major_strides(shape), lo_cells)
+        return cells[counts > 0], counts
     total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64), counts
     ends = np.cumsum(counts)
     # Rank of every output cell within its own query's enumeration.
     rank = np.arange(total, dtype=np.int64) - np.repeat(ends - counts, counts)
@@ -235,14 +240,30 @@ def segment_bisect(
     — but computed for all segments simultaneously with a branch-free binary
     search: ``O(log max_segment_len)`` whole-array compare/where steps
     instead of one Python-dispatched ``searchsorted`` call per segment.
+
+    Below :data:`SMALL_QUERY_CELLS` segments the whole-array rounds cost
+    more than they share (their count grows with the largest segment, not
+    with the number of segments), so each segment slice gets its own
+    ``searchsorted`` instead.  Both branches return the same positions; a
+    NaN value lands on its segment start on either branch.
     """
     starts = np.asarray(starts, dtype=np.int64)
     stops = np.asarray(stops, dtype=np.int64)
     values = np.asarray(values, dtype=np.float64)
+    if len(starts) < SMALL_QUERY_CELLS:
+        found = np.empty(len(starts), dtype=np.int64)
+        segments = zip(
+            starts.tolist(),  # repro-lint: allow[materialize] per-segment search cursors, O(touched cells) not O(rows)
+            stops.tolist(),  # repro-lint: allow[materialize] per-segment search cursors, O(touched cells) not O(rows)
+            values.tolist(),  # repro-lint: allow[materialize] per-segment search cursors, O(touched cells) not O(rows)
+        )
+        for i, (start, stop, value) in enumerate(segments):
+            if start < stop and value == value:
+                start += int(keys[start:stop].searchsorted(value, side))
+            found[i] = start
+        return found
     lo = starts.copy()  # repro-lint: allow[materialize] per-segment search cursors, O(touched cells) not O(rows)
     hi = stops.copy()  # repro-lint: allow[materialize] per-segment search cursors, O(touched cells) not O(rows)
-    if len(starts) == 0:
-        return lo
     max_len = int(np.max(stops - starts, initial=0))
     if max_len <= 0:
         return lo
@@ -277,14 +298,14 @@ def gather_ranges(starts: np.ndarray, stops: np.ndarray) -> Tuple[np.ndarray, np
     starts = np.asarray(starts, dtype=np.int64)
     stops = np.asarray(stops, dtype=np.int64)
     lengths = np.maximum(stops - starts, 0)
-    total = int(lengths.sum())
+    total = int(np.add.reduce(lengths))
     if total == 0:
         return np.empty(0, dtype=np.int64), lengths
-    ends = np.cumsum(lengths)
     # Within each range the offset runs 0..length-1; shifting a global arange
-    # by the repeated range starts yields all ranges at once.
-    offsets = np.arange(total, dtype=np.int64) - np.repeat(ends - lengths, lengths)
-    indices = np.repeat(starts, lengths) + offsets
+    # by each range's start minus its position in the output yields all
+    # ranges at once.
+    shift = starts - (lengths.cumsum() - lengths)
+    indices = np.arange(total, dtype=np.int64) + shift.repeat(lengths)
     return indices, lengths
 
 
@@ -347,30 +368,44 @@ def segment_reduce(
 
 
 def axis_cell_ranges(
-    boundaries: np.ndarray,
+    boundaries: Union[np.ndarray, Sequence[np.ndarray]],
     lows: np.ndarray,
     highs: np.ndarray,
     n_cells: int,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Inclusive cell ranges along one axis for a whole batch of intervals.
+    """Inclusive cell ranges for a whole batch of intervals.
 
-    Vectorized version of the per-query boundary bisection: one
-    ``np.searchsorted`` call per side for *all* queries of a batch.  Returns
-    ``(lo_cells, hi_cells)`` clipped into ``[0, n_cells - 1]``; an empty
-    query interval (``low > high``) simply yields ``lo_cell > hi_cell`` and
-    enumerates no cells.
+    Vectorized version of the per-query boundary bisection.  For one axis,
+    ``boundaries`` is its boundary array and ``lows``/``highs`` hold every
+    query's interval on it; for a whole grid, ``boundaries`` lists the
+    per-axis boundary arrays and ``lows``/``highs`` are ``(n_axes,
+    n_queries)`` matrices.  Each axis costs one ``np.searchsorted`` over
+    its lows and highs together, and the results are clamped in place for
+    all axes at once.  Returns ``(lo_cells, hi_cells)`` shaped like
+    ``lows``, clipped into ``[0, n_cells - 1]``; an empty query interval
+    (``low > high``) simply yields ``lo_cell > hi_cell`` and enumerates no
+    cells.
     """
-    boundaries = np.asarray(boundaries, dtype=np.float64)
     lows = np.asarray(lows, dtype=np.float64)
     highs = np.asarray(highs, dtype=np.float64)
-    lo_cells = np.clip(
-        np.searchsorted(boundaries, lows, side="right") - 1, 0, n_cells - 1
-    ).astype(np.int64)
-    hi_cells = np.clip(
-        np.searchsorted(boundaries, highs, side="right") - 1, 0, n_cells - 1
-    ).astype(np.int64)
+    if lows.ndim == 1:
+        lo_cells, hi_cells = axis_cell_ranges(
+            [np.asarray(boundaries, dtype=np.float64)], lows[None], highs[None], n_cells
+        )
+        return lo_cells[0], hi_cells[0]
+    n_axes, n_queries = lows.shape
+    cells = np.empty((n_axes, 2 * n_queries), dtype=np.int64)
+    for axis, axis_boundaries in enumerate(boundaries):
+        cells[axis] = axis_boundaries.searchsorted(
+            np.concatenate((lows[axis], highs[axis])), side="right"
+        )
+    cells -= 1
+    np.maximum(cells, 0, out=cells)
+    np.minimum(cells, n_cells - 1, out=cells)
+    lo_cells = cells[:, :n_queries]
+    hi_cells = cells[:, n_queries:]
     # Preserve emptiness: a query with low > high must visit no cells.
     empty = lows > highs
-    if empty.any():
-        hi_cells = np.where(empty, lo_cells - 1, hi_cells)
+    if np.count_nonzero(empty):
+        hi_cells[empty] = lo_cells[empty] - 1
     return lo_cells, hi_cells

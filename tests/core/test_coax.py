@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from repro.core.coax import COAXIndex
-from repro.core.config import COAXConfig
+from repro.core.config import COAXConfig, EngineConfig
+from repro.core.engine import ShardedCOAX
 from repro.data.predicates import Interval, Rectangle
 from repro.data.queries import WorkloadConfig, generate_knn_queries, generate_point_queries
 from repro.data.table import Table
@@ -245,3 +246,103 @@ class TestExplicitGroupsAndConfig:
         )
         assert index.groups == ()
         assert "dropped FD groups referencing non-indexed attributes" in index.build_report.warnings
+
+
+class TestIdleSubIndexSkip:
+    """A sub-index no query of a batch routes to is never called.
+
+    Outliers live only at ``x > 80``, so a batch can route every query to
+    the outlier index alone (the dependent range rules out every inlier)
+    or to the primary alone (the rectangle misses the outlier box).  The
+    skipped index's counters must not move, and results and facade stats
+    must equal the scalar path's.
+    """
+
+    OUTLIER_ONLY = [
+        Rectangle({"x": Interval(82.0 + i, 90.0), "y": Interval(20.0, 60.0)}) for i in range(6)
+    ]
+    PRIMARY_ONLY = [
+        Rectangle({"x": Interval(5.0 * i, 5.0 * i + 20.0), "z": Interval(0.0, 25.0)})
+        for i in range(6)
+    ]
+
+    @staticmethod
+    def table() -> Table:
+        rng = np.random.default_rng(5)
+        n = 3_000
+        x = rng.uniform(0.0, 100.0, size=n)
+        y = 2.0 * x + rng.uniform(-1.0, 1.0, size=n)
+        flip = (x > 80.0) & (rng.random(n) < 0.4)
+        y[flip] = rng.uniform(0.0, 250.0, size=int(flip.sum()))
+        z = rng.uniform(0.0, 50.0, size=n)
+        return Table({"x": x, "y": y, "z": z})
+
+    @staticmethod
+    def groups() -> list:
+        return [
+            FDGroup(
+                predictor="x",
+                dependents=("y",),
+                models={"y": LinearFDModel(2.0, 0.0, 1.5, 1.5)},
+            )
+        ]
+
+    @staticmethod
+    def spy(index, calls):
+        """Count calls of the grid batch kernel on one sub-index instance."""
+        kernel = index.batch_flat_from_bounds
+
+        def counted(*args):
+            calls.append(args[1])
+            return kernel(*args)
+
+        index.batch_flat_from_bounds = counted
+
+    @pytest.mark.parametrize("skipped", ["primary", "outlier"])
+    def test_skipped_sub_index_is_not_called(self, skipped):
+        table = self.table()
+        queries = self.OUTLIER_ONLY if skipped == "primary" else self.PRIMARY_ONLY
+        batch_index = COAXIndex(table, groups=self.groups())
+        scalar_index = COAXIndex(table, groups=self.groups())
+        assert batch_index.outlier_box[0]["x"] > 80.0
+        for query in queries:
+            plan = batch_index.plan(query)
+            assert plan.use_outlier != plan.use_primary
+            assert plan.use_outlier == (skipped == "primary")
+            assert len(table.select(query))
+        skipped_index = getattr(batch_index, f"{skipped}_index")
+        calls = []
+        self.spy(skipped_index, calls)
+        before = skipped_index.stats.snapshot()
+        results = batch_index.batch_range_query(queries)
+        assert calls == []
+        assert skipped_index.stats == before
+        for query, got in zip(queries, results):
+            assert np.array_equal(got, scalar_index.range_query(query))
+            assert np.array_equal(np.sort(got), table.select(query))
+        assert batch_index.stats == scalar_index.stats
+
+    @pytest.mark.parametrize("skipped", ["primary", "outlier"])
+    def test_engine_attribution_sums_to_batch_counters(self, skipped):
+        table = self.table()
+        queries = self.OUTLIER_ONLY if skipped == "primary" else self.PRIMARY_ONLY
+        engine = ShardedCOAX(table, config=EngineConfig(n_shards=2), groups=self.groups())
+        scalar = ShardedCOAX(table, config=EngineConfig(n_shards=2), groups=self.groups())
+        try:
+            before = {
+                shard_no: getattr(shard, f"{skipped}_index").stats.snapshot()
+                for shard_no, shard in enumerate(engine.shards)
+            }
+            results, per_query = engine.batch_range_query_attributed(queries)
+            for shard_no, shard in enumerate(engine.shards):
+                assert getattr(shard, f"{skipped}_index").stats == before[shard_no]
+            for query, got in zip(queries, results):
+                assert np.array_equal(got, scalar.range_query(query))
+            total = per_query[0].snapshot()
+            for record in per_query[1:]:
+                total.merge(record)
+            assert total == engine.stats
+            assert engine.stats == scalar.stats
+        finally:
+            engine.shutdown()
+            scalar.shutdown()

@@ -14,6 +14,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.indexes.kernels import (
+    SMALL_QUERY_CELLS,
     axis_cell_ranges,
     enumerate_cells,
     enumerate_cells_batch,
@@ -67,6 +68,25 @@ class TestEnumerateCellsBatch:
             else:
                 assert split[i].tolist() == expected.tolist()
 
+    @given(st.integers(0, 6000))
+    @settings(max_examples=30, deadline=None)
+    def test_single_cell_queries(self, seed):
+        # Point-like batches (at most one cell per query) take the
+        # dot-product shortcut; empty queries must still give no cell.
+        rng = np.random.default_rng(seed)
+        shape = (5, 4, 3)
+        n_queries = int(rng.integers(1, 8))
+        lo = np.stack([rng.integers(0, s, size=n_queries) for s in shape])
+        hi = lo - (rng.random((len(shape), n_queries)) < 0.2)
+        cells, counts = enumerate_cells_batch(lo, hi, shape)
+        expected = [
+            enumerate_cells(lo[:, i], hi[:, i], shape).tolist()
+            if (hi[:, i] >= lo[:, i]).all() else []
+            for i in range(n_queries)
+        ]
+        assert counts.tolist() == [len(cell) for cell in expected]
+        assert cells.tolist() == [cell for cell_ids in expected for cell in cell_ids]
+
     def test_empty_batch_of_cells(self):
         lo = np.array([[1], [2]])
         hi = np.array([[0], [3]])  # axis 0 empty -> no cells
@@ -74,23 +94,52 @@ class TestEnumerateCellsBatch:
         assert len(cells) == 0 and counts.tolist() == [0]
 
 
+def _random_segments(rng, n_segments):
+    """Sorted runs with empty segments, duplicate keys and infinite keys."""
+    pool = np.array([-np.inf, -3.0, -1.0, 0.0, 0.0, 1.0, 2.0, 2.0, 4.0, np.inf])
+    runs = [np.sort(rng.choice(pool, size=rng.integers(0, 20)))
+            for _ in range(n_segments)]
+    keys = np.concatenate(runs) if runs else np.empty(0)
+    lengths = np.array([len(run) for run in runs], dtype=np.int64)
+    stops = np.cumsum(lengths)
+    starts = stops - lengths
+    values = rng.choice(np.array([-np.inf, -4.0, -1.0, 0.0, 0.5, 2.0, 5.0, np.inf]),
+                        size=n_segments)
+    return runs, keys, starts, stops, values
+
+
 class TestSegmentBisect:
     @given(st.integers(0, 6000), st.sampled_from(["left", "right"]))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     def test_matches_searchsorted_per_segment(self, seed, side):
+        # 1-60 segments: both the per-segment branch (fewer than
+        # SMALL_QUERY_CELLS) and the whole-array rounds are drawn.
         rng = np.random.default_rng(seed)
-        n_segments = int(rng.integers(1, 12))
-        runs = [np.sort(rng.integers(-5, 5, size=rng.integers(0, 20)).astype(float))
-                for _ in range(n_segments)]
-        keys = np.concatenate(runs) if runs else np.empty(0)
-        lengths = np.array([len(run) for run in runs], dtype=np.int64)
-        stops = np.cumsum(lengths)
-        starts = stops - lengths
-        values = rng.integers(-6, 6, size=n_segments).astype(float)
+        n_segments = int(rng.integers(1, 61))
+        runs, keys, starts, stops, values = _random_segments(rng, n_segments)
         got = segment_bisect(keys, starts, stops, values, side=side)
         for i, run in enumerate(runs):
             expected = starts[i] + np.searchsorted(run, values[i], side=side)
             assert got[i] == expected, (i, side)
+
+    @given(st.integers(0, 6000), st.sampled_from(["left", "right"]))
+    @settings(max_examples=40, deadline=None)
+    def test_both_branches_agree(self, seed, side):
+        # The same segments searched below and above SMALL_QUERY_CELLS:
+        # padding the batch with copies moves it onto the whole-array
+        # rounds, which must give the small branch's positions.
+        rng = np.random.default_rng(seed)
+        n_segments = int(rng.integers(1, SMALL_QUERY_CELLS))
+        _, keys, starts, stops, values = _random_segments(rng, n_segments)
+        values[rng.random(n_segments) < 0.1] = np.nan
+        small = segment_bisect(keys, starts, stops, values, side=side)
+        copies = -(-SMALL_QUERY_CELLS // n_segments)
+        large = segment_bisect(
+            keys, np.tile(starts, copies), np.tile(stops, copies),
+            np.tile(values, copies), side=side,
+        )
+        assert len(large) >= SMALL_QUERY_CELLS
+        assert np.array_equal(np.tile(small, copies), large)
 
     def test_empty_inputs(self):
         empty = np.empty(0, dtype=np.int64)
@@ -126,9 +175,38 @@ class TestAxisCellRanges:
             expected_hi = int(np.clip(np.searchsorted(boundaries, highs[i], side="right") - 1, 0, 3))
             assert lo_cells[i] == expected_lo and hi_cells[i] == expected_hi
 
+    def test_edge_values(self):
+        # On a boundary, below the first, beyond the last and infinite.
+        boundaries = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
+        lows = np.array([1.0, -5.0, 4.0, -np.inf, 0.0, 2.0, -np.inf])
+        highs = np.array([2.0, -1.0, 9.0, np.inf, 0.0, 4.0, -np.inf])
+        lo_cells, hi_cells = axis_cell_ranges(boundaries, lows, highs, 4)
+        assert lo_cells.tolist() == [1, 0, 3, 0, 0, 2, 0]
+        assert hi_cells.tolist() == [2, 0, 3, 3, 0, 3, 0]
+
     def test_empty_interval_yields_no_cells(self):
         boundaries = np.array([0.0, 1.0, 2.0])
         lo_cells, hi_cells = axis_cell_ranges(
             boundaries, np.array([1.5]), np.array([0.5]), 2
         )
         assert hi_cells[0] < lo_cells[0]
+
+    @given(st.integers(0, 6000))
+    @settings(max_examples=30, deadline=None)
+    def test_stacked_axes_match_per_axis(self, seed):
+        rng = np.random.default_rng(seed)
+        n_axes, n_queries, n_cells = 3, int(rng.integers(1, 9)), 4
+        boundaries = [np.sort(rng.normal(size=n_cells + 1)) for _ in range(n_axes)]
+        pool = np.array([-np.inf, -1.0, 0.0, 0.5, 1.0, np.inf])
+        lows = rng.choice(pool, size=(n_axes, n_queries))
+        highs = rng.choice(pool, size=(n_axes, n_queries))
+        lows[0, 0] = boundaries[0][2]  # exactly on a boundary
+        lo_cells, hi_cells = axis_cell_ranges(boundaries, lows, highs, n_cells)
+        for axis in range(n_axes):
+            lo_axis, hi_axis = axis_cell_ranges(
+                boundaries[axis], lows[axis], highs[axis], n_cells
+            )
+            assert np.array_equal(lo_cells[axis], lo_axis)
+            assert np.array_equal(hi_cells[axis], hi_axis)
+            empty = lows[axis] > highs[axis]
+            assert (hi_axis[empty] < lo_axis[empty]).all()
