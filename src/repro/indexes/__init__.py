@@ -16,7 +16,6 @@ from repro.indexes.kernels import (
     enumerate_cells,
     enumerate_cells_batch,
     gather_ranges,
-    segment_bisect,
 )
 from repro.indexes.full_scan import FullScanIndex
 from repro.indexes.sorted_array import SortedColumnIndex
@@ -37,7 +36,6 @@ __all__ = [
     "enumerate_cells",
     "enumerate_cells_batch",
     "gather_ranges",
-    "segment_bisect",
     "FullScanIndex",
     "SortedColumnIndex",
     "UniformGridIndex",

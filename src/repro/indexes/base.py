@@ -290,10 +290,7 @@ class MultidimensionalIndex(ABC):
         else:
             row_ids = np.asarray(row_ids, dtype=np.int64)
         self._row_ids = row_ids
-        self._dimensions = tuple(dimensions) if dimensions else tuple(table.schema)
-        for dim in self._dimensions:
-            if dim not in table.schema:
-                raise IndexBuildError(f"dimension {dim!r} is not in the table schema")
+        self._dimensions = self._checked_dimensions(table, dimensions)
         # Local view of the indexed subset: queries work on positional ids
         # 0..len(row_ids)-1 and map back to original ids at the end.  An
         # index over the whole table references the table arrays directly
@@ -319,6 +316,35 @@ class MultidimensionalIndex(ABC):
         # auto-compact -> compact) without re-acquisition deadlocks.
         self._write_lock = threading.RLock()
         self.stats = QueryStats()
+
+    @staticmethod
+    def _checked_dimensions(
+        table: Table, dimensions: Optional[Sequence[str]]
+    ) -> Tuple[str, ...]:
+        """The indexed attributes (default: the whole schema), validated."""
+        dims = tuple(dimensions) if dimensions else tuple(table.schema)
+        for dim in dims:
+            if dim not in table.schema:
+                raise IndexBuildError(f"dimension {dim!r} is not in the table schema")
+        return dims
+
+    @staticmethod
+    def _key_columns(
+        table: Table, row_ids: Optional[np.ndarray], names: Sequence[str]
+    ) -> Tuple[np.ndarray, Dict[str, np.ndarray]]:
+        """Covered row ids and the named columns over them, in id order.
+
+        What a clustered index lays its rows out from *before* calling the
+        base constructor with its rows in layout order, so the base class
+        gathers every column once, straight into that layout.  Over the
+        whole table (``row_ids`` is ``None``) the columns are the table's
+        own arrays.
+        """
+        if row_ids is None:
+            ids = np.arange(table.n_rows, dtype=np.int64)
+            return ids, {name: table.column(name) for name in names}
+        ids = np.asarray(row_ids, dtype=np.int64)
+        return ids, {name: table.column(name)[ids] for name in names}
 
     def _init_restored(
         self,
@@ -682,23 +708,45 @@ class MultidimensionalIndex(ABC):
         ``table`` becomes the index's backing table (it must contain the old
         rows under their old ids plus the new ones).  Only the flat row
         bookkeeping is updated here — directory structures are the
-        subclass's responsibility (see ``SortedCellGridIndex.absorb_rows``).
+        subclass's responsibility.
         """
         new_row_ids = np.asarray(new_row_ids, dtype=np.int64)
-        # Invalidate the row-id lookup *before* mutating the row set: if a
-        # column concatenate below raises, a stale cache must never survive
-        # to serve positions over the partially updated arrays.
+        # Invalidate the row-id lookup *before* touching the row set: if
+        # the gather below or an insert raises, a stale cache must never
+        # survive to serve positions over partially updated arrays.
         self._invalidate_row_lookup()
+        self._insert_rows(
+            table,
+            new_row_ids,
+            {name: table.column(name)[new_row_ids] for name in table.schema},
+            self.n_rows,
+        )
+
+    def _insert_rows(
+        self,
+        table: Table,
+        new_row_ids: np.ndarray,
+        new_columns: Mapping[str, np.ndarray],
+        at,
+    ) -> None:
+        """Insert rows into the flat per-position arrays before ``at``.
+
+        ``at`` follows ``np.insert``: one position for the whole batch (an
+        append when it is ``n_rows``) or one position per new row, rows
+        sharing a position keeping their batch order.  The row ids, every
+        column and the tombstone bitmap (new rows live) move together, so
+        positions stay aligned across all of them; ``table`` becomes the
+        backing table (see :meth:`_append_rows`).
+        """
+        self._invalidate_row_lookup()  # before any mutation, as above
         self._table = table
-        self._row_ids = np.concatenate([self._row_ids, new_row_ids])
+        self._row_ids = np.insert(self._row_ids, at, new_row_ids)
         if self._tombstone is not None:
-            self._tombstone = np.concatenate(
-                [self._tombstone, np.zeros(len(new_row_ids), dtype=bool)]
+            self._tombstone = np.insert(
+                self._tombstone, at, np.zeros(len(new_row_ids), dtype=bool)
             )
         for name in table.schema:
-            self._columns[name] = np.concatenate(
-                [self._columns[name], table.column(name)[new_row_ids]]
-            )
+            self._columns[name] = np.insert(self._columns[name], at, new_columns[name])
 
     def _invalidate_row_lookup(self) -> None:
         """Drop the cached row-id ordering; any path that changes the

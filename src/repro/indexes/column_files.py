@@ -17,7 +17,7 @@ configurations explicit about which system they measure.
 The vectorized read path is shared wholesale: single queries run through
 the :mod:`repro.indexes.kernels` cell-scan kernels and ``batch_range_query``
 executes a whole batch with one vectorized boundary bisection per axis,
-one batched in-cell bisection and one gathered post-filter pass — see
+one in-cell run search and one gathered post-filter pass — see
 :class:`SortedCellGridIndex`, from which both are inherited unchanged.
 """
 

@@ -12,6 +12,16 @@ variant where
   use binary search inside the cell ("Sorting the rows inside pages means
   that we can reduce the dimensionality of the grid by one").
 
+The layout is physical, not modelled: every column, the covered row ids
+and the tombstone bitmap are stored in (cell, sort-key) order, so a
+position *is* a page offset and cell ``c`` occupies ``offsets[c] ..
+offsets[c + 1]``.  The sort column itself is the in-cell sorted key
+array.  One more per-row array, ``rank_keys = cell * (len(distinct) + 1) +
+rank(sort key)`` over the sorted distinct sort-key values ``distinct``,
+is non-decreasing across the whole layout, so the runs of every (query,
+cell) pair of a batch come from two exact ``searchsorted`` calls (see
+:func:`repro.indexes.kernels.rank_runs`).
+
 The same structure doubles as the Column Files baseline (see
 :mod:`repro.indexes.column_files`).
 """
@@ -31,14 +41,15 @@ from repro.indexes.kernels import (
     SMALL_QUERY_CELLS,
     axis_cell_ranges,
     axis_filter_needed,
+    cell_rank_keys,
     enumerate_cells,
     enumerate_cells_batch,
     gather_ranges,
     live_candidate_mask,
     observed_axis_spans,
     prefix_sums,
+    rank_runs,
     row_major_strides,
-    segment_bisect,
     segment_reduce,
     segment_sum,
 )
@@ -64,33 +75,40 @@ class SortedCellGridIndex(MultidimensionalIndex):
         row_ids: Optional[np.ndarray] = None,
         dimensions: Optional[Sequence[str]] = None,
     ) -> None:
-        super().__init__(table, row_ids=row_ids, dimensions=dimensions)
+        dimensions = self._checked_dimensions(table, dimensions)
         if cells_per_dim < 1:
             raise IndexBuildError("cells_per_dim must be at least 1")
-        self._sort_dimension = sort_dimension or self._dimensions[-1]
-        if self._sort_dimension not in self._table.schema:
+        self._sort_dimension = sort_dimension or dimensions[-1]
+        if self._sort_dimension not in table.schema:
             raise IndexBuildError(f"sort dimension {self._sort_dimension!r} not in schema")
         # Grid lines cover every indexed dimension except the sorted one.
         self._grid_dimensions: Tuple[str, ...] = tuple(
-            dim for dim in self._dimensions if dim != self._sort_dimension
+            dim for dim in dimensions if dim != self._sort_dimension
+        )
+        # Lay the rows out from their key columns alone; the base class then
+        # gathers every column once, straight into (cell, sort-key) order.
+        ids, keys = self._key_columns(
+            table, row_ids, (*self._grid_dimensions, self._sort_dimension)
         )
         n_grid_dims = len(self._grid_dimensions)
         # Same directory-size discipline as the uniform grid: by default the
         # total cell count may not exceed the number of indexed records.
-        budget = max_cells if max_cells is not None else max(16, self.n_rows)
+        budget = max_cells if max_cells is not None else max(16, len(ids))
         budget = min(budget, MAX_TOTAL_CELLS)
         self._cells_per_dim = _capped_cells_per_dim(cells_per_dim, n_grid_dims, budget)
         self._shape: Tuple[int, ...] = tuple([self._cells_per_dim] * n_grid_dims)
         self._cell_strides: Tuple[int, ...] = row_major_strides(self._shape)
         self._boundaries: List[np.ndarray] = [
-            quantile_boundaries(self._columns[dim], self._cells_per_dim)
+            quantile_boundaries(keys[dim], self._cells_per_dim)
             for dim in self._grid_dimensions
         ]
+        order, cells, rank_keys, distinct = self._cluster_order(keys)
+        super().__init__(table, row_ids=ids[order], dimensions=dimensions)
         self._compute_axis_spans()
-        self._build_cells()
+        self._index_cells(cells, rank_keys, distinct)
 
     # ------------------------------------------------------------------
-    # Structured restore (format v6)
+    # Structured restore (format v8)
     # ------------------------------------------------------------------
     @classmethod
     def _restore(
@@ -105,18 +123,18 @@ class SortedCellGridIndex(MultidimensionalIndex):
         boundaries: Sequence[np.ndarray],
         axis_lows: Sequence[float],
         axis_highs: Sequence[float],
-        row_order: np.ndarray,
         offsets: np.ndarray,
-        sorted_keys: np.ndarray,
+        rank_keys: np.ndarray,
+        distinct: np.ndarray,
     ) -> "SortedCellGridIndex":
         """Reattach a grid from persisted derived state — no rebuild.
 
-        The quantile boundaries, the (cell, sort-key) row permutation and
-        the per-cell offsets are adopted verbatim, so the restored grid is
-        bit-identical to the saved one by construction and attaching costs
-        O(metadata) plus mapping the arrays (nothing when they are
-        memmaps).  Column arrays are taken as given — memmap-backed ones
-        stay mapped.
+        ``row_ids``, ``columns`` and ``rank_keys`` are in the saved
+        (cell, sort-key) order; they, the quantile boundaries, the per-cell
+        offsets and the distinct sort keys are adopted verbatim, so the
+        restored grid is bit-identical to the saved one by construction and
+        attaching costs O(metadata) plus mapping the arrays (nothing when
+        they are memmaps).  Memmap-backed arrays stay mapped.
         """
         index = cls.__new__(cls)
         index._init_restored(
@@ -133,41 +151,58 @@ class SortedCellGridIndex(MultidimensionalIndex):
         index._axis_lows = [float(v) for v in axis_lows]
         index._axis_highs = [float(v) for v in axis_highs]
         index._refresh_edges()
-        index._row_order = np.asarray(row_order, dtype=np.int64)
-        index._offsets = np.asarray(offsets, dtype=np.int64)
-        index._sorted_keys = np.asarray(sorted_keys, dtype=np.float64)
+        # Plain-ndarray views, like the columns (see _init_restored).
+        index._offsets = offsets.view(np.ndarray)
+        index._rank_keys = rank_keys.view(np.ndarray)
+        index._distinct = distinct.view(np.ndarray)
         index._agg_prefix = {}
         return index
 
     # ------------------------------------------------------------------
     # Build
     # ------------------------------------------------------------------
-    def _build_cells(self) -> None:
-        # The aggregate prefix-sum cache is laid out over _row_order, so any
-        # path that rebuilds or reshuffles the permutation must drop it.
+    def _cluster_order(
+        self, keys: Dict[str, np.ndarray]
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(cell, sort-key) layout of rows with key columns ``keys``.
+
+        Returns ``(order, cells, rank_keys, distinct)``: the permutation
+        that clusters the rows per cell, sorted by the sort key inside each
+        cell — exactly the paper's page layout — then every row's flat cell
+        id (input order), the run-search keys in layout order and the
+        sorted distinct sort keys (see
+        :func:`repro.indexes.kernels.cell_rank_keys`).
+        """
+        cells = self._flat_cells(keys)
+        # np.unique's inverse is each key's rank in ``distinct``.
+        distinct, ranks = np.unique(keys[self._sort_dimension], return_inverse=True)
+        rank_keys = cells * (len(distinct) + 1) + ranks
+        # Equal run-search keys mean equal (cell, sort key), so their
+        # stable sort is the (cell, sort-key) lexsort of the rows.
+        order = np.argsort(rank_keys, kind="stable")
+        return order, cells, rank_keys[order], distinct
+
+    def _flat_cells(self, keys: Dict[str, np.ndarray]) -> np.ndarray:
+        """Flat cell id of every row with key columns ``keys``."""
+        if not self._grid_dimensions:
+            return np.zeros(len(keys[self._sort_dimension]), dtype=np.int64)
+        return np.ravel_multi_index(
+            [self._cell_of(keys[dim], axis) for axis, dim in enumerate(self._grid_dimensions)],
+            self._shape,
+        ).astype(np.int64, copy=False)
+
+    def _index_cells(
+        self, cells: np.ndarray, rank_keys: np.ndarray, distinct: np.ndarray
+    ) -> None:
+        """Adopt the directory of freshly clustered rows: per-cell offsets
+        from the rows' cell ids (any order), plus the run-search keys and
+        distinct sort keys of :meth:`_cluster_order`.  Drops the aggregate
+        prefix-sum cache, which is laid out over the positions."""
         self._agg_prefix: Dict[str, np.ndarray] = {}
-        n_cells = int(np.prod(self._shape)) if self._shape else 1
-        if self.n_rows == 0:
-            self._row_order = np.empty(0, dtype=np.int64)
-            self._offsets = np.zeros(n_cells + 1, dtype=np.int64)
-            self._sorted_keys = np.empty(0, dtype=np.float64)
-            return
-        if self._grid_dimensions:
-            cell_coordinates = [
-                self._cell_of(self._columns[dim], axis)
-                for axis, dim in enumerate(self._grid_dimensions)
-            ]
-            flat = np.ravel_multi_index(cell_coordinates, self._shape)
-        else:
-            flat = np.zeros(self.n_rows, dtype=np.int64)
-        sort_keys = self._columns[self._sort_dimension]
-        # Order rows by (cell id, sort key): records cluster per cell and are
-        # sorted inside the cell, exactly the paper's page layout.
-        order = np.lexsort((sort_keys, flat)).astype(np.int64)
-        counts = np.bincount(flat, minlength=n_cells)
-        self._row_order = order
+        counts = np.bincount(cells, minlength=self.n_cells)
         self._offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-        self._sorted_keys = sort_keys[order]
+        self._rank_keys = rank_keys
+        self._distinct = distinct
 
     def _cell_of(self, values: np.ndarray, axis: int) -> np.ndarray:
         boundaries = self._boundaries[axis]
@@ -205,70 +240,85 @@ class SortedCellGridIndex(MultidimensionalIndex):
 
         This is the incremental half of COAX compaction: the quantile
         boundaries learned at build time are kept (no re-quantiling), the
-        new rows are assigned to cells with the existing directory, sorted
+        new rows are assigned to cells with the existing directory, ordered
         by (cell, sort key) once, and merged into the per-cell sorted runs
-        with one binary search per touched cell.  Sorting work is
-        ``O(k log k + k log n)`` for ``k`` new rows; the merged arrays are
-        then rewritten in one ``O(n + k)`` copy (``np.insert``), so the win
-        over a rebuild is avoiding the full ``O((n + k) log (n + k))``
-        re-sort and the re-quantiling, not the linear copy.
+        with one binary search over the run-search keys.  The new sort keys
+        are merged into the distinct-key array, and the existing rows' keys
+        are re-ranked from their old ranks in one vectorized pass.  Sorting
+        work is ``O(k log k + k log n)`` for ``k`` new rows; every per-row
+        array (columns, row ids, run-search keys, tombstones) is then
+        rewritten in one ``O(n + k)`` copy (``np.insert``), so the win over
+        a rebuild is avoiding the full ``O((n + k) log (n + k))`` re-sort
+        and the re-quantiling, not the linear copy.
 
         ``table`` must contain the previously covered rows under their old
         ids plus the new rows under ``new_row_ids``.
         """
         new_row_ids = np.asarray(new_row_ids, dtype=np.int64)
-        old_n = self.n_rows
         if len(new_row_ids) == 0:
             self._table = table
             return
-        self._append_rows(table, new_row_ids)
-        if old_n == 0:
+        if self.n_rows == 0:
             # The grid was built over no data, so its boundaries carry no
-            # information; learn them from the first absorbed batch.
+            # information; learn them from the first absorbed batch, which
+            # is laid out exactly like a build.
+            _, keys = self._key_columns(
+                table, new_row_ids, (*self._grid_dimensions, self._sort_dimension)
+            )
             self._boundaries = [
-                quantile_boundaries(self._columns[dim], self._cells_per_dim)
+                quantile_boundaries(keys[dim], self._cells_per_dim)
                 for dim in self._grid_dimensions
             ]
+            order, cells, rank_keys, distinct = self._cluster_order(keys)
+            self._append_rows(table, new_row_ids[order])
             self._compute_axis_spans()
-            self._build_cells()
+            self._index_cells(cells, rank_keys, distinct)
             return
-        k = len(new_row_ids)
+        new_columns = {name: table.column(name)[new_row_ids] for name in table.schema}
         for axis, dim in enumerate(self._grid_dimensions):
-            new_values = self._columns[dim][old_n:]
+            new_values = new_columns[dim]
             self._axis_lows[axis] = min(self._axis_lows[axis], float(new_values.min()))
             self._axis_highs[axis] = max(self._axis_highs[axis], float(new_values.max()))
         self._refresh_edges()
-        new_positions = old_n + np.arange(k, dtype=np.int64)
-        if self._grid_dimensions:
-            cell_coordinates = [
-                self._cell_of(self._columns[dim][old_n:], axis)
-                for axis, dim in enumerate(self._grid_dimensions)
-            ]
-            flat = np.ravel_multi_index(cell_coordinates, self._shape)
-        else:
-            flat = np.zeros(k, dtype=np.int64)
-        keys = self._columns[self._sort_dimension][old_n:]
-        order = np.lexsort((keys, flat)).astype(np.int64)
-        flat_sorted = flat[order]
-        keys_sorted = keys[order]
-        positions_sorted = new_positions[order]
-        insert_at = np.empty(k, dtype=np.int64)
-        # flat_sorted is sorted, so each touched cell is one contiguous run.
-        touched_cells, run_starts = np.unique(flat_sorted, return_index=True)
-        run_ends = np.append(run_starts[1:], k)
-        for cell, run_start, run_end in zip(touched_cells, run_starts, run_ends):
-            start, stop = int(self._offsets[cell]), int(self._offsets[cell + 1])
-            insert_at[run_start:run_end] = start + np.searchsorted(
-                self._sorted_keys[start:stop],
-                keys_sorted[run_start:run_end],
-                side="right",
-            )
-        self._row_order = np.insert(self._row_order, insert_at, positions_sorted)
-        self._sorted_keys = np.insert(self._sorted_keys, insert_at, keys_sorted)
+        # Merge the new distinct keys into the sorted distinct array
+        # (NaN, once and last, is equal to itself here).
+        old_distinct = self._distinct
+        new_keys = new_columns[self._sort_dimension]
+        candidates = np.unique(new_keys)
+        slots = old_distinct.searchsorted(candidates)
+        found = old_distinct[np.minimum(slots, len(old_distinct) - 1)]
+        known = (slots < len(old_distinct)) & (
+            (found == candidates) | (np.isnan(found) & np.isnan(candidates))
+        )
+        slots = slots[~known]
+        distinct = np.insert(old_distinct, slots, candidates[~known])
+        # Re-rank the existing rows: same cell, and an old rank moves up by
+        # the number of keys inserted at or before its slot.
+        remap = np.arange(len(old_distinct)) + np.cumsum(
+            np.bincount(slots, minlength=len(old_distinct) + 1)[: len(old_distinct)]
+        )
+        old_cells = self._rank_keys // (len(old_distinct) + 1)
+        old_ranks = self._rank_keys - old_cells * (len(old_distinct) + 1)
+        rank_keys = old_cells * (len(distinct) + 1) + remap[old_ranks]
+        new_cells = self._flat_cells(new_columns)
+        new_rank_keys = cell_rank_keys(new_cells, new_keys, distinct)
+        # Equal run-search keys mean equal (cell, sort key): a stable sort
+        # is the (cell, sort-key) lexsort, and inserting on the right of
+        # equal keys puts new rows after the old ones, as a rebuild would.
+        order = np.argsort(new_rank_keys, kind="stable")
+        new_rank_keys = new_rank_keys[order]
+        insert_at = rank_keys.searchsorted(new_rank_keys, side="right")
+        self._insert_rows(
+            table,
+            new_row_ids[order],
+            {name: column[order] for name, column in new_columns.items()},
+            insert_at,
+        )
+        self._rank_keys = np.insert(rank_keys, insert_at, new_rank_keys)
+        self._distinct = distinct
         self._agg_prefix = {}
-        n_cells = self.n_cells
-        counts = np.bincount(flat, minlength=n_cells)
-        self._offsets[1:] += np.cumsum(counts)
+        counts = np.bincount(new_cells, minlength=self.n_cells)
+        self._offsets = self._offsets + np.concatenate([[0], np.cumsum(counts)])
 
     # ------------------------------------------------------------------
     # Query
@@ -325,22 +375,6 @@ class SortedCellGridIndex(MultidimensionalIndex):
             hi_cells.append(hi_cell)
         return lo_cells, hi_cells
 
-    def _bisect_cells(
-        self, cells: np.ndarray, lows: np.ndarray, highs: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-cell ``[first, last)`` key runs for per-cell sort-key bounds.
-
-        One batched bisection over all cells (of one query or of a whole
-        batch) instead of two Python-dispatched ``searchsorted`` calls per
-        cell.  The upper search starts from the lower result — valid because
-        ``last >= first`` whenever the interval is non-empty.
-        """
-        starts = self._offsets[cells]
-        stops = self._offsets[cells + 1]
-        first = segment_bisect(self._sorted_keys, starts, stops, lows, side="left")
-        last = segment_bisect(self._sorted_keys, first, stops, highs, side="right")
-        return first, last
-
     #: Hybrid switch between the scalar per-cell path and the batched
     #: kernels (shared grid-family constant; results are identical on both
     #: sides).
@@ -352,7 +386,7 @@ class SortedCellGridIndex(MultidimensionalIndex):
         n_cells = 1
         for lo_cell, hi_cell in zip(lo_cells, hi_cells):
             n_cells *= hi_cell - lo_cell + 1
-        skip_dims: List[str] = [self._sort_dimension]  # the bisection is exact
+        skip_dims: List[str] = [self._sort_dimension]  # the run search is exact
         if n_cells <= self.SMALL_QUERY_CELLS:
             # Scalar path: enumerate the few cells with plain integer
             # stride math and scan each between two bounding binary
@@ -362,7 +396,7 @@ class SortedCellGridIndex(MultidimensionalIndex):
             chunks: List[np.ndarray] = []
             rows_examined = 0
             offsets = self._offsets
-            keys = self._sorted_keys
+            keys = self._columns[self._sort_dimension]
             for combo in itertools.product(
                 *(
                     range(lo_cell, hi_cell + 1)
@@ -377,22 +411,24 @@ class SortedCellGridIndex(MultidimensionalIndex):
                 first = start + int(np.searchsorted(cell_keys, sort_interval.low, side="left"))
                 last = start + int(np.searchsorted(cell_keys, sort_interval.high, side="right"))
                 if last > first:
-                    chunks.append(self._row_order[first:last])
+                    chunks.append(np.arange(first, last, dtype=np.int64))
                     rows_examined += last - first
             candidates = (
                 np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
             )
         else:
             cells = enumerate_cells(lo_cells, hi_cells, self._shape)
-            # Kernel path: one batched bisection over the whole cell
-            # hyper-rectangle plus one gathered copy of all surviving runs.
-            first, last = self._bisect_cells(
+            # Kernel path: one run search over the whole cell
+            # hyper-rectangle plus the positions of all surviving runs.
+            first, last = rank_runs(
+                self._rank_keys,
+                self._distinct,
                 cells,
-                np.full(len(cells), sort_interval.low),
-                np.full(len(cells), sort_interval.high),
+                np.zeros(len(cells), dtype=np.int64),
+                np.array([sort_interval.low]),
+                np.array([sort_interval.high]),
             )
-            gathered, _ = gather_ranges(first, last)
-            candidates = self._row_order[gathered]
+            candidates, _ = gather_ranges(first, last)
             rows_examined = len(candidates)
             skip_dims.extend(self._pruned_filter_dims(query, lo_cells, hi_cells))
         matches = self._filter_candidates(candidates, query, skip_dims)
@@ -410,9 +446,9 @@ class SortedCellGridIndex(MultidimensionalIndex):
         """Original row ids for every query of a batch, sharing directory work.
 
         The batch path computes all queries' cell ranges with one vectorized
-        boundary bisection per axis, bisects the sorted dimension of every
-        (query, cell) pair in one batched kernel call, gathers all candidate
-        runs at once and applies one vectorized post-filter pass per
+        boundary bisection per axis, finds the sort-key run of every
+        (query, cell) pair with one run search, gathers all candidate runs
+        at once and applies one vectorized post-filter pass per
         attribute over the whole batch.  Results are bit-identical to
         ``[range_query(q) for q in queries]``.
         """
@@ -481,8 +517,9 @@ class SortedCellGridIndex(MultidimensionalIndex):
         axis and query (``n_axes x n_queries``) the inclusive cell range
         and whether the axis still needs the exact post-filter; then the
         enumerated cells, the query each belongs to, and each cell's
-        ``[first, last)`` run in ``_row_order`` from the sort-key
-        bisection.  Queries outside ``execute`` enumerate no cells.
+        ``[first, last)`` run of positions from the sort-key run search
+        (:func:`repro.indexes.kernels.rank_runs`).  Queries outside
+        ``execute`` enumerate no cells.
         """
         execute = np.asarray(execute, dtype=bool)
         # Every grid axis's query intervals as the rows of two (n_axes x
@@ -527,14 +564,15 @@ class SortedCellGridIndex(MultidimensionalIndex):
             cells = np.zeros(int(cells_per_query.sum()), dtype=np.int64)
         cell_qid = np.arange(n_queries, dtype=np.int64).repeat(cells_per_query)
 
-        # One batched sorted-key bisection over every (query, cell) pair.
+        # One sort-key run search over every (query, cell) pair.
         if self._sort_dimension in bounds:
             sort_lows, sort_highs = bounds[self._sort_dimension]
-            sort_lows, sort_highs = sort_lows[cell_qid], sort_highs[cell_qid]
         else:
-            sort_lows = np.full(len(cells), -np.inf)
-            sort_highs = np.full(len(cells), np.inf)
-        first, last = self._bisect_cells(cells, sort_lows, sort_highs)
+            sort_lows = np.full(n_queries, -np.inf)
+            sort_highs = np.full(n_queries, np.inf)
+        first, last = rank_runs(
+            self._rank_keys, self._distinct, cells, cell_qid, sort_lows, sort_highs
+        )
         return axis_lo, axis_hi, filter_needed, cells, cell_qid, first, last
 
     def _filter_runs(
@@ -550,7 +588,7 @@ class SortedCellGridIndex(MultidimensionalIndex):
         Returns the surviving positions, their query ids and the number of
         gathered (examined) rows.  Tombstoned rows are masked out first,
         then one vectorized pass per attribute runs over the whole batch.
-        The sort dimension is proven by the bisection; a grid dimension is
+        The sort dimension is proven by the run search; a grid dimension is
         checked only if pruning failed for at least one query, and only
         that query's bounds stay finite.  The candidate set is compressed
         after every attribute that rejected something, so later column
@@ -559,8 +597,7 @@ class SortedCellGridIndex(MultidimensionalIndex):
         gathered values on selective batches; once no candidate is left
         the remaining attributes are skipped.
         """
-        gathered, run_lengths = gather_ranges(first, last)
-        candidates = self._row_order[gathered]
+        candidates, run_lengths = gather_ranges(first, last)
         row_qid = cell_qid.repeat(run_lengths)
         n_examined = len(candidates)
         live = live_candidate_mask(candidates, self._tombstone)
@@ -593,16 +630,17 @@ class SortedCellGridIndex(MultidimensionalIndex):
     # Aggregate pushdown
     # ------------------------------------------------------------------
     def _column_prefix(self, column: str) -> np.ndarray:
-        """Prefix sums of ``column`` in ``_row_order`` layout (lazy, cached).
+        """Prefix sums of ``column`` over the clustered positions (lazy,
+        cached).
 
-        One ``O(n)`` gather+cumsum per column, amortised over every SUM/AVG
+        One ``O(n)`` cumsum per column, amortised over every SUM/AVG
         pushdown: a covered candidate run ``[first, last)`` then folds to
         its exact total with one subtraction and zero value gathers.
-        Invalidated whenever the row permutation changes.
+        Invalidated whenever the layout changes.
         """
         prefix = self._agg_prefix.get(column)
         if prefix is None:
-            prefix = prefix_sums(self._columns[column][self._row_order])
+            prefix = prefix_sums(self._columns[column])
             self._agg_prefix[column] = prefix
         return prefix
 
@@ -634,7 +672,7 @@ class SortedCellGridIndex(MultidimensionalIndex):
         by the query interval (no post-filter) or the cell strictly
         interior to the query's cell box, no constrained non-grid
         attributes, no tombstones; the sorted dimension is always exact by
-        bisection — is folded without gathering anything:
+        the run search — is folded without gathering anything:
 
         * COUNT adds the run length;
         * SUM/AVG add the run total from the :meth:`_column_prefix` cache
@@ -690,7 +728,7 @@ class SortedCellGridIndex(MultidimensionalIndex):
                 )
             elif spec.op in ("min", "max"):
                 gathered, lengths = gather_ranges(fold_first, fold_last)
-                run_values = values[self._row_order[gathered]]
+                run_values = values[gathered]
                 folded_examined = len(run_values)
                 extremes = segment_reduce(run_values, lengths, spec.op)
                 if spec.op == "min":
@@ -805,10 +843,9 @@ class SortedCellGridIndex(MultidimensionalIndex):
             visited[new_cells] = True
             cells_seen += len(new_cells)
             if len(new_cells):
-                gathered, _ = gather_ranges(
+                positions, _ = gather_ranges(
                     self._offsets[new_cells], self._offsets[new_cells + 1]
                 )
-                positions = self._row_order[gathered]
                 live_mask = live_candidate_mask(positions, self._tombstone)
                 if live_mask is not None:
                     positions = positions[live_mask]
@@ -875,9 +912,9 @@ class SortedCellGridIndex(MultidimensionalIndex):
     def directory_bytes(self) -> int:
         """Cell address table plus quantile boundaries.
 
-        The row permutation and sorted-key copy model the physical
-        clustering of records into sorted pages, so they count as data
-        layout rather than directory overhead (consistently with the
+        The run-search keys and the distinct sort keys belong to the
+        physical clustering of records into sorted pages, so they count as
+        data layout rather than directory overhead (consistently with the
         uniform-grid accounting).
         """
         boundary_bytes = int(sum(b.nbytes for b in self._boundaries))

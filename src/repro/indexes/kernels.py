@@ -6,7 +6,8 @@ range query with the same three steps:
 
 1. enumerate the hyper-rectangle of candidate cells overlapping the query;
 2. narrow each cell's contiguous record run — either the whole cell, or the
-   sub-run found by bisecting the in-cell sorted attribute;
+   sub-run of rows whose in-cell sorted attribute lies in the query
+   interval;
 3. gather the surviving run positions into one candidate array.
 
 Before this module those steps ran as a Python hot loop: one
@@ -19,11 +20,11 @@ interpreter overhead is paid once per *batch* instead of once per cell:
 * :func:`enumerate_cells` — the meshgrid / ``ravel_multi_index``
   vectorization of the candidate cell hyper-rectangle, in the same
   row-major order ``itertools.product`` used so results stay bit-identical;
-* :func:`segment_bisect` — a branch-free vectorized binary search over many
-  independently sorted segments at once (each grid cell is one sorted
-  segment of the global key array), replacing the two per-cell
-  ``np.searchsorted`` calls with ``O(log max_segment_len)`` whole-array
-  steps;
+* :func:`cell_rank_keys` and :func:`rank_runs` — the run search of a
+  (cell, sort-key) clustered layout: every row carries one non-decreasing
+  integer key ``cell * (n_distinct + 1) + rank(sort key)``, so the runs of
+  *all* (query, cell) pairs of a batch come from two exact
+  ``np.searchsorted`` calls over that one array;
 * :func:`gather_ranges` — the cumsum/repeat trick turning an array of
   ``[start, stop)`` ranges into the concatenated index array in one shot,
   replacing the per-cell slice/append/``np.concatenate`` chain;
@@ -42,7 +43,8 @@ __all__ = [
     "SMALL_QUERY_CELLS",
     "enumerate_cells",
     "enumerate_cells_batch",
-    "segment_bisect",
+    "cell_rank_keys",
+    "rank_runs",
     "gather_ranges",
     "axis_cell_ranges",
     "row_major_strides",
@@ -55,10 +57,10 @@ __all__ = [
 ]
 
 #: Below this many candidate cells a single query takes the scalar per-cell
-#: path: the batched kernels pay ~log(cell size) vectorized steps of fixed
-#: NumPy dispatch overhead, which only amortises once enough cells share
-#: them.  Shared by every grid-family index so the hybrid switch cannot
-#: drift between layouts.
+#: path: the batched kernels (cell enumeration, run search, gather, pruning
+#: analysis) pay a fixed NumPy dispatch overhead that only amortises once
+#: enough cells share it.  Shared by every grid-family index so the hybrid
+#: switch cannot drift between layouts.
 SMALL_QUERY_CELLS = 24
 
 
@@ -222,67 +224,62 @@ def enumerate_cells_batch(
     return cells, counts
 
 
-def segment_bisect(
-    keys: np.ndarray,
-    starts: np.ndarray,
-    stops: np.ndarray,
-    values: np.ndarray,
-    *,
-    side: str = "left",
+def cell_rank_keys(
+    cells: np.ndarray, keys: np.ndarray, distinct: np.ndarray
 ) -> np.ndarray:
-    """Vectorized ``searchsorted`` over many sorted segments of one array.
+    """Run-search keys of rows laid out in (cell, sort-key) order.
 
-    ``keys`` is a flat array whose slices ``keys[starts[i]:stops[i]]`` are
-    each sorted ascending (the per-cell sorted runs of a grid index).  For
-    every segment ``i`` the kernel returns the global insertion position of
-    ``values[i]`` within its segment, i.e. the same result as
-    ``starts[i] + np.searchsorted(keys[starts[i]:stops[i]], values[i], side)``
-    — but computed for all segments simultaneously with a branch-free binary
-    search: ``O(log max_segment_len)`` whole-array compare/where steps
-    instead of one Python-dispatched ``searchsorted`` call per segment.
-
-    Below :data:`SMALL_QUERY_CELLS` segments the whole-array rounds cost
-    more than they share (their count grows with the largest segment, not
-    with the number of segments), so each segment slice gets its own
-    ``searchsorted`` instead.  Both branches return the same positions; a
-    NaN value lands on its segment start on either branch.
+    ``distinct`` holds the sorted distinct sort-key values (``np.unique``:
+    NaN, if any, once and last).  Row ``i`` gets ``cells[i] * (len(distinct)
+    + 1) + searchsorted(distinct, keys[i], "left")``.  A key's rank orders
+    exactly like the key itself (NaN last, as in the in-cell lexsort) and
+    never exceeds ``len(distinct) - 1``, so the keys of one cell stay below
+    the first key of the next: over a clustered layout the array is
+    non-decreasing and :func:`rank_runs` can search it whole.
     """
-    starts = np.asarray(starts, dtype=np.int64)
-    stops = np.asarray(stops, dtype=np.int64)
-    values = np.asarray(values, dtype=np.float64)
-    if len(starts) < SMALL_QUERY_CELLS:
-        found = np.empty(len(starts), dtype=np.int64)
-        segments = zip(
-            starts.tolist(),  # repro-lint: allow[materialize] per-segment search cursors, O(touched cells) not O(rows)
-            stops.tolist(),  # repro-lint: allow[materialize] per-segment search cursors, O(touched cells) not O(rows)
-            values.tolist(),  # repro-lint: allow[materialize] per-segment search cursors, O(touched cells) not O(rows)
-        )
-        for i, (start, stop, value) in enumerate(segments):
-            if start < stop and value == value:
-                start += int(keys[start:stop].searchsorted(value, side))
-            found[i] = start
-        return found
-    lo = starts.copy()  # repro-lint: allow[materialize] per-segment search cursors, O(touched cells) not O(rows)
-    hi = stops.copy()  # repro-lint: allow[materialize] per-segment search cursors, O(touched cells) not O(rows)
-    max_len = int(np.max(stops - starts, initial=0))
-    if max_len <= 0:
-        return lo
-    # Invariant: the answer is always in [lo, hi].  Probing keys[mid] is safe
-    # because lo < hi implies mid < stop <= len(keys).
-    for _ in range(max_len.bit_length()):
-        active = lo < hi
-        if not active.any():
-            break
-        mid = (lo + hi) >> 1
-        probe = keys[np.minimum(mid, len(keys) - 1)]
-        if side == "left":
-            go_right = probe < values
-        else:
-            go_right = probe <= values
-        go_right &= active
-        lo = np.where(go_right, mid + 1, lo)
-        hi = np.where(active & ~go_right, mid, hi)
-    return lo
+    return np.asarray(cells, dtype=np.int64) * (len(distinct) + 1) + distinct.searchsorted(
+        keys, "left"
+    )
+
+
+def rank_runs(
+    rank_keys: np.ndarray,
+    distinct: np.ndarray,
+    cells: np.ndarray,
+    owners: np.ndarray,
+    lows: np.ndarray,
+    highs: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``[first, last)`` runs of in-cell sort keys within ``[low, high]``.
+
+    ``rank_keys`` comes from :func:`cell_rank_keys` over a (cell, sort-key)
+    clustered layout; ``lows``/``highs`` are per-query bounds and
+    ``owners[i]`` names the query of cell ``cells[i]``.  Each bound is
+    mapped to a rank once per query, then every cell's run comes from two
+    exact ``searchsorted`` calls over the whole key array:
+
+    * ``key >= low``  exactly when ``rank(key) >= searchsorted(distinct,
+      low, "left")``;
+    * ``key <= high`` exactly when ``rank(key) < searchsorted(distinct,
+      high, "right")``.
+
+    The result equals per-segment ``start + np.searchsorted(cell_keys,
+    low, "left")`` and ``start + np.searchsorted(cell_keys, high,
+    "right")``, with ``last`` clamped to at least ``first`` so an empty
+    interval yields an empty run.  A NaN bound gets rank 0 and lands on
+    its segment start.
+    """
+    lows = np.asarray(lows, dtype=np.float64)
+    highs = np.asarray(highs, dtype=np.float64)
+    low_ranks = distinct.searchsorted(lows, "left")
+    high_ranks = distinct.searchsorted(highs, "right")
+    low_ranks[np.isnan(lows)] = 0
+    high_ranks[np.isnan(highs)] = 0
+    segment = np.asarray(cells, dtype=np.int64) * (len(distinct) + 1)
+    first = rank_keys.searchsorted(segment + low_ranks[owners])
+    last = rank_keys.searchsorted(segment + high_ranks[owners])
+    np.maximum(last, first, out=last)
+    return first, last
 
 
 def gather_ranges(starts: np.ndarray, stops: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

@@ -36,13 +36,16 @@ class SortedColumnIndex(MultidimensionalIndex):
         row_ids: Optional[np.ndarray] = None,
         dimensions: Optional[Sequence[str]] = None,
     ) -> None:
-        super().__init__(table, row_ids=row_ids, dimensions=dimensions)
-        self._sort_dimension = sort_dimension or self._dimensions[0]
+        dimensions = self._checked_dimensions(table, dimensions)
+        self._sort_dimension = sort_dimension or dimensions[0]
         if self._sort_dimension not in table.schema:
             raise IndexBuildError(f"sort dimension {self._sort_dimension!r} not in schema")
-        order = np.argsort(self._columns[self._sort_dimension], kind="stable")
-        self._order = order.astype(np.int64)
-        self._sorted_keys = self._columns[self._sort_dimension][order]
+        # The rows are stored physically sorted: the base class gathers
+        # every column once, straight into sort-key order, so the sort
+        # column itself is the searched key array.
+        ids, keys = self._key_columns(table, row_ids, (self._sort_dimension,))
+        order = np.argsort(keys[self._sort_dimension], kind="stable")
+        super().__init__(table, row_ids=ids[order], dimensions=dimensions)
 
     @property
     def sort_dimension(self) -> str:
@@ -51,9 +54,10 @@ class SortedColumnIndex(MultidimensionalIndex):
 
     def _range_query_positions(self, query: Rectangle) -> np.ndarray:
         interval = query.interval(self._sort_dimension)
-        start = int(np.searchsorted(self._sorted_keys, interval.low, side="left"))
-        stop = int(np.searchsorted(self._sorted_keys, interval.high, side="right"))
-        candidates = self._order[start:stop]
+        keys = self._columns[self._sort_dimension]
+        start = int(np.searchsorted(keys, interval.low, side="left"))
+        stop = int(np.searchsorted(keys, interval.high, side="right"))
+        candidates = np.arange(start, stop, dtype=np.int64)
         matches = self._filter_candidates(candidates, query)
         self.stats.record(rows_examined=stop - start, rows_matched=len(matches))
         return matches
@@ -61,8 +65,8 @@ class SortedColumnIndex(MultidimensionalIndex):
     def directory_bytes(self) -> int:
         """A clustered sorted layout needs no directory at all.
 
-        The permutation and the sorted-key copy stand for physically sorting
-        the rows (the paper keeps records sorted inside contiguous pages), so
-        they are data layout, not index directory overhead.
+        The rows are stored physically sorted (the paper keeps records
+        sorted inside contiguous pages), which is data layout, not index
+        directory overhead.
         """
         return 0

@@ -8,12 +8,13 @@ In memory, addresses for all cells are sorted using the original ordering
 of attributes in the dataset.  Furthermore, each cell stores points in a
 contiguous block of virtual memory in a row store format."
 
-The implementation clusters the rows by cell (CSR layout: a permutation of
-row positions plus per-cell offsets).  The permutation models the physical
-clustering of records into cells and is therefore *not* counted as directory
-overhead; the directory is the per-cell address table plus the axis
-boundaries, which is what grows exponentially with the number of dimensions
-and limits how many cells the full grid can afford (Section 8.2.2).
+The implementation stores the rows clustered by cell (CSR layout: every
+column and the covered row ids in cell order plus per-cell offsets), so
+cell ``c`` is the contiguous position range ``offsets[c] .. offsets[c +
+1]``.  The clustering is data layout, not directory overhead; the
+directory is the per-cell address table plus the axis boundaries, which is
+what grows exponentially with the number of dimensions and limits how many
+cells the full grid can afford (Section 8.2.2).
 """
 
 from __future__ import annotations
@@ -69,49 +70,42 @@ class UniformGridIndex(MultidimensionalIndex):
         row_ids: Optional[np.ndarray] = None,
         dimensions: Optional[Sequence[str]] = None,
     ) -> None:
-        super().__init__(table, row_ids=row_ids, dimensions=dimensions)
+        dimensions = self._checked_dimensions(table, dimensions)
         if cells_per_dim < 1:
             raise IndexBuildError("cells_per_dim must be at least 1")
-        n_dims = len(self._dimensions)
+        # Cluster the rows per cell from their key columns alone; the base
+        # class then gathers every column once, straight into cell order.
+        ids, keys = self._key_columns(table, row_ids, dimensions)
+        n_dims = len(dimensions)
         # The paper limits every index to a directory no larger than the data
         # it covers (Section 8.2.1); by default the cell budget is therefore
         # one cell per indexed record, which caps the per-dimension cell
         # count for high-dimensional tables.
-        budget = max_cells if max_cells is not None else max(16, self.n_rows)
+        budget = max_cells if max_cells is not None else max(16, len(ids))
         budget = min(budget, MAX_TOTAL_CELLS)
         self._cells_per_dim = _capped_cells_per_dim(cells_per_dim, n_dims, budget)
         self._shape: Tuple[int, ...] = tuple([self._cells_per_dim] * n_dims)
         self._cell_strides: Tuple[int, ...] = row_major_strides(self._shape)
         self._boundaries: List[np.ndarray] = [
-            uniform_boundaries(self._columns[dim], self._cells_per_dim)
-            for dim in self._dimensions
+            uniform_boundaries(keys[dim], self._cells_per_dim) for dim in dimensions
         ]
+        flat = (
+            np.ravel_multi_index(
+                [self._cell_of(keys[dim], axis) for axis, dim in enumerate(dimensions)],
+                self._shape,
+            )
+            if self._shape
+            else np.zeros(len(ids), dtype=np.int64)
+        )
+        order = np.argsort(flat, kind="stable")
+        super().__init__(table, row_ids=ids[order], dimensions=dimensions)
         # Observed [min, max] per axis: the edge cells are clipped
         # catch-alls, so filter pruning needs the real data span to prove a
         # query interval covers everything a visited edge cell can hold.
         self._axis_lows, self._axis_highs = observed_axis_spans(
             self._columns, self._dimensions
         )
-        self._build_cells()
-
-    # ------------------------------------------------------------------
-    # Build
-    # ------------------------------------------------------------------
-    def _build_cells(self) -> None:
-        n_cells = int(np.prod(self._shape)) if self._shape else 1
-        if self.n_rows == 0:
-            self._row_order = np.empty(0, dtype=np.int64)
-            self._offsets = np.zeros(n_cells + 1, dtype=np.int64)
-            return
-        cell_coordinates = [
-            self._cell_of(self._columns[dim], axis) for axis, dim in enumerate(self._dimensions)
-        ]
-        flat = np.ravel_multi_index(cell_coordinates, self._shape) if self._shape else np.zeros(
-            self.n_rows, dtype=np.int64
-        )
-        order = np.argsort(flat, kind="stable").astype(np.int64)
-        counts = np.bincount(flat, minlength=n_cells)
-        self._row_order = order
+        counts = np.bincount(flat, minlength=self.n_cells)
         self._offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
 
     def _cell_of(self, values: np.ndarray, axis: int) -> np.ndarray:
@@ -167,7 +161,7 @@ class UniformGridIndex(MultidimensionalIndex):
                 flat = sum(index * stride for index, stride in zip(combo, self._cell_strides))
                 start, stop = offsets[flat], offsets[flat + 1]
                 if stop > start:
-                    chunks.append(self._row_order[start:stop])
+                    chunks.append(np.arange(start, stop, dtype=np.int64))
             candidates = (
                 np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
             )
@@ -178,8 +172,7 @@ class UniformGridIndex(MultidimensionalIndex):
             # queries are where filter pruning pays: skip the post-filter on
             # axes whose interval covers every visited cell.
             cells = enumerate_cells(lo_cells, hi_cells, self._shape)
-            gathered, _ = gather_ranges(self._offsets[cells], self._offsets[cells + 1])
-            candidates = self._row_order[gathered]
+            candidates, _ = gather_ranges(self._offsets[cells], self._offsets[cells + 1])
             for axis, dim in enumerate(self._dimensions):
                 if not query.constrains(dim):
                     continue

@@ -27,20 +27,24 @@ a ``shard<j>::`` prefix (plus ``shard<j>::__global_of__``) for engines —
 extended with the *structured-restore* section that makes cold starts
 O(metadata): the inlier/outlier partition (``partition::*``), and for the
 primary and the (grid-backed) outlier index the quantile boundaries, the
-(cell, sort-key) row permutation, the per-cell offsets and the gathered
-column subsets (``primary::*`` / ``outlier::*``).  With that state a
-load *reattaches* the saved structures verbatim instead of replaying the
-build — no FD model is evaluated, nothing is re-sorted.  Indexes whose
-state cannot be reattached (subset-scoped after a reclaiming compaction,
-or non-grid outlier indexes) simply omit the section and are rebuilt
-deterministically from the stored groups, exactly like pre-v6 archives.
+per-cell offsets and, all in the grid's (cell, sort-key) order, the grid's
+row ids, its run-search keys and its column subsets, plus the distinct
+sort keys (``primary::*`` / ``outlier::*``; this clustered grid section
+is format v8).  With that state a load *reattaches* the saved structures
+verbatim instead of replaying the build — no FD model is evaluated,
+nothing is re-sorted.  Indexes whose state cannot be reattached
+(subset-scoped after a reclaiming compaction, or non-grid outlier
+indexes) simply omit the section and are rebuilt deterministically from
+the stored groups, exactly like pre-v6 archives.  v6/v7 archives carry
+the older permutation grid section, which is ignored: they rebuild the
+same way.
 
 Versions 1–5 are the single-``.npz`` layouts of earlier builds (v1 no
 delta section, v2 delta without per-model masks, v3 tombstones + masks,
 v4 the sharded archive, v5 drift-monitor state; see the git history for
 the blow-by-blow).  They all keep loading through a conversion shim —
 the loaders dispatch on *file* (npz, v1–v5) vs *directory with manifest*
-(v6) — and saving a loaded index writes v6.  ``save_index(...,
+(v6+) — and saving a loaded index writes the current version.  ``save_index(...,
 layout="npz")`` still writes the v5 single-file layout for compatibility
 tooling and benchmarks.  :func:`load_engine` wraps any flat archive into
 a 1-shard engine; sharded archives remember the engine's ``workers``
@@ -93,7 +97,7 @@ __all__ = [
 
 #: Version written for every archive (flat and sharded; the two layouts
 #: are distinguished by the presence of the ``engine`` header section).
-FORMAT_VERSION = 7
+FORMAT_VERSION = 8
 
 #: The single-file ``.npz`` layout still written by
 #: ``save_index(..., layout="npz")`` for compatibility tooling.
@@ -111,8 +115,11 @@ SHARDED_FORMAT_VERSION = FORMAT_VERSION
 #: structured O(metadata) restore, 7 the workload-adaptive layout state
 #: of the sharded engine — ``layout::<name>`` arrays plus the layout
 #: knobs/epoch in the ``engine`` header; pre-7 archives load with an
-#: empty monitor).
-SUPPORTED_VERSIONS = (1, 2, 3, 4, 5, 6, 7)
+#: empty monitor), 8 the clustered grid sections — grid row ids, run-search
+#: keys, distinct sort keys and columns in (cell, sort-key) order; v6/v7
+#: grid sections describe the older permutation layout, so those archives
+#: rebuild from their groups).
+SUPPORTED_VERSIONS = (1, 2, 3, 4, 5, 6, 7, 8)
 
 #: Header file of a columnar (v6) archive directory; written last, so its
 #: presence certifies the archive is complete.
@@ -272,9 +279,10 @@ def _grid_payload(
     """Store one grid's derived state under ``prefix::`` keys; return its meta."""
     for axis, boundary in enumerate(grid._boundaries):
         arrays[f"{prefix}::boundary{axis}"] = np.asarray(boundary, dtype=np.float64)
-    arrays[f"{prefix}::row_order"] = grid._row_order
+    arrays[f"{prefix}::row_ids"] = grid.row_ids
     arrays[f"{prefix}::offsets"] = grid._offsets
-    arrays[f"{prefix}::sorted_keys"] = grid._sorted_keys
+    arrays[f"{prefix}::rank_keys"] = grid._rank_keys
+    arrays[f"{prefix}::distinct"] = grid._distinct
     for name in grid.table.schema:
         arrays[f"{prefix}::column::{name}"] = grid._columns[name]
     return {
@@ -312,7 +320,6 @@ def _restore_grid(
     table: Table,
     grid_meta: Dict,
     prefix: str,
-    row_ids: np.ndarray,
     arrays: Mapping[str, np.ndarray],
 ) -> SortedCellGridIndex:
     """Reattach one grid from its ``prefix::`` arrays (inverse of
@@ -325,7 +332,7 @@ def _restore_grid(
     ]
     return SortedCellGridIndex._restore(
         table,
-        row_ids=row_ids,
+        row_ids=arrays[f"{prefix}::row_ids"],
         columns=columns,
         dimensions=grid_meta["dimensions"],
         sort_dimension=grid_meta["sort_dimension"],
@@ -333,9 +340,9 @@ def _restore_grid(
         boundaries=boundaries,
         axis_lows=grid_meta["axis_lows"],
         axis_highs=grid_meta["axis_highs"],
-        row_order=arrays[f"{prefix}::row_order"],
         offsets=arrays[f"{prefix}::offsets"],
-        sorted_keys=arrays[f"{prefix}::sorted_keys"],
+        rank_keys=arrays[f"{prefix}::rank_keys"],
+        distinct=arrays[f"{prefix}::distinct"],
     )
 
 
@@ -418,7 +425,7 @@ def _strip_structured(meta: Dict, arrays: Dict[str, np.ndarray]) -> None:
 def _restore_structured_index(
     meta: Dict, arrays: Mapping[str, np.ndarray]
 ) -> COAXIndex:
-    """Reattach an aligned index from its structured (v6) state."""
+    """Reattach an aligned index from its structured (v8) state."""
     state = meta["structured"]
     columns = {name: arrays[f"column::{name}"] for name in meta["schema"]}
     table = Table(columns)
@@ -436,8 +443,8 @@ def _restore_structured_index(
             for name, value in state["per_model_inlier_fraction"].items()
         },
     )
-    primary = _restore_grid(table, state["primary"], "primary", inlier_ids, arrays)
-    outlier = _restore_grid(table, state["outlier"], "outlier", outlier_ids, arrays)
+    primary = _restore_grid(table, state["primary"], "primary", arrays)
+    outlier = _restore_grid(table, state["outlier"], "outlier", arrays)
     return COAXIndex._restore_structured(
         table,
         config=config,
@@ -471,9 +478,12 @@ def _restore_flat_index(meta: Dict, arrays: Mapping[str, np.ndarray]) -> COAXInd
         if "__tombstone__" in arrays
         else None
     )
-    if "structured" in meta:
-        # Structured (v6) state: reattach the saved structures verbatim —
-        # no model evaluation, no re-sort, O(metadata) plus the mapping.
+    if "structured" in meta and meta["format_version"] >= 8:
+        # Structured state of a clustered (v8+) grid layout: reattach the
+        # saved structures verbatim — no model evaluation, no re-sort,
+        # O(metadata) plus the mapping.  The v6/v7 grid sections describe
+        # the older permutation layout and are ignored: those archives
+        # rebuild from their groups below.
         index = _restore_structured_index(meta, arrays)
         table = index.table
         row_ids = None
@@ -652,10 +662,11 @@ def _read_columnar(path: Path) -> Tuple[Dict, Dict[str, np.ndarray]]:
             arrays[key] = np.empty(shape, dtype=dtype)
         elif dtype.kind in "fiu" and n_items * dtype.itemsize >= MMAP_MIN_BYTES:
             # Copy-on-write mapping: reads share the page cache across
-            # every process attached to this archive; the rare in-place
-            # array mutation (grid offset maintenance during an absorb)
-            # dirties private pages without ever touching the file.
-            arrays[key] = np.memmap(file, dtype=dtype, mode="c", shape=shape)
+            # every process attached to this archive, and an in-place
+            # write could only dirty private pages, never the file.  The
+            # path goes in as a string: np.memmap resolves a Path through
+            # the filesystem, one lstat per path component and array.
+            arrays[key] = np.memmap(os.fspath(file), dtype=dtype, mode="c", shape=shape)
         else:
             arrays[key] = np.fromfile(file, dtype=dtype).reshape(shape)
     return meta, arrays
@@ -733,8 +744,8 @@ def save_index(
 ) -> Path:
     """Persist an index (data + learned state + delta store) to ``path``.
 
-    The default ``layout="columnar"`` writes a format-6 archive
-    *directory*: one raw little-endian file per column/array plus a
+    The default ``layout="columnar"`` writes a :data:`FORMAT_VERSION`
+    archive *directory*: one raw little-endian file per column/array plus a
     ``manifest.json`` written last, assembled under a temporary name and
     atomically renamed into place so readers never observe a torn
     archive.  ``layout="npz"`` writes the legacy v5 single-file archive

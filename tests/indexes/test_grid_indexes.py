@@ -281,7 +281,7 @@ class TestAbsorbRows:
         combined, new_ids = self._combined(table, seed=6, k=800)
         index = SortedCellGridIndex(table, cells_per_dim=4, sort_dimension="b")
         index.absorb_rows(combined, new_ids)
-        keys = index._sorted_keys
+        keys = index.column("b")
         offsets = index._offsets
         for cell in range(index.n_cells):
             cell_keys = keys[offsets[cell]:offsets[cell + 1]]

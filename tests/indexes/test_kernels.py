@@ -14,12 +14,12 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.indexes.kernels import (
-    SMALL_QUERY_CELLS,
     axis_cell_ranges,
+    cell_rank_keys,
     enumerate_cells,
     enumerate_cells_batch,
     gather_ranges,
-    segment_bisect,
+    rank_runs,
 )
 
 
@@ -95,55 +95,98 @@ class TestEnumerateCellsBatch:
 
 
 def _random_segments(rng, n_segments):
-    """Sorted runs with empty segments, duplicate keys and infinite keys."""
-    pool = np.array([-np.inf, -3.0, -1.0, 0.0, 0.0, 1.0, 2.0, 2.0, 4.0, np.inf])
+    """Sorted runs with empty segments, duplicate, infinite and NaN keys,
+    laid out back to back like the cells of a clustered grid."""
+    pool = np.array(
+        [-np.inf, -3.0, -1.0, 0.0, 0.0, 1.0, 2.0, 2.0, 4.0, np.inf, np.nan]
+    )
     runs = [np.sort(rng.choice(pool, size=rng.integers(0, 20)))
             for _ in range(n_segments)]
     keys = np.concatenate(runs) if runs else np.empty(0)
     lengths = np.array([len(run) for run in runs], dtype=np.int64)
     stops = np.cumsum(lengths)
     starts = stops - lengths
-    values = rng.choice(np.array([-np.inf, -4.0, -1.0, 0.0, 0.5, 2.0, 5.0, np.inf]),
-                        size=n_segments)
-    return runs, keys, starts, stops, values
+    cells = np.arange(n_segments, dtype=np.int64).repeat(lengths)
+    return runs, keys, cells, starts
 
 
-class TestSegmentBisect:
-    @given(st.integers(0, 6000), st.sampled_from(["left", "right"]))
+def _random_bounds(rng, size):
+    """Query bounds with infinite values and some NaN."""
+    bounds = rng.choice(
+        np.array([-np.inf, -4.0, -1.0, 0.0, 0.5, 2.0, 5.0, np.inf]), size=size
+    )
+    bounds[rng.random(size) < 0.1] = np.nan
+    return bounds
+
+
+def _segment_run(run, start, low, high):
+    """Reference run of one segment: two per-segment searchsorted calls,
+    a NaN bound landing on the segment start."""
+    first = start + (0 if np.isnan(low) else np.searchsorted(run, low, "left"))
+    last = start + (0 if np.isnan(high) else np.searchsorted(run, high, "right"))
+    return first, max(first, last)
+
+
+class TestRankRuns:
+    @given(st.integers(0, 6000))
     @settings(max_examples=60, deadline=None)
-    def test_matches_searchsorted_per_segment(self, seed, side):
-        # 1-60 segments: both the per-segment branch (fewer than
-        # SMALL_QUERY_CELLS) and the whole-array rounds are drawn.
+    def test_matches_searchsorted_per_segment(self, seed):
         rng = np.random.default_rng(seed)
         n_segments = int(rng.integers(1, 61))
-        runs, keys, starts, stops, values = _random_segments(rng, n_segments)
-        got = segment_bisect(keys, starts, stops, values, side=side)
+        runs, keys, cells, starts = _random_segments(rng, n_segments)
+        distinct = np.unique(keys)
+        rank_keys = cell_rank_keys(cells, keys, distinct)
+        assert np.all(np.diff(rank_keys) >= 0)
+        lows = _random_bounds(rng, n_segments)
+        highs = _random_bounds(rng, n_segments)
+        segments = np.arange(n_segments, dtype=np.int64)
+        first, last = rank_runs(rank_keys, distinct, segments, segments, lows, highs)
         for i, run in enumerate(runs):
-            expected = starts[i] + np.searchsorted(run, values[i], side=side)
-            assert got[i] == expected, (i, side)
+            expected = _segment_run(run, starts[i], lows[i], highs[i])
+            assert (first[i], last[i]) == expected, (i, lows[i], highs[i])
 
-    @given(st.integers(0, 6000), st.sampled_from(["left", "right"]))
+    @given(st.integers(0, 6000))
     @settings(max_examples=40, deadline=None)
-    def test_both_branches_agree(self, seed, side):
-        # The same segments searched below and above SMALL_QUERY_CELLS:
-        # padding the batch with copies moves it onto the whole-array
-        # rounds, which must give the small branch's positions.
+    def test_owned_bounds_match_per_cell_bounds(self, seed):
+        # A batch maps each query's bounds to ranks once and hands them to
+        # its cells through ``owners``: the same runs as giving every cell
+        # its own copy of the bounds.
         rng = np.random.default_rng(seed)
-        n_segments = int(rng.integers(1, SMALL_QUERY_CELLS))
-        _, keys, starts, stops, values = _random_segments(rng, n_segments)
-        values[rng.random(n_segments) < 0.1] = np.nan
-        small = segment_bisect(keys, starts, stops, values, side=side)
-        copies = -(-SMALL_QUERY_CELLS // n_segments)
-        large = segment_bisect(
-            keys, np.tile(starts, copies), np.tile(stops, copies),
-            np.tile(values, copies), side=side,
+        n_segments = int(rng.integers(1, 40))
+        runs, keys, cells, starts = _random_segments(rng, n_segments)
+        distinct = np.unique(keys)
+        rank_keys = cell_rank_keys(cells, keys, distinct)
+        n_queries = int(rng.integers(1, 6))
+        lows = _random_bounds(rng, n_queries)
+        highs = _random_bounds(rng, n_queries)
+        visited = rng.integers(0, n_segments, size=int(rng.integers(0, 50)))
+        owners = np.sort(rng.integers(0, n_queries, size=len(visited)))
+        first, last = rank_runs(rank_keys, distinct, visited, owners, lows, highs)
+        own = np.arange(len(visited), dtype=np.int64)
+        first_copy, last_copy = rank_runs(
+            rank_keys, distinct, visited, own, lows[owners], highs[owners]
         )
-        assert len(large) >= SMALL_QUERY_CELLS
-        assert np.array_equal(np.tile(small, copies), large)
+        assert np.array_equal(first, first_copy)
+        assert np.array_equal(last, last_copy)
+        for i, (cell, owner) in enumerate(zip(visited, owners)):
+            expected = _segment_run(runs[cell], starts[cell], lows[owner], highs[owner])
+            assert (first[i], last[i]) == expected
 
     def test_empty_inputs(self):
         empty = np.empty(0, dtype=np.int64)
-        assert len(segment_bisect(np.empty(0), empty, empty, np.empty(0))) == 0
+        distinct = np.empty(0)
+        rank_keys = cell_rank_keys(empty, np.empty(0), distinct)
+        first, last = rank_runs(
+            rank_keys, distinct, empty, empty, np.empty(0), np.empty(0)
+        )
+        assert len(first) == len(last) == 0
+        # Cells of an empty layout hold empty runs for any bound.
+        cells = np.array([0, 3], dtype=np.int64)
+        first, last = rank_runs(
+            rank_keys, distinct, cells, np.zeros(2, dtype=np.int64),
+            np.array([-np.inf]), np.array([np.inf]),
+        )
+        assert first.tolist() == last.tolist() == [0, 0]
 
 
 class TestGatherRanges:

@@ -16,6 +16,7 @@ from repro.data.queries import WorkloadConfig, generate_knn_queries
 from repro.data.table import Table
 from repro.fd.groups import FDGroup
 from repro.fd.model import LinearFDModel, SplineFDModel
+from repro.indexes.grid_file import SortedCellGridIndex
 from repro.io.datasets import encode_categories, load_csv, load_npz, save_csv, save_npz
 from repro.io.persistence import (
     FORMAT_VERSION,
@@ -366,13 +367,15 @@ class TestIndexPersistence:
 
 
 class TestFormatVersionMatrix:
-    """Every supported on-disk version (v1–v7) loads — via ``load_index``
+    """Every supported on-disk version (v1–v8) loads — via ``load_index``
     into its natural type and via ``load_engine`` always into a sharded
     engine (flat archives become a 1-shard engine).
 
-    v7 is what ``save_index`` writes today (columnar directory with
-    layout-monitor state); v6 is the same directory minus the layout
-    sections, so the fixture derives it by re-stamping the manifest; v5
+    v8 is what ``save_index`` writes today (columnar directory with the
+    clustered grid sections); v7 and v6 are the same directory re-stamped
+    (v6 also minus the layout sections) — their loader ignores the grid
+    sections and rebuilds from the groups, as it must for the older
+    permutation grid sections those versions really carried; v5
     is what ``layout="npz"`` still writes; v3 (flat) and v4 (sharded)
     are byte-identical to v5 minus the version stamp and any monitor
     sections, so the fixtures derive them by rewriting the header; v2/v1
@@ -381,8 +384,8 @@ class TestFormatVersionMatrix:
     """
 
     #: Flat-archive versions (load as COAXIndex / 1-shard engine).
-    FLAT_VERSIONS = (1, 2, 3, 5, 6, 7)
-    ALL_VERSIONS = (1, 2, 3, 4, 5, 6, 7)
+    FLAT_VERSIONS = (1, 2, 3, 5, 6, 7, 8)
+    ALL_VERSIONS = (1, 2, 3, 4, 5, 6, 7, 8)
 
     @staticmethod
     def _rewrite(arrays, meta, path):
@@ -396,19 +399,21 @@ class TestFormatVersionMatrix:
     def _restamp_directory(source, target, version):
         """Derive an older columnar archive: copy + rewrite the manifest.
 
-        Dropping the ``layout::`` sections and the engine's layout config
-        alongside the version stamp reproduces what a v6 writer emitted.
+        Below v7, dropping the ``layout::`` sections and the engine's
+        layout config alongside the version stamp reproduces what a v6
+        writer emitted.
         """
         shutil.copytree(source, target)
         manifest = json.loads((target / MANIFEST_NAME).read_text())
         manifest["meta"]["format_version"] = version
-        if isinstance(manifest["meta"].get("engine"), dict):
-            manifest["meta"]["engine"].pop("layout", None)
-        manifest["arrays"] = {
-            key: entry
-            for key, entry in manifest["arrays"].items()
-            if not key.startswith("layout::")
-        }
+        if version < 7:
+            if isinstance(manifest["meta"].get("engine"), dict):
+                manifest["meta"]["engine"].pop("layout", None)
+            manifest["arrays"] = {
+                key: entry
+                for key, entry in manifest["arrays"].items()
+                if not key.startswith("layout::")
+            }
         (target / MANIFEST_NAME).write_text(json.dumps(manifest))
         return target
 
@@ -429,11 +434,13 @@ class TestFormatVersionMatrix:
         index.insert_batch({"x": [10.0, 20.0], "y": [20.1, 700.0]})
         base = tmp_path_factory.mktemp("versions")
         paths = {}
-        # v7: what save_index writes for a flat index today.
-        paths[7] = save_index(index, base / "v7.coax")
-        assert _manifest(paths[7])["meta"]["format_version"] == FORMAT_VERSION == 7
-        # v6: the same columnar directory minus the layout sections.
-        paths[6] = self._restamp_directory(paths[7], base / "v6.coax", 6)
+        # v8: what save_index writes for a flat index today.
+        paths[8] = save_index(index, base / "v8.coax")
+        assert _manifest(paths[8])["meta"]["format_version"] == FORMAT_VERSION == 8
+        # v7 / v6: the same columnar directory re-stamped (v6 minus the
+        # layout sections).
+        paths[7] = self._restamp_directory(paths[8], base / "v7.coax", 7)
+        paths[6] = self._restamp_directory(paths[8], base / "v6.coax", 6)
         # v5: the legacy single-file layout, still written on request.
         paths[5] = save_index(index, base / "v5.npz", layout="npz")
         with np.load(paths[5], allow_pickle=False) as archive:
@@ -523,11 +530,33 @@ class TestFormatVersionMatrix:
         assert loaded.delete(new_id)
         loaded.compact()
 
+    @pytest.mark.parametrize("version", (6, 7, 8))
+    def test_only_clustered_grid_sections_reattach(
+        self, fixture_state, version, monkeypatch
+    ):
+        """v8 reattaches its grids; v6/v7 grid sections are ignored and
+        the index rebuilds from its groups, answering identically."""
+        index, _, paths = fixture_state
+        restored = []
+        real_restore = SortedCellGridIndex._restore.__func__
+
+        def spy(cls, *args, **kwargs):
+            restored.append(kwargs["sort_dimension"])
+            return real_restore(cls, *args, **kwargs)
+
+        monkeypatch.setattr(SortedCellGridIndex, "_restore", classmethod(spy))
+        loaded = load_index(paths[version])
+        assert len(restored) == (2 if version == 8 else 0)
+        for query in self.PROBES:
+            assert np.array_equal(
+                np.sort(loaded.range_query(query)), np.sort(index.range_query(query))
+            )
+
     @pytest.mark.parametrize("version", ALL_VERSIONS)
     def test_every_version_converts_to_current_on_save(
         self, fixture_state, version, tmp_path
     ):
-        """Loading any old format and saving writes a current (v7)
+        """Loading any old format and saving writes a current (v8)
         directory that re-loads mmap-backed and answers bit-identically."""
         _, _, paths = fixture_state
         loaded = load_index(paths[version])
@@ -677,10 +706,12 @@ class TestColumnarZeroCopy:
         for name in loaded.table.schema:
             assert _mmap_backed(loaded.table.column(name))
         # The structured restore also reattaches the sub-index state
-        # (gathered column subsets, permutation, offsets) from the map.
+        # (clustered columns, grid row ids, run-search keys, distinct sort
+        # keys) from the map.
         for grid in (loaded._primary, loaded._outlier):
-            assert _mmap_backed(grid._row_order)
-            assert _mmap_backed(grid._sorted_keys)
+            assert _mmap_backed(grid.row_ids)
+            assert _mmap_backed(grid._rank_keys)
+            assert _mmap_backed(grid._distinct)
             for column in grid._columns.values():
                 assert _mmap_backed(column)
 
@@ -703,7 +734,7 @@ class TestColumnarZeroCopy:
         guarded = {id(loaded.table.column(name)) for name in loaded.table.schema}
         for grid in (loaded._primary, loaded._outlier):
             guarded |= {id(column) for column in grid._columns.values()}
-            guarded |= {id(grid._row_order), id(grid._sorted_keys)}
+            guarded |= {id(grid.row_ids), id(grid._rank_keys), id(grid._distinct)}
 
         real_asarray = np.asarray
         real_ascontiguous = np.ascontiguousarray
