@@ -12,7 +12,8 @@ is built on) the driver measures
   reporting throughput, mean latency and the speedup over the sequential
   loop;
 * a COAX configuration with pending delta rows, exercising the batched
-  delta scan (``DeltaStore.scan_batch``) under un-compacted inserts.
+  delta match (``DeltaStore.scan_batch`` on the batch's bound matrices)
+  under un-compacted inserts.
 
 Every batch result is verified element-for-element against the sequential
 result of the same query before any number is reported, so the driver can

@@ -532,8 +532,8 @@ class COAXIndex(MultidimensionalIndex):
         matrices (:func:`translate_bounds_batch` + :func:`plan_query_flags`),
         each sub-index receives *one* batched call covering every query
         routed to it (the grid family executes those with its own vectorized
-        batch kernels), and the delta store is scanned once for all
-        rectangles.
+        batch kernels), and the delta store is matched once on the same
+        bound matrices.
         Results are positionally aligned and identical to
         ``[range_query(q) for q in queries]``.
         """
@@ -636,13 +636,11 @@ class COAXIndex(MultidimensionalIndex):
             id_parts.append(ids)
             qid_parts.append(outlier_slots.repeat(counts))
 
-        # One delta-store pass for every rectangle of the sub-batch.
+        # One delta-store pass for the whole sub-batch.
         if self._delta.n_pending:
-            pending_results = self._delta.scan_batch([queries[i] for i in slots])
-            id_parts.append(np.concatenate(pending_results))
-            qid_parts.append(
-                np.repeat(all_qids, [len(part) for part in pending_results])
-            )
+            ids, qids = self._delta.scan_batch(bounds, n_sub)
+            id_parts.append(ids)
+            qid_parts.append(qids)
 
         if id_parts:
             flat_ids, flat_qids = np.concatenate(id_parts), np.concatenate(qid_parts)
@@ -729,9 +727,7 @@ class COAXIndex(MultidimensionalIndex):
             )
             partial.merge_at(outlier_slots, sub)
         if self._delta.n_pending:
-            self._delta.fold_aggregate_batch(
-                [queries[i] for i in slots], spec, partial
-            )
+            self._delta.fold_aggregate_batch(bounds, n_sub, spec, partial)
         work = self._sub_index_stats().delta(before)
         self.stats.record_batch(
             n_live,

@@ -11,8 +11,11 @@ structures, the classic delta-store / main-store split of column stores:
   ``within_margin`` evaluation per model over the whole batch decides which
   rows logically belong to the primary index and which to the outlier
   index (the same batch-margin primitive the build-time partitioner uses);
-* query-time merging is a vectorised rectangle scan over the active buffer
-  prefix — no per-row Python loop, however many rows are pending;
+* query-time merging is a vectorised scan over the active buffer prefix —
+  no per-row Python loop, however many rows are pending.  A batch is
+  matched on the columnar ``(lows, highs)`` bound matrices the grids
+  read (:func:`repro.data.predicates.batch_bounds`) and answered as the
+  grids' flat ``(row ids, query ids)`` stream;
 * compaction (:meth:`COAXIndex.compact`) drains the buffer into the main
   structures and :meth:`clear`\\ s it; the recorded routing masks are
   reused so nothing is re-partitioned.
@@ -23,7 +26,7 @@ so persistence can round-trip an index without forcing a compaction first.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -34,7 +37,7 @@ from repro.data.executors import (
     point_distances,
     select_topk,
 )
-from repro.data.predicates import Rectangle
+from repro.data.predicates import Rectangle, batch_live
 from repro.data.table import Table
 from repro.fd.groups import FDGroup, per_model_inlier_masks
 
@@ -422,57 +425,56 @@ class DeltaStore:
         mask = query.matches(self.columns())
         return np.sort(self._row_ids[: self._size][mask])
 
-    #: Queries checked per broadcast block in :meth:`scan_batch`, bounding
+    #: Queries checked per broadcast block in :meth:`_match_blocks`, bounding
     #: the (block x pending) mask matrix to a few MB however large the batch.
     SCAN_BATCH_BLOCK = 256
 
     def _match_blocks(
-        self, queries: List[Rectangle]
-    ) -> Iterator[Tuple[List[int], np.ndarray]]:
-        """Blocked broadcast match of a query batch against the buffer.
+        self, bounds: Dict[str, Tuple[np.ndarray, np.ndarray]], n_queries: int
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Flat ``(query ids, buffer positions)`` of a columnar batch's matches.
 
-        Yields ``(block, mask)`` per block of at most
-        :attr:`SCAN_BATCH_BLOCK` non-empty queries: ``block`` holds their
-        positions in ``queries`` and ``mask[j]`` marks the buffered rows
-        matching query ``block[j]``.  Per attribute constrained by *any*
-        query the column prefix is read once and compared against the
-        per-query bound vectors by broadcasting, instead of re-reading
-        every column for every query.
+        ``bounds`` holds the batch's per-attribute ``(lows, highs)`` bound
+        matrices (:func:`repro.data.predicates.batch_bounds`).  The live
+        queries are matched in blocks of at most :attr:`SCAN_BATCH_BLOCK`:
+        per attribute the column prefix is compared against the block's
+        bound vectors by broadcasting.  (Writing the comparisons into a
+        reused ``out=`` buffer measured no faster: the broadcast compares
+        dominate, not their temporaries.)  The stream is query-major, in
+        buffer order within a query.
         """
-        live = [i for i, query in enumerate(queries) if not query.is_empty]
-        dims = sorted({dim for i in live for dim in queries[i].constrained_dims})
-        for block_start in range(0, len(live), self.SCAN_BATCH_BLOCK):
-            block = live[block_start : block_start + self.SCAN_BATCH_BLOCK]
-            mask = np.ones((len(block), self._size), dtype=bool)
-            for dim in dims:
-                lows = np.array([queries[i].interval(dim).low for i in block])
-                highs = np.array([queries[i].interval(dim).high for i in block])
-                values = self._buffers[dim][: self._size]
-                mask &= (values >= lows[:, None]) & (values <= highs[:, None])
-            yield block, mask
+        size = self._size
+        live = np.flatnonzero(batch_live(bounds, n_queries)) if size else ()
+        qids = [np.empty(0, dtype=np.int64)]
+        positions = [np.empty(0, dtype=np.int64)]
+        for start in range(0, len(live), self.SCAN_BATCH_BLOCK):
+            block = live[start : start + self.SCAN_BATCH_BLOCK]
+            mask = np.ones((len(block), size), dtype=bool)
+            for dim, (lows, highs) in bounds.items():
+                values = self._buffers[dim][:size]
+                mask &= (values >= lows[block, None]) & (values <= highs[block, None])
+            rows, columns = np.nonzero(mask)
+            qids.append(block[rows])
+            positions.append(columns)
+        return np.concatenate(qids), np.concatenate(positions)
 
-    def scan_batch(self, queries: Sequence[Rectangle]) -> List[np.ndarray]:
-        """Row ids of buffered records matching each query of a batch.
+    def scan_batch(
+        self, bounds: Dict[str, Tuple[np.ndarray, np.ndarray]], n_queries: int
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Flat ``(row ids, query ids)`` of buffered records matching a batch.
 
-        The whole batch is answered with one pass over the buffer (see
-        :meth:`_match_blocks`).  Results are positionally aligned with
-        ``queries`` and identical to ``[scan(q) for q in queries]``.
+        Takes the bound matrices the grids read and returns the stream they
+        return (query-major, buffer order within a query);
+        :func:`repro.core.results.merge_flat_row_ids` turns it into the
+        sorted per-query results of :meth:`scan`.
         """
-        queries = list(queries)
-        results: List[np.ndarray] = [
-            np.empty(0, dtype=np.int64) for _ in range(len(queries))
-        ]
-        if self._size == 0:
-            return results
-        row_ids = self._row_ids[: self._size]
-        for block, mask in self._match_blocks(queries):
-            for row, i in enumerate(block):
-                results[i] = np.sort(row_ids[mask[row]])
-        return results
+        qids, positions = self._match_blocks(bounds, n_queries)
+        return self._row_ids[positions], qids
 
     def fold_aggregate_batch(
         self,
-        queries: Sequence[Rectangle],
+        bounds: Dict[str, Tuple[np.ndarray, np.ndarray]],
+        n_queries: int,
         spec: Aggregate,
         partial: AggregatePartial,
     ) -> None:
@@ -484,13 +486,8 @@ class DeltaStore:
         keeping the aggregate path materialization-free end to end.
         ``partial`` must have one slot per query.
         """
-        if self._size == 0:
-            return
-        values = self._buffers[spec.column][: self._size] if spec.column else None
-        for block, mask in self._match_blocks(list(queries)):
-            block_rows, pending_rows = np.nonzero(mask)
-            qids = np.asarray(block, dtype=np.int64)[block_rows]
-            partial.fold_values(qids, None if values is None else values[pending_rows])
+        qids, positions = self._match_blocks(bounds, n_queries)
+        partial.fold_values(qids, self._buffers[spec.column][positions] if spec.column else None)
 
     def knn_candidates(
         self, point: Mapping[str, float], k: int, metric: str

@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.delta import DeltaStore, NonFiniteBatchError, coerce_batch
 from repro.data.executors import Aggregate, AggregatePartial
-from repro.data.predicates import Interval, Rectangle
+from repro.data.predicates import Interval, Rectangle, batch_bounds
 from repro.data.table import Table
 from repro.fd.groups import FDGroup
 from repro.fd.model import LinearFDModel
@@ -195,9 +195,15 @@ def brute_force_mask(store: DeltaStore, query: Rectangle) -> np.ndarray:
     return mask
 
 
+def per_query(ids, qids, n_queries):
+    """Split a flat ``(row ids, query ids)`` stream into per-query id lists."""
+    return [ids[qids == i] for i in range(n_queries)]
+
+
 class TestBatchMatch:
-    """``scan_batch`` and ``fold_aggregate_batch`` share one blocked match;
-    both must agree with a brute-force mask over the buffer."""
+    """``scan_batch`` and ``fold_aggregate_batch`` share one blocked match
+    over the batch's bound matrices; both must agree with a brute-force
+    mask over the buffer."""
 
     N_QUERIES = 300
 
@@ -212,11 +218,14 @@ class TestBatchMatch:
         return store, mixed_queries(rng, self.N_QUERIES)
 
     def _check(self, store, queries):
-        # More non-empty queries than one broadcast block holds.
-        assert sum(not query.is_empty for query in queries) > store.SCAN_BATCH_BLOCK
+        bounds = batch_bounds(queries)
+        n_queries = len(queries)
         masks = [brute_force_mask(store, query) for query in queries]
-        for got, mask in zip(store.scan_batch(queries), masks):
-            assert np.array_equal(got, np.sort(store.row_ids[mask]))
+        ids, qids = store.scan_batch(bounds, n_queries)
+        assert np.all(np.diff(qids) >= 0)  # query-major
+        for got, mask in zip(per_query(ids, qids, n_queries), masks):
+            # Buffer order within a query: the mask's own order, unsorted.
+            assert np.array_equal(got, store.row_ids[mask])
         values = store.column("y")
         for spec in (
             Aggregate("count"),
@@ -224,8 +233,8 @@ class TestBatchMatch:
             Aggregate("min", "y"),
             Aggregate("max", "y"),
         ):
-            partial = AggregatePartial.identity(len(queries))
-            store.fold_aggregate_batch(queries, spec, partial)
+            partial = AggregatePartial.identity(n_queries)
+            store.fold_aggregate_batch(bounds, n_queries, spec, partial)
             got = partial.finalize(spec)
             for i, mask in enumerate(masks):
                 if spec.op == "count":
@@ -239,6 +248,13 @@ class TestBatchMatch:
 
     def test_batch_match_equals_brute_force(self):
         store, queries = self._store()
+        # More non-empty queries than one broadcast block holds; the mix
+        # has empty queries, unconstrained ones, and x-only / y-only
+        # queries, so each dimension is constrained by only some queries.
+        assert sum(not query.is_empty for query in queries) > store.SCAN_BATCH_BLOCK
+        assert any(query.is_empty for query in queries)
+        assert any(not query.constrains("x") for query in queries)
+        assert any(not query.constrains("y") for query in queries)
         self._check(store, queries)
 
     def test_batch_match_after_delete_rows(self):
@@ -246,12 +262,50 @@ class TestBatchMatch:
         assert store.delete_rows(store.row_ids[::3].copy()) > 0
         self._check(store, queries)
 
+    def test_batch_match_after_update_reappend(self):
+        """An update deletes the pending row and re-appends it under the
+        same id; the batch match sees the new values at the new position."""
+        store, queries = self._store()
+        moved = store.row_ids[::5].copy()
+        assert store.delete_rows(moved) == len(moved)
+        rng = np.random.default_rng(23)
+        store.append_batch(
+            batch(rng.uniform(0.0, 100.0, len(moved)), rng.uniform(0.0, 250.0, len(moved))),
+            moved,
+        )
+        assert store.row_ids[-len(moved) :].tolist() == moved.tolist()
+        self._check(store, queries)
+
+    def test_unconstrained_batch_returns_every_row(self):
+        store, _ = self._store()
+        queries = [Rectangle.unconstrained()] * 3
+        assert batch_bounds(queries) == {}
+        self._check(store, queries)
+        ids, qids = store.scan_batch({}, 3)
+        assert qids.tolist() == np.repeat([0, 1, 2], store.n_pending).tolist()
+        assert ids.tolist() == store.row_ids.tolist() * 3
+
+    def test_empty_queries_match_nothing(self):
+        store, _ = self._store()
+        wide = Interval(-1e9, 1e9)
+        queries = [
+            Rectangle({"x": wide}),
+            Rectangle({"x": Interval.empty()}),
+            Rectangle({"y": wide}),
+            Rectangle({"x": wide, "y": Interval(5.0, 1.0)}),
+        ]
+        ids, qids = store.scan_batch(batch_bounds(queries), len(queries))
+        assert sorted(set(qids.tolist())) == [0, 2]
+        self._check(store, queries)
+
     def test_batch_match_on_empty_store(self):
         store = make_store()
         queries = mixed_queries(np.random.default_rng(3), 5)
-        assert all(len(ids) == 0 for ids in store.scan_batch(queries))
+        bounds = batch_bounds(queries)
+        ids, qids = store.scan_batch(bounds, len(queries))
+        assert len(ids) == len(qids) == 0
         partial = AggregatePartial.identity(len(queries))
-        store.fold_aggregate_batch(queries, Aggregate("count"), partial)
+        store.fold_aggregate_batch(bounds, len(queries), Aggregate("count"), partial)
         assert partial.count.tolist() == [0] * len(queries)
 
 

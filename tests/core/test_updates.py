@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from repro.core.coax import COAXIndex
 from repro.core.config import COAXConfig
 from repro.data.airline import AirlineConfig, generate_airline_dataset
 from repro.data.osm import OSMConfig, generate_osm_dataset
+from repro.data.executors import Aggregate
 from repro.data.predicates import Interval, Rectangle
 from repro.data.queries import WorkloadConfig, generate_knn_queries
 from repro.data.table import Table
@@ -156,6 +159,30 @@ class TestInsertBatch:
         result = updatable_index.range_query(Rectangle({"x": Interval(10.0, 20.0)}))
         assert len(result) > 0
         assert calls["n"] == 0
+
+    def test_pending_batch_match_reads_no_rectangles(self, updatable_index, monkeypatch):
+        """A batch over pending rows is matched on its bound matrices: the
+        delta store never reads a query's bounds back out of a Rectangle."""
+        rng = np.random.default_rng(33)
+        bx = rng.uniform(0.0, 100.0, size=10_000)
+        updatable_index.insert_batch({"x": bx, "y": 2.0 * bx})
+        callers = []
+        original = Rectangle.interval
+
+        def recording(self, dim):
+            callers.append(sys._getframe(1).f_globals["__name__"])
+            return original(self, dim)
+
+        monkeypatch.setattr(Rectangle, "interval", recording)
+        queries = [
+            Rectangle({"x": Interval(10.0, 20.0)}),
+            Rectangle({"y": Interval(50.0, 90.0)}),
+            Rectangle({"x": Interval(30.0, 60.0), "y": Interval(70.0, 100.0)}),
+            Rectangle({"x": Interval(5.0, 1.0)}),
+        ]
+        assert all(len(ids) > 0 for ids in updatable_index.batch_range_query(queries)[:3])
+        assert updatable_index.batch_aggregate(queries, Aggregate("sum", "y"))[0] > 0.0
+        assert "repro.core.delta" not in callers
 
 
 class TestCompact:
