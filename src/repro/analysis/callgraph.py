@@ -17,7 +17,7 @@ Two resolutions are intentionally skipped:
   do not name any function in the tree resolve to nothing.
 
 Nested functions and lambdas are folded into their enclosing function:
-``run_shard`` defined inside ``_batch_range_query_locked`` executes as
+``run_shard`` defined inside the engine's ``_scatter_batch`` executes as
 part of that batch call, so its call edges (and its banned tokens, for
 the materialize pass) belong to the parent.
 """

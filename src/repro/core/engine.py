@@ -29,13 +29,15 @@ Design pillars
   instead of requiring cross-shard moves.
 * **Shard pruning.**  A shard is dispatched only when the FD-translated
   rectangle intersects its primary (inlier) bounding box, or the original
-  rectangle intersects its outlier box or its pending-delta box — the
-  same empty / no-inlier / bounding-box rules of
-  :func:`repro.core.planner.plan_query`, lifted to whole shards; skipped
-  shards are counted in ``QueryStats.shards_pruned``.  The three boxes
-  are conservative hulls (they grow with inserts and shrink only when a
-  shard compaction rebuilds them from survivors), so pruning can hide no
-  live row.
+  rectangle intersects its outlier box or its pending-delta box.  One
+  place decides it for every read: ``_plan_batch`` evaluates the rule for
+  a whole batch and every shard at once with
+  :func:`repro.core.planner.batch_overlaps_boxes`, and the single-query
+  entry points (``range_query``, ``topk``) plan as a batch of one;
+  skipped shards are counted in ``QueryStats.shards_pruned``.  The three
+  boxes are conservative hulls (they grow with inserts and shrink only
+  when a shard compaction rebuilds them from survivors), so pruning can
+  hide no live row.
 * **Scatter/gather.**  Every batch op — ``batch_range_query`` and
   ``batch_aggregate`` — runs through one core: the whole batch is planned
   and translated once (columnar bound matrices), each shard's surviving
@@ -74,12 +76,8 @@ from repro.core.delta import BatchLike, coerce_batch
 from repro.core.layout import LayoutMonitor, LayoutProposal
 from repro.fd.maintenance import REUSE, MaintenanceManager
 from repro.core.planner import batch_overlaps_boxes
-from repro.core.query_translation import (
-    translate_bounds_batch,
-    translate_query,
-    translated_predictor_interval,
-)
-from repro.core.results import merge_flat_row_ids, merge_row_ids, split_counter_evenly
+from repro.core.query_translation import translate_bounds_batch
+from repro.core.results import merge_flat_row_ids, split_counter_evenly
 from repro.data.executors import Aggregate, AggregatePartial, TopK, merge_topk
 from repro.data.predicates import Rectangle, batch_bounds, batch_live
 from repro.data.table import Table
@@ -572,35 +570,6 @@ class ShardedCOAX(MultidimensionalIndex):
         )
 
     # ------------------------------------------------------------------
-    # Shard pruning
-    # ------------------------------------------------------------------
-    def _scalar_visit_mask(self, query: Rectangle, translated: Rectangle) -> List[bool]:
-        """Which shards one query must visit (planner rules per shard).
-
-        A shard is visible when the FD-translated rectangle intersects its
-        primary box, or the original rectangle intersects its outlier box
-        or (when it has pending rows) its delta-store box.  Everything
-        else is pruned — correct because the three boxes jointly cover
-        every live record of the shard.
-        """
-        primary_possible = not translated.is_empty and not any(
-            translated_predictor_interval(query, group).is_empty
-            for group in self._groups
-        )
-        visits: List[bool] = []
-        for shard in self._shards:
-            visible = False
-            if primary_possible and shard.primary_box is not None:
-                visible = translated.overlaps_box(*shard.primary_box)
-            if not visible and shard.outlier_box is not None:
-                visible = query.overlaps_box(*shard.outlier_box)
-            if not visible and shard.n_pending:
-                box = shard.delta.box
-                visible = box is not None and query.overlaps_box(*box)
-            visits.append(visible)
-        return visits
-
-    # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
     def _maintenance_guard(self):
@@ -623,53 +592,14 @@ class ShardedCOAX(MultidimensionalIndex):
     def range_query(self, query: Rectangle) -> np.ndarray:
         """Global row ids of records matching ``query`` exactly.
 
-        Scatter-gather over the visible shards; bit-identical (ids and
-        order) to an unsharded COAX index over the same data.
+        A batch of one through :meth:`batch_range_query`: the same shard
+        pruning, counters and layout sketch; bit-identical (ids and order)
+        to an unsharded COAX index over the same data.
         """
         self._check_open()
         if query.is_empty:
             return np.empty(0, dtype=np.int64)
-        with self._maintenance_guard():
-            return self._range_query_locked(query)
-
-    def _range_query_locked(self, query: Rectangle) -> np.ndarray:
-        translated = translate_query(query, self._groups)
-        visits = self._scalar_visit_mask(query, translated)
-        gathered = QueryStats()
-        examined_by = np.zeros(len(self._shards), dtype=np.int64)
-        parts: List[np.ndarray] = []
-        for shard_no, visible in enumerate(visits):
-            if not visible:
-                continue
-            global_ids, delta = self._run_on_shard(
-                shard_no, lambda shard, global_of: global_of[shard.range_query(query)]
-            )
-            parts.append(global_ids)
-            gathered.merge(delta)
-            examined_by[shard_no] = delta.rows_examined
-        merged = merge_row_ids(parts)
-        with self._stats_lock:
-            self.stats.record(
-                rows_examined=gathered.rows_examined,
-                rows_matched=len(merged),
-                cells_visited=gathered.cells_visited,
-                nodes_visited=gathered.nodes_visited,
-                shards_pruned=len(self._shards) - sum(visits),
-            )
-        if self._layout is not None:
-            # Outside the stats lock: the monitor has its own leaf lock.
-            visit_mask = np.asarray(visits, dtype=bool)
-            interval = translated.interval(self._partition_dim)
-            if interval.is_unbounded:
-                interval = query.interval(self._partition_dim)
-            self._layout.observe(
-                np.array([interval.low]),
-                np.array([interval.high]),
-                hits=visit_mask.astype(np.int64),
-                pruned=(~visit_mask).astype(np.int64),
-                examined=examined_by,
-            )
-        return merged
+        return self.batch_range_query([query])[0]
 
     def batch_range_query(self, queries: Sequence[Rectangle]) -> List[np.ndarray]:
         """Global row ids for every query of a batch (scatter-gather).
@@ -679,9 +609,8 @@ class ShardedCOAX(MultidimensionalIndex):
         exactly the queries that survive its bounding-box pruning, those
         calls run on the worker pool (serially when ``workers=1``), and
         the per-shard flat results are gathered with the fused-key merge.
-        Results are positionally aligned and identical to
-        ``[range_query(q) for q in queries]`` — and to the same batch on
-        an unsharded COAX index.
+        Results are positionally aligned and identical to the same batch
+        on an unsharded COAX index.
         """
         queries = list(queries)
         if not queries:
@@ -773,10 +702,10 @@ class ShardedCOAX(MultidimensionalIndex):
         """Translate a batch once and prune it per shard (``None`` when no
         query is live).
 
-        The batch form of :meth:`_scalar_visit_mask`, evaluated as
-        whole-batch array ops.  Each task carries the shard's surviving
-        slots and planner flags, so the shard executes without re-deriving
-        any of them.
+        The engine's one shard-pruning rule (see the module docstring),
+        evaluated as whole-batch array ops.  Each task carries the shard's
+        surviving slots and planner flags, so the shard executes without
+        re-deriving any of them.
         """
         n_queries = len(queries)
         bounds = batch_bounds(queries)
@@ -1097,10 +1026,9 @@ class ShardedCOAX(MultidimensionalIndex):
             with self._stats_lock:
                 self.stats.merge(record)
             return empty[0], empty[1], record
-        translated = translate_query(query, self._groups)
-        visits = self._scalar_visit_mask(query, translated)
+        plan = self._plan_batch([query])
         parts, gathered = self._keyed_fan_out(
-            [shard_no for shard_no, visible in enumerate(visits) if visible],
+            [task[0] for task in plan.tasks],
             lambda shard: shard.topk_partial(query, spec),
         )
         keys, ids = merge_topk(parts, spec.k, largest=spec.largest)
@@ -1110,7 +1038,7 @@ class ShardedCOAX(MultidimensionalIndex):
             rows_matched=len(ids),
             cells_visited=gathered.cells_visited,
             nodes_visited=gathered.nodes_visited,
-            shards_pruned=len(self._shards) - sum(visits),
+            shards_pruned=int(plan.pruned_per_query[0]),
             knn_queries=1,
         )
         with self._stats_lock:

@@ -397,6 +397,8 @@ class SortedCellGridIndex(MultidimensionalIndex):
             rows_examined = 0
             offsets = self._offsets
             keys = self._columns[self._sort_dimension]
+            # A free sort dimension takes whole cells (see _sort_runs).
+            whole_cells = sort_interval.is_unbounded
             for combo in itertools.product(
                 *(
                     range(lo_cell, hi_cell + 1)
@@ -409,7 +411,9 @@ class SortedCellGridIndex(MultidimensionalIndex):
                     continue
                 cell_keys = keys[start:stop]
                 first = start + int(np.searchsorted(cell_keys, sort_interval.low, side="left"))
-                last = start + int(np.searchsorted(cell_keys, sort_interval.high, side="right"))
+                last = stop if whole_cells else start + int(
+                    np.searchsorted(cell_keys, sort_interval.high, side="right")
+                )
                 if last > first:
                     chunks.append(np.arange(first, last, dtype=np.int64))
                     rows_examined += last - first
@@ -420,9 +424,7 @@ class SortedCellGridIndex(MultidimensionalIndex):
             cells = enumerate_cells(lo_cells, hi_cells, self._shape)
             # Kernel path: one run search over the whole cell
             # hyper-rectangle plus the positions of all surviving runs.
-            first, last = rank_runs(
-                self._rank_keys,
-                self._distinct,
+            first, last = self._sort_runs(
                 cells,
                 np.zeros(len(cells), dtype=np.int64),
                 np.array([sort_interval.low]),
@@ -570,10 +572,22 @@ class SortedCellGridIndex(MultidimensionalIndex):
         else:
             sort_lows = np.full(n_queries, -np.inf)
             sort_highs = np.full(n_queries, np.inf)
-        first, last = rank_runs(
-            self._rank_keys, self._distinct, cells, cell_qid, sort_lows, sort_highs
-        )
+        first, last = self._sort_runs(cells, cell_qid, sort_lows, sort_highs)
         return axis_lo, axis_hi, filter_needed, cells, cell_qid, first, last
+
+    def _sort_runs(
+        self, cells: np.ndarray, owners: np.ndarray, lows: np.ndarray, highs: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """:func:`repro.indexes.kernels.rank_runs` over this layout, except
+        that a query leaving the sort dimension free (``(-inf, inf)``) takes
+        whole cells: a NaN key sorts above ``+inf``, yet ``Rectangle.matches``
+        accepts it on an unconstrained dimension."""
+        first, last = rank_runs(self._rank_keys, self._distinct, cells, owners, lows, highs)
+        free = (lows == -np.inf) & (highs == np.inf)
+        if np.count_nonzero(free):
+            whole = free[owners]
+            last[whole] = self._offsets[cells[whole] + 1]
+        return first, last
 
     def _filter_runs(
         self,

@@ -9,7 +9,9 @@ scan of the live rows and the scalar per-query loop.  Narrow predictor
 ranges make shard pruning hand some shard a strict subset of the batch,
 so the sliced-bounds path runs too.  The ``QueryStats`` counters must
 follow the delta store's accounting: every live query a store is asked
-about examines all of its pending rows.
+about examines all of its pending rows.  The engine's single-query
+``range_query`` and ``topk`` must prune shards, count and sketch the
+layout exactly like a batch of one.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ import numpy as np
 import pytest
 
 from repro.core.coax import COAXIndex
-from repro.core.config import EngineConfig
+from repro.core.config import COAXConfig, EngineConfig, LayoutConfig, MaintenanceConfig
 from repro.core.engine import ShardedCOAX
-from repro.data.executors import Aggregate
+from repro.data.executors import Aggregate, TopK
 from repro.data.predicates import Interval, Rectangle
 from repro.data.table import Table
 from repro.fd.groups import FDGroup
@@ -133,6 +135,16 @@ def counters(stats) -> dict:
     return {name: getattr(stats, name) for name in COUNTERS}
 
 
+def pruning_counters(stats) -> dict:
+    return {**counters(stats), "nodes_visited": stats.nodes_visited, "shards_pruned": stats.shards_pruned}
+
+
+def oracle_topk(reference: Reference, query: Rectangle, spec: TopK) -> np.ndarray:
+    """The ``spec.k`` matching ids with the smallest column value, ties by id."""
+    ids = reference.select(query)
+    return ids[np.lexsort((ids, reference.columns[spec.column][ids]))[: spec.k]]
+
+
 def advance(after: dict, before: dict) -> dict:
     return {name: after[name] - before[name] for name in COUNTERS}
 
@@ -148,6 +160,27 @@ def record_delta_calls(shard: COAXIndex, calls: list) -> None:
             return _original(bounds, n_queries, *rest)
 
         setattr(store, method, logged)
+
+
+def apply_pending_writes(rng, reference: Reference, stores: list):
+    """Insert 240 rows into ``stores`` built over the same 800, then delete
+    and update base and pending rows alike; the reference follows.
+    Returns the deleted and the updated row ids."""
+    inserted = fd_rows(rng, 240)
+    ids = stores[0].insert_batch(inserted)
+    for store in stores[1:]:
+        assert store.insert_batch(inserted).tolist() == ids.tolist()
+    reference.insert(inserted, ids)
+    doomed = np.unique(np.concatenate([rng.choice(800, 30, replace=False), ids[::9]]))
+    moved = np.unique(np.concatenate([rng.choice(800, 20, replace=False), ids[1::7]]))
+    moved = np.setdiff1d(moved, doomed)
+    changes = fd_rows(rng, len(moved))
+    for store in stores:
+        store.delete_batch(doomed)
+        store.update_batch(moved, changes)
+    reference.delete(doomed)
+    reference.update(moved, changes)
+    return doomed, moved
 
 
 @pytest.fixture(scope="module")
@@ -167,22 +200,7 @@ def scenario():
         )
         for shape in ENGINE_GRID
     }
-    stores = [index, *engines.values()]
-    inserted = fd_rows(rng, 240)
-    ids = index.insert_batch(inserted)
-    for engine in engines.values():
-        assert engine.insert_batch(inserted).tolist() == ids.tolist()
-    reference.insert(inserted, ids)
-    # Deletes and updates hit base rows and pending rows alike.
-    doomed = np.unique(np.concatenate([rng.choice(800, 30, replace=False), ids[::9]]))
-    moved = np.unique(np.concatenate([rng.choice(800, 20, replace=False), ids[1::7]]))
-    moved = np.setdiff1d(moved, doomed)
-    changes = fd_rows(rng, len(moved))
-    for store in stores:
-        store.delete_batch(doomed)
-        store.update_batch(moved, changes)
-    reference.delete(doomed)
-    reference.update(moved, changes)
+    doomed, moved = apply_pending_writes(rng, reference, [index, *engines.values()])
     # Nothing was compacted: updated base rows wait in the delta store.
     assert np.isin(moved[moved < 800], index.delta.row_ids).all()
     assert index.n_pending == 240 - np.count_nonzero(doomed >= 800) + np.count_nonzero(moved < 800)
@@ -283,3 +301,63 @@ def check_shard_accounting(engine, calls, run, *args):
         work, sub_examined = work_since(shard, old)
         assert work["rows_examined"] == sub_examined + shard.n_pending * asked
     return result
+
+
+@pytest.mark.parametrize("n_shards,workers", [(1, 1), (4, 2)])
+def test_scalar_entry_points_plan_as_a_batch_of_one(n_shards, workers):
+    """``range_query`` and ``topk`` prune shards exactly like a batch of one.
+
+    Twin engines with maintenance and layout enabled hold the same pending
+    inserts, deletes, updates and outliers.  Per query, ``range_query`` on
+    one twin and ``batch_range_query([q])`` on the other leave the same
+    results, ``QueryStats`` and layout sketch; ``topk`` reports the
+    batch's ``shards_pruned``; ``delete_where`` matches the oracle.
+    """
+    rng = np.random.default_rng(31)
+    base = fd_rows(rng, 800)
+    reference = Reference(base)
+    config = EngineConfig(
+        n_shards=n_shards,
+        workers=workers,
+        coax=COAXConfig(maintenance=MaintenanceConfig(enabled=True)),
+        layout=LayoutConfig(enabled=True),
+    )
+    table = Table(base)
+    scalar, batch = (
+        ShardedCOAX(table, config=config, groups=linear_groups()) for _ in range(2)
+    )
+    try:
+        apply_pending_writes(rng, reference, [scalar, batch])
+        queries = probe_queries(rng)
+        assert scalar.n_pending and scalar.n_tombstoned
+        assert sum(shard.outlier_box is not None for shard in scalar.shards) > 0
+        for engine in (scalar, batch):
+            engine.stats.reset()
+        for query in queries:
+            got = scalar.range_query(query)
+            assert np.array_equal(got, batch.batch_range_query([query])[0])
+            assert np.array_equal(got, reference.select(query))
+            assert pruning_counters(scalar.stats) == pruning_counters(batch.stats)
+        assert scalar.stats.shards_pruned > 0
+        scalar_state, batch_state = scalar.layout.state(), batch.layout.state()
+        assert scalar_state["scalars"][1] > 0
+        for key, value in scalar_state.items():
+            assert np.array_equal(value, batch_state[key]), key
+
+        spec = TopK(5, column="y")
+        for query in queries:
+            ids, record = scalar.topk_attributed(query, spec)
+            _, (planned,) = scalar.batch_range_query_attributed([query])
+            assert record.shards_pruned == planned.shards_pruned
+            assert np.array_equal(ids, oracle_topk(reference, query, spec))
+
+        doomed_query = queries[0]
+        want = reference.select(doomed_query)
+        assert len(want)
+        assert np.array_equal(scalar.delete_where(doomed_query), want)
+        reference.delete(want)
+        for query in queries:
+            assert np.array_equal(scalar.range_query(query), reference.select(query))
+    finally:
+        scalar.close()
+        batch.close()

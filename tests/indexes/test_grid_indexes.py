@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.config import EngineConfig
+from repro.core.engine import ShardedCOAX
 from repro.data.executors import Aggregate
 from repro.data.predicates import Interval, Rectangle, batch_bounds, batch_live
 from repro.data.table import Table
@@ -138,6 +140,42 @@ class TestSortedCellGrid:
         sorted_grid.range_query(query)
         uniform.range_query(query)
         assert sorted_grid.stats.rows_examined <= uniform.stats.rows_examined
+
+    def test_nan_sort_keys_match_queries_that_leave_the_sort_dimension_free(self):
+        """A NaN sort key sorts above ``+inf``, yet ``Table.select`` returns
+        its row to every query that leaves the sort dimension free.  The
+        scalar path (small-cell loop and kernel branch), the batch path,
+        the COUNT pushdown and a 4-shard engine must return it too."""
+        rng = np.random.default_rng(5)
+        columns = {name: rng.uniform(0.0, 100.0, size=200) for name in ("x", "y", "z")}
+        columns["x"][[5, 17]] = np.nan
+        columns["y"][[5, 17]] = 30.0
+        nan_table = Table(columns)
+        queries = [
+            Rectangle({"y": Interval(-1e9, 1e9)}),
+            Rectangle({"y": Interval(20.0, 40.0)}),
+            Rectangle({"x": Interval(-np.inf, 50.0), "y": Interval(0.0, 60.0)}),
+        ]
+        expected = [nan_table.select(query) for query in queries]
+        assert np.isin([5, 17], expected[0]).all() and np.isin([5, 17], expected[1]).all()
+        index = SortedCellGridIndex(nan_table, cells_per_dim=8, sort_dimension="x")
+        cells = []
+        for query, want in zip(queries, expected):
+            before = index.stats.cells_visited
+            assert np.array_equal(np.sort(index.range_query(query)), want)
+            cells.append(index.stats.cells_visited - before)
+        # Both scalar branches ran.
+        assert min(cells) <= index.SMALL_QUERY_CELLS < max(cells)
+        for got, want in zip(index.batch_range_query(queries), expected):
+            assert np.array_equal(np.sort(got), want)
+        counts = [len(want) for want in expected]
+        assert index.batch_aggregate(queries, Aggregate("count")).tolist() == counts
+        engine = ShardedCOAX(nan_table, config=EngineConfig(n_shards=4), groups=[])
+        for query, want in zip(queries, expected):
+            assert np.array_equal(engine.range_query(query), want)
+        for got, want in zip(engine.batch_range_query(queries), expected):
+            assert np.array_equal(got, want)
+        assert engine.batch_aggregate(queries, Aggregate("count")).tolist() == counts
 
     def test_directory_bytes_positive(self, table):
         index = SortedCellGridIndex(table, cells_per_dim=4)
