@@ -3,7 +3,8 @@
 
 Thin wrapper over the experiment drivers (the same code the CLI and the
 pytest-benchmark suites use).  Prints the paper-style text table for each
-artefact; see EXPERIMENTS.md for the paper-vs-measured discussion.
+artefact; DESIGN.md §7 indexes the drivers and compares Table 1 with
+the paper.
 
 Run with::
 

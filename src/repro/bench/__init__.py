@@ -1,7 +1,7 @@
 """Benchmark harness.
 
 Contains the timing/comparison infrastructure plus one driver module per
-table or figure of the paper's evaluation (see DESIGN.md section 4 for the
+table or figure of the paper's evaluation (see DESIGN.md section 7 for the
 experiment index).  Every driver is runnable through ``python -m repro.cli``
 and through the pytest-benchmark suites in ``benchmarks/``.
 """

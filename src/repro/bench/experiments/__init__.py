@@ -3,15 +3,15 @@
 Each module reproduces one artefact of the paper's evaluation and returns an
 :class:`~repro.bench.reporting.ExperimentResult` whose rows are the numbers
 the corresponding table or figure reports.  The mapping from paper artefact
-to driver is documented in DESIGN.md; the ``updates`` driver goes beyond
-the paper and benchmarks the delta-store update subsystem.
+to driver is documented in DESIGN.md §7.  The ``drift``, ``layout`` and
+``agg`` drivers go beyond the paper: each is the only evidence for one
+claim of the engine (see DESIGN.md §9, §13 and §14).
 """
 
 from repro.bench.experiments import (
     ablations,
     agg,
     appendix_g,
-    crud,
     drift,
     fig4,
     fig6,
@@ -19,13 +19,8 @@ from repro.bench.experiments import (
     fig8,
     headline,
     layout,
-    read_path,
-    restart,
-    scale,
-    serve,
     table1,
     theory,
-    updates,
 )
 
 #: Registry used by the CLI: experiment id -> (callable, description).
@@ -39,13 +34,7 @@ EXPERIMENTS = {
     "appendix_g": (appendix_g.run, "Appendix G — grid cells scanned vs soft-FD index"),
     "headline": (headline.run, "Headline claims — memory reduction and speedup"),
     "ablations": (ablations.run, "Ablations — margins, outlier index, bucketing, splines"),
-    "updates": (updates.run, "Updates — insert throughput and latency under writes"),
-    "read_path": (read_path.run, "Read path — sequential vs batch query execution"),
-    "crud": (crud.run, "CRUD — delete/update throughput and post-compaction latency"),
-    "restart": (restart.run, "Restart — v6 mmap cold start vs legacy npz copy-load"),
-    "scale": (scale.run, "Scale — sharded scatter-gather execution and shard pruning"),
     "drift": (drift.run, "Drift — frozen vs adaptive FD models on a drifting stream"),
-    "serve": (serve.run, "Serve — asyncio front end with adaptive query coalescing"),
     "layout": (layout.run, "Layout — workload-adaptive shard boundaries vs static"),
     "agg": (agg.run, "Aggregates/kNN — executor pushdown vs materialize-then-reduce"),
 }
@@ -55,7 +44,6 @@ __all__ = [
     "ablations",
     "agg",
     "appendix_g",
-    "crud",
     "drift",
     "fig4",
     "fig6",
@@ -63,11 +51,6 @@ __all__ = [
     "fig8",
     "headline",
     "layout",
-    "read_path",
-    "restart",
-    "scale",
-    "serve",
     "table1",
     "theory",
-    "updates",
 ]

@@ -1,8 +1,9 @@
 """Drift benchmark — frozen vs adaptive FD models (CLI: ``drift-bench``).
 
-The fourth trajectory file next to ``BENCH_read.json``, ``BENCH_crud.json``
-and ``BENCH_scale.json``: it measures what drift-aware model maintenance
-(:mod:`repro.fd.maintenance`) buys on a drifting insert stream.
+Its export is the committed ``BENCH_drift.json``: it measures what
+drift-aware model maintenance (:mod:`repro.fd.maintenance`) buys on a
+drifting insert stream, the only evidence for that claim (the repository
+benchmark's ingest-mixed workload never triggers a refresh).
 
 The workload is a regime change on a synthetic correlated table: the
 stream's soft-FD intercept ramps away from the build-time line by

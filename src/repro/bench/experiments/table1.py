@@ -21,7 +21,7 @@ from repro.data.table import Table
 
 __all__ = ["run"]
 
-#: Paper-reported values for EXPERIMENTS.md comparisons.
+#: Paper-reported values (DESIGN.md §7 sets them next to measured ones).
 PAPER_VALUES = {
     "Airline": {"dimensions": 8, "correlated": (3, 3), "indexed": "2-4", "primary_ratio": 0.92},
     "OSM": {"dimensions": 4, "correlated": (2,), "indexed": 3, "primary_ratio": 0.73},

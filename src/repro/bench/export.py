@@ -11,32 +11,25 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import platform
+import subprocess
 from pathlib import Path
-from typing import Iterable, List, Union
+from typing import Dict, Iterable, List, Optional, Union
+
+import numpy as np
 
 from repro.bench.reporting import ExperimentResult
 
-__all__ = ["export_csv", "export_json", "export_all", "STANDARD_FIELDS"]
+__all__ = ["export_csv", "export_json", "export_all", "host_stamp", "STANDARD_FIELDS"]
 
 PathLike = Union[str, Path]
 
 #: Fields every exported row carries, so artifacts from different
-#: experiments join on a stable schema.  ``executor`` names the scatter
-#: backend that produced the row (``""`` where execution played no part);
-#: ``cold_start_s`` is the restart latency (``None`` outside the restart
-#: benchmark); ``offered_qps``/``p50_ms``/``p99_ms``/``clients`` are the
-#: serving-load axes (``None`` outside the serve benchmark);
-#: ``shards_pruned``/``rows_examined`` are the engine's pruning-work
+#: experiments join on a stable schema: the engine's pruning-work
 #: counters over the row's measurement window (``None`` where the row
-#: did not sample engine statistics), so pruning efficiency is visible
-#: in serving trajectories, not just engine benches.
+#: did not sample engine statistics).
 STANDARD_FIELDS = {
-    "executor": "",
-    "cold_start_s": None,
-    "offered_qps": None,
-    "p50_ms": None,
-    "p99_ms": None,
-    "clients": None,
     "shards_pruned": None,
     "rows_examined": None,
 }
@@ -64,12 +57,39 @@ def export_csv(result: ExperimentResult, path: PathLike) -> Path:
     return path
 
 
+def _git_sha() -> Optional[str]:
+    """HEAD of the checkout this package runs from, or ``None`` outside one."""
+    try:
+        done = subprocess.run(
+            ["git", "rev-parse", "HEAD"],
+            cwd=Path(__file__).resolve().parent,
+            capture_output=True,
+            text=True,
+            timeout=10,
+            check=False,
+        )
+    except (OSError, subprocess.TimeoutExpired):
+        return None
+    return (done.stdout.strip() or None) if done.returncode == 0 else None
+
+
+def host_stamp() -> Dict[str, object]:
+    """Where a result was measured: CPU cores, Python, NumPy and git sha."""
+    return {
+        "cores": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "git_sha": _git_sha(),
+    }
+
+
 def export_json(result: ExperimentResult, path: PathLike) -> Path:
-    """Write the full result (rows, notes, metadata) as JSON."""
+    """Write the full result (rows, notes, metadata, host stamp) as JSON."""
     path = Path(path)
     payload = {
         "experiment": result.experiment,
         "description": result.description,
+        "host": host_stamp(),
         "rows": _standardised_rows(result),
         "notes": result.notes,
     }

@@ -9,8 +9,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.core.coax import COAXIndex
-from repro.core.config import COAXConfig, EngineConfig
-from repro.core.engine import ShardedCOAX
+from repro.core.config import COAXConfig
 from repro.data.queries import QueryWorkload
 from repro.data.table import Table
 from repro.indexes.base import MultidimensionalIndex
@@ -30,7 +29,6 @@ __all__ = [
     "drive_insert_stream",
     "run_comparison",
     "default_index_specs",
-    "sharded_index_specs",
 ]
 
 
@@ -178,11 +176,11 @@ def time_batched_queries(
 ) -> "tuple[float, List[np.ndarray]]":
     """Best-of-``repeats`` wall clock plus results of batched execution.
 
-    The timing core shared by the read-path, scale and drift experiment
-    drivers: the whole workload runs through ``batch_range_query`` in
-    batches of ``batch_size``, ``repeats`` times, and the minimum total
-    wall clock is reported together with the (repeat-invariant) results
-    so the caller can verify them against an oracle.
+    The timing core of the drift experiment driver: the whole workload
+    runs through ``batch_range_query`` in batches of ``batch_size``,
+    ``repeats`` times, and the minimum total wall clock is reported
+    together with the (repeat-invariant) results so the caller can verify
+    them against an oracle.
     """
     queries = list(queries)
     best = np.inf
@@ -204,9 +202,9 @@ def count_mismatches(
 ) -> int:
     """Number of positionally aligned result pairs that differ.
 
-    The oracle-verification primitive of the read-path, scale and drift
-    drivers: every benchmark compares its result lists element-for-element
-    through this one definition of equality.
+    The oracle-verification primitive of the drift and layout drivers:
+    both compare their result lists element-for-element through this one
+    definition of equality.
     """
     return sum(
         0 if np.array_equal(a, b) else 1 for a, b in zip(left, right)
@@ -318,17 +316,11 @@ def default_index_specs(
     rtree_capacity: int = 10,
     column_files_cells: int = 8,
     include_full_scan: bool = True,
-    engine_shards: Optional[int] = None,
-    engine_workers: int = 1,
 ) -> List[IndexSpec]:
     """The competitor set of Figure 6: COAX, R-Tree, Full Grid, Full Scan.
 
     Column Files is included as well since Figures 7 and 8 need it; drivers
-    that do not want a competitor simply filter the returned list.  With
-    ``engine_shards`` set a ``ShardedCOAX`` engine spec with that shard
-    count (and ``engine_workers`` scatter threads) joins the set, so any
-    comparison driver can put the sharded engine next to the flat indexes
-    without special-casing it.
+    that do not want a competitor simply filter the returned list.
     """
     config = coax_config or COAXConfig()
     specs = [
@@ -343,46 +335,7 @@ def default_index_specs(
             lambda table: ColumnFilesIndex(table, cells_per_dim=column_files_cells),
         ),
     ]
-    if engine_shards is not None:
-        specs.extend(
-            sharded_index_specs(
-                shard_counts=(engine_shards,),
-                workers=engine_workers,
-                coax_config=config,
-            )
-        )
     if include_full_scan:
         specs.append(IndexSpec("Full Scan", lambda table: FullScanIndex(table)))
     return specs
 
-
-def sharded_index_specs(
-    *,
-    shard_counts: Sequence[int] = (1, 2, 4),
-    workers: int = 1,
-    coax_config: Optional[COAXConfig] = None,
-    partitioning: str = "range",
-) -> List[IndexSpec]:
-    """One ``ShardedCOAX`` spec per shard count, sharing the COAX config.
-
-    ``workers`` is the harness-level parallelism knob: it sizes the
-    engine's scatter/build/compact pool for every spec returned (the
-    NumPy kernels release the GIL, so query batches genuinely overlap
-    shards when the hardware has the cores).
-    """
-    config = coax_config or COAXConfig()
-    return [
-        IndexSpec(
-            f"ShardedCOAX[s={n_shards},w={workers}]",
-            lambda table, n=n_shards: ShardedCOAX(
-                table,
-                config=EngineConfig(
-                    n_shards=n,
-                    partitioning=partitioning,
-                    workers=workers,
-                    coax=config,
-                ),
-            ),
-        )
-        for n_shards in shard_counts
-    ]

@@ -12,7 +12,7 @@ Layering (each module usable and testable without the ones above it):
 * :mod:`repro.serve.protocol` — wire format, no IO beyond stream reads.
 * :mod:`repro.serve.coalescer` — sans-IO adaptive batching state machine.
 * :mod:`repro.serve.dispatcher` — event-loop ↔ engine-thread handoff.
-* :mod:`repro.serve.server` — asyncio servers (coalescing + naive baseline).
+* :mod:`repro.serve.server` — asyncio coalescing server.
 * :mod:`repro.serve.client` — pipelining client with typed errors.
 """
 
@@ -35,7 +35,6 @@ from repro.serve.dispatcher import EngineDispatcher
 from repro.serve.protocol import ProtocolError
 from repro.serve.server import (
     CoalescingQueryServer,
-    NaiveQueryServer,
     QueryServer,
     ServerConfig,
     ServerNotStartedError,
@@ -45,7 +44,6 @@ __all__ = [
     "CoalescerConfig",
     "CoalescingQueryServer",
     "EngineDispatcher",
-    "NaiveQueryServer",
     "OverloadedError",
     "PendingQuery",
     "ProtocolError",

@@ -1,11 +1,11 @@
 """Adaptive query coalescing: the micro-batching state machine.
 
 The batch read path answers 2–58x more queries per second than
-one-at-a-time execution once a batch holds 64 to 1024 queries
-(``BENCH_read.json``), while a batch of one costs about 1.3x a scalar
-call; but a service receives queries one at a time from many concurrent
-clients.  The coalescer closes that gap: single queries
-accumulate into a micro-batch that is flushed to
+one-at-a-time execution once a batch holds 64 to 1024 queries (the last
+committed read-path numbers, DESIGN.md §7), while a batch of one costs
+about 1.3x a scalar call; but a service receives queries one at a time
+from many concurrent clients.  The coalescer closes that gap: single
+queries accumulate into a micro-batch that is flushed to
 ``ShardedCOAX.batch_range_query_attributed`` when **either** the batch
 reaches ``max_batch`` queries **or** an adaptive time window (bounded by
 ``max_window_s``, 1–5 ms territory) expires — whichever happens first.

@@ -23,7 +23,7 @@ from __future__ import annotations
 import asyncio
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -158,16 +158,3 @@ class EngineDispatcher:
                     else 0,
                 }
                 entry.future.set_result((row_ids, value, query_stats, meta))
-
-    async def dispatch_one(self, entry: PendingQuery) -> None:
-        """Pass-through for the naive path: a batch of exactly one query."""
-        await self.dispatch([entry])
-
-    def run_direct(self, queries: Sequence) -> List[np.ndarray]:
-        """Synchronous oracle helper: the same engine, no serving layer.
-
-        Benchmarks verify every served result element-for-element against
-        this direct call.
-        """
-        results, _ = self._engine.batch_range_query_attributed(list(queries))
-        return results

@@ -1,20 +1,13 @@
 """Asyncio TCP serving front end over the sharded engine.
 
-Two servers share one connection/protocol layer and differ only in how an
-admitted query reaches the engine:
-
-* :class:`CoalescingQueryServer` — the production front end.  Queries
-  from all connections flow into one :class:`~repro.serve.coalescer.
-  QueryCoalescer`; micro-batches are flushed (size trigger, adaptive
-  time trigger, or group commit — the instant an in-flight batch
-  completes) to the :class:`~repro.serve.dispatcher.EngineDispatcher`,
-  which runs them on ``batch_range_query_attributed`` in a worker thread
-  and resolves each client's future with its slice of the flat results
-  plus per-query stats.
-* :class:`NaiveQueryServer` — the one-query-at-a-time baseline: identical
-  protocol, identical dispatcher, identical worker-thread handoff, but
-  every request is its own batch of one.  Benchmarks measure exactly the
-  coalescing delta.
+:class:`QueryServer` is the connection/protocol layer;
+:class:`CoalescingQueryServer` routes admitted queries to the engine.
+Queries from all connections flow into one :class:`~repro.serve.coalescer.
+QueryCoalescer`; micro-batches are flushed (size trigger, adaptive time
+trigger, or group commit — the instant an in-flight batch completes) to
+the :class:`~repro.serve.dispatcher.EngineDispatcher`, which runs them on
+``batch_range_query_attributed`` in a worker thread and resolves each
+client's future with its slice of the flat results plus per-query stats.
 
 Connections may pipeline requests; responses are written in request order
 per connection (a per-connection writer task awaits each future in turn,
@@ -57,7 +50,6 @@ __all__ = [
     "ServerNotStartedError",
     "QueryServer",
     "CoalescingQueryServer",
-    "NaiveQueryServer",
     "stats_to_wire",
 ]
 
@@ -84,12 +76,12 @@ def stats_to_wire(stats: Optional[QueryStats]) -> Optional[Dict[str, int]]:
 
 @dataclass(frozen=True)
 class ServerConfig:
-    """Knobs of the serving front end (both server flavours)."""
+    """Knobs of the serving front end."""
 
     host: str = "127.0.0.1"
     #: 0 binds an ephemeral port; the bound port is ``server.port``.
     port: int = 0
-    #: Micro-batching policy (coalescing server only).
+    #: Micro-batching policy.
     coalescer: CoalescerConfig = field(default_factory=CoalescerConfig)
     #: Dispatcher worker threads.  One is the sweet spot: the engine
     #: serialises concurrent batch calls anyway and a single in-flight
@@ -303,13 +295,6 @@ class QueryServer:
     # ------------------------------------------------------------------
     def _admit(self, entry: PendingQuery) -> None:
         raise NotImplementedError
-
-
-class NaiveQueryServer(QueryServer):
-    """Baseline: every admitted query is dispatched as a batch of one."""
-
-    def _admit(self, entry: PendingQuery) -> None:
-        asyncio.ensure_future(self.dispatcher.dispatch([entry]))
 
 
 class CoalescingQueryServer(QueryServer):

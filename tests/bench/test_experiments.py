@@ -14,7 +14,6 @@ from repro.bench.experiments import (
     ablations,
     agg,
     appendix_g,
-    crud,
     drift,
     fig4,
     fig6,
@@ -22,11 +21,8 @@ from repro.bench.experiments import (
     fig8,
     headline,
     layout,
-    read_path,
-    restart,
     table1,
     theory,
-    updates,
 )
 
 
@@ -37,9 +33,8 @@ class TestRegistry:
     def test_all_experiments_registered(self):
         assert set(EXPERIMENTS) == {
             "table1", "fig4", "fig6", "fig7", "fig8",
-            "theory", "appendix_g", "headline", "ablations", "updates",
-            "read_path", "crud", "restart", "scale", "drift", "serve",
-            "layout", "agg",
+            "theory", "appendix_g", "headline", "ablations",
+            "drift", "layout", "agg",
         }
 
 
@@ -145,64 +140,6 @@ class TestAblations:
         assert segments == sorted(segments, reverse=True)
 
 
-class TestUpdates:
-    def test_phases_and_acceptance_checks(self):
-        result = updates.run(
-            n_rows=SMALL,
-            n_queries=5,
-            n_inserts=6_000,
-            batch_size=2_000,
-            n_pending_for_query=2_000,
-        )
-        phases = {row["phase"] for row in result.rows}
-        assert phases == {"insert", "compact", "query", "mixed"}
-        batch_row = next(
-            row for row in result.rows if row["method"] == "insert_batch()"
-        )
-        # The acceptance bar (20x at 100k inserts) is checked by the
-        # full-scale benchmark run; here the batch path times in single-digit
-        # milliseconds, where a scheduler stall on a shared CI runner can
-        # eat an order of magnitude, so only a loose sanity bound is safe.
-        assert batch_row["speedup_vs_seq"] >= 5.0
-        compact_rows = [
-            row for row in result.rows if row["method"] == "incremental compact()"
-        ]
-        assert {row["dataset"] for row in compact_rows} == {"Airline", "OSM"}
-        for row in compact_rows:
-            assert row["mismatched_queries"] == 0
-        mixed_row = next(row for row in result.rows if row["phase"] == "mixed")
-        assert mixed_row["rows"] == 6_000
-
-
-class TestCRUD:
-    def test_smoke_mode_structure_and_oracle_identity(self):
-        result = crud.run(n_rows=SMALL, n_queries=8, smoke=True)
-        phases = {row["phase"] for row in result.rows}
-        assert phases == {"delete", "query", "update", "compact"}
-        # Every result set was verified against the delete-aware full scan.
-        for row in result.rows:
-            assert row.get("mismatched_queries", 0) == 0
-        delete_row = next(
-            row for row in result.rows if row["method"] == "delete_batch()"
-        )
-        update_row = next(
-            row for row in result.rows if row["method"] == "update_batch()"
-        )
-        # The full-scale acceptance bars (>= 100x deletes) belong to the
-        # benchmark run; on CI scale only loose sanity bounds are safe.
-        assert delete_row["speedup_vs_seq"] >= 10.0
-        assert update_row["speedup_vs_seq"] >= 5.0
-        reclaim_row = next(
-            row for row in result.rows if row["method"] == "compact() reclaim"
-        )
-        fresh_row = next(
-            row
-            for row in result.rows
-            if row["method"] == "fresh build over live rows"
-        )
-        assert reclaim_row["rows"] == fresh_row["rows"]
-
-
 class TestDrift:
     def test_smoke_mode_structure_and_gates(self):
         """The driver's internal gates (oracle identity, refresh fired,
@@ -284,44 +221,3 @@ class TestAgg:
         monkeypatch.setattr(agg, "SMOKE_EXAMINED_FACTOR", float("inf"))
         with pytest.raises(AssertionError, match="examined-rows gate"):
             agg.run(smoke=True)
-
-
-class TestReadPath:
-    def test_smoke_mode_structure_and_identity(self):
-        result = read_path.run(n_rows=SMALL, n_queries=48, smoke=True)
-        assert {row["dataset"] for row in result.rows} == {"Airline", "OSM"}
-        assert {row["workload"] for row in result.rows} == {"range", "point"}
-        indexes = {row["index"] for row in result.rows}
-        assert "COAX" in indexes and "Column Files" in indexes
-        assert any(index.startswith("COAX (+") for index in indexes)
-        # Every batch row was verified against the sequential loop.
-        for row in result.rows:
-            assert row["mismatched_queries"] == 0
-        sequential = [row for row in result.rows if row["mode"] == "sequential"]
-        batch = [row for row in result.rows if row["mode"] == "batch"]
-        assert sequential and batch
-        assert all(row["batch_size"] == 1 for row in sequential)
-        assert all(row["batch_size"] > 1 for row in batch)
-        # Smoke mode asserts batch >= sequential internally (best batch size
-        # per dataset/workload); spot-check the reported numbers agree.
-        best: dict = {}
-        for row in batch:
-            if row["index"] == "COAX":
-                key = (row["dataset"], row["workload"])
-                best[key] = max(best.get(key, 0.0), row["speedup_vs_seq"])
-        assert best and all(value >= 1.0 for value in best.values())
-
-
-class TestRestart:
-    def test_smoke_mode_structure_and_gates(self):
-        result = restart.run(n_rows=SMALL, smoke=True)
-        formats = {row["format"] for row in result.rows}
-        assert formats == {"v6-columnar", "v5-npz"}
-        for row in result.rows:
-            # Every loaded engine answered the probes bit-identically.
-            assert row["mismatched_queries"] == 0
-            assert row["cold_start_s"] > 0.0
-            assert row["executor"] == "thread"
-        v6 = next(row for row in result.rows if row["format"] == "v6-columnar")
-        # Smoke mode gates on the mmap attach beating the npz copy-load.
-        assert v6["speedup_vs_npz"] > 1.0

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import os
+import platform
 
 import numpy as np
 import pytest
@@ -145,10 +147,7 @@ class TestExport:
         path = export_csv(result, tmp_path / "demo.csv")
         content = path.read_text().splitlines()
         # The standard fields lead so every artifact joins on one schema.
-        assert content[0] == (
-            "executor,cold_start_s,offered_qps,p50_ms,p99_ms,clients,"
-            "shards_pruned,rows_examined,a,b,c"
-        )
+        assert content[0] == "shards_pruned,rows_examined,a,b,c"
         assert len(content) == 3
 
     def test_export_rows_carry_standard_fields(self, result, tmp_path):
@@ -156,13 +155,6 @@ class TestExport:
             export_json(result, tmp_path / "demo.json").read_text()
         )
         for row in payload["rows"]:
-            assert row["executor"] == ""
-            assert row["cold_start_s"] is None
-            # Serving-bench join fields ride every artifact too.
-            assert row["offered_qps"] is None
-            assert row["p50_ms"] is None
-            assert row["p99_ms"] is None
-            assert row["clients"] is None
             assert row["shards_pruned"] is None
             assert row["rows_examined"] is None
 
@@ -172,6 +164,15 @@ class TestExport:
         assert payload["experiment"] == "demo"
         assert payload["rows"][0]["a"] == 1
         assert payload["notes"] == ["a note"]
+
+    def test_export_json_records_host(self, result, tmp_path):
+        host = json.loads(export_json(result, tmp_path / "demo.json").read_text())["host"]
+        assert host["cores"] == os.cpu_count()
+        assert host["python"] == platform.python_version()
+        assert host["numpy"] == np.__version__
+        # A 40-hex-digit commit inside a git checkout, None outside one.
+        sha = host["git_sha"]
+        assert sha is None or (len(sha) == 40 and int(sha, 16) >= 0)
 
     def test_export_all(self, result, tmp_path):
         paths = export_all([result], tmp_path / "out")

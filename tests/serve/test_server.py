@@ -17,7 +17,6 @@ from repro.data.predicates import Interval, Rectangle
 from repro.serve import (
     CoalescerConfig,
     CoalescingQueryServer,
-    NaiveQueryServer,
     RemoteBadRequestError,
     ServeClient,
     ServerConfig,
@@ -51,10 +50,9 @@ def assert_matches(result, oracle) -> None:
     assert np.array_equal(np.sort(result.row_ids), oracle)
 
 
-@pytest.mark.parametrize("server_cls", [CoalescingQueryServer, NaiveQueryServer])
-def test_round_trip_matches_direct_engine(server_cls, engine, expected):
+def test_round_trip_matches_direct_engine(engine, expected):
     async def scenario():
-        async with server_cls(engine) as server:
+        async with CoalescingQueryServer(engine) as server:
             async with await ServeClient.connect("127.0.0.1", server.port) as client:
                 for query, oracle in zip(QUERIES, expected):
                     assert_matches(await client.query(query), oracle)
@@ -180,7 +178,7 @@ def test_bad_request_answered_not_dropped(engine, expected):
 
 def test_bad_request_via_client(engine):
     async def scenario():
-        async with NaiveQueryServer(engine) as server:
+        async with CoalescingQueryServer(engine) as server:
             reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
             client = ServeClient(reader, writer)
             try:
@@ -202,7 +200,7 @@ def test_shutdown_engine_yields_typed_error(airline_small):
     engine = ShardedCOAX(airline_small, config=EngineConfig(n_shards=2))
 
     async def scenario():
-        async with NaiveQueryServer(engine) as server:
+        async with CoalescingQueryServer(engine) as server:
             async with await ServeClient.connect("127.0.0.1", server.port) as client:
                 await client.query(QUERIES[0])  # engine healthy
                 engine.shutdown()

@@ -40,6 +40,7 @@ class TestMain:
         assert main(["list"]) == 0
         output = capsys.readouterr().out
         assert "table1" in output and "fig8" in output
+        assert len(output.splitlines()) == 12
 
     def test_single_experiment(self, capsys):
         assert main(["table1", "--rows", "3000"]) == 0
@@ -47,85 +48,11 @@ class TestMain:
 
     def test_unknown_experiment_exit_code(self, capsys):
         assert main(["bogus"]) == 2
-
-
-class TestUpdateBench:
-    def test_alias_resolves(self):
-        text = run_experiment(
-            "update-bench", rows=3_000, queries=4, inserts=4_000, batch_size=2_000
-        )
-        assert "insert_batch()" in text
-        assert "incremental compact()" in text
-
-    def test_insert_options_parsed(self):
-        args = build_parser().parse_args(
-            ["update-bench", "--inserts", "5000", "--batch-size", "1000"]
-        )
-        assert args.inserts == 5000
-        assert args.batch_size == 1000
-
-
-class TestQueryBench:
-    def test_alias_resolves_in_smoke_mode(self):
-        text = run_experiment("query-bench", rows=3_000, queries=32, smoke=True)
-        assert "sequential" in text and "batch" in text
-        assert "Airline" in text and "OSM" in text
-
-    def test_options_parsed(self):
-        args = build_parser().parse_args(
-            ["query-bench", "--smoke", "--batch-sizes", "32", "64", "--export", "out.json"]
-        )
-        assert args.smoke is True
-        assert args.batch_sizes == [32, 64]
-        assert args.export == "out.json"
-
-    def test_export_writes_json(self, tmp_path, capsys):
-        target = tmp_path / "read.json"
-        assert main(
-            ["query-bench", "--rows", "3000", "--queries", "24", "--smoke",
-             "--export", str(target)]
-        ) == 0
-        assert target.exists()
-        import json
-
-        payload = json.loads(target.read_text())
-        assert payload["experiment"] == "read_path"
-        assert payload["rows"]
-
-
-class TestScaleBench:
-    def test_alias_resolves_in_smoke_mode(self):
-        text = run_experiment(
-            "scale-bench",
-            rows=3_000,
-            queries=24,
-            shards=[1, 2],
-            workers=[1],
-            smoke=True,
-        )
-        assert "ShardedCOAX" in text and "COAX (unsharded)" in text
-        assert "crud" in text
-        assert "shards_pruned_per_q" in text
-
-    def test_options_parsed(self):
-        args = build_parser().parse_args(
-            ["scale-bench", "--smoke", "--shards", "1", "4", "--workers", "1", "2"]
-        )
-        assert args.smoke is True
-        assert args.shards == [1, 4]
-        assert args.workers == [1, 2]
-
-    def test_export_writes_json(self, tmp_path):
-        target = tmp_path / "scale.json"
-        assert main(
-            ["scale-bench", "--rows", "3000", "--queries", "16", "--smoke",
-             "--shards", "1", "2", "--workers", "1", "--export", str(target)]
-        ) == 0
-        import json
-
-        payload = json.loads(target.read_text())
-        assert payload["experiment"] == "scale"
-        assert payload["rows"]
+        # The retired benchmark commands are unknown experiments now.
+        for retired in ("query-bench", "update-bench", "crud", "scale-bench",
+                        "restart-bench", "serve-bench"):
+            assert main([retired]) == 2
+            assert f"unknown experiment {retired!r}" in capsys.readouterr().err
 
 
 class TestAggBench:
