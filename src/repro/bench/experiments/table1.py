@@ -55,8 +55,11 @@ def run(n_rows: int = 30_000, seed: int = 0) -> ExperimentResult:
         description="Dataset characteristics (paper Table 1)",
         rows=rows,
         notes=[
-            "paper: Airline correlated dims (3, 3), indexed 2-4, primary ratio 92%",
-            "paper: OSM correlated dims (2,), indexed 3, primary ratio 73%",
+            *(
+                f"paper: {name} correlated dims {paper['correlated']}, "
+                f"indexed {paper['indexed']}, primary ratio {paper['primary_ratio']:.0%}"
+                for name, paper in PAPER_VALUES.items()
+            ),
             f"synthetic datasets at {n_rows} rows stand in for the 80M/105M originals",
         ],
     )

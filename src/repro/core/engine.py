@@ -11,13 +11,16 @@ example and test that speaks that API runs unchanged against the engine.
 Design pillars
 --------------
 
-* **Global-id mapping.**  The library-wide invariant *row id == table
-  position* is preserved at the global level through an explicit
-  global-id ↔ (shard, local position) mapping (``_shard_of`` /
-  ``_local_of`` / per-shard ``_global_of``).  Each shard keeps the same
-  invariant locally, so the mapping only ever *appends*: COAX never
-  renumbers local ids, hence a global id resolves to the same (shard,
-  local) pair for the lifetime of the record.
+* **Global-id mapping.**  Each shard keeps the library-wide invariant
+  *row id == table position* locally, and one strictly ascending array
+  per shard, ``_global_of[s]``, maps its local ids to global ids.  The
+  reverse lookup is derived, not stored: a global id's local id is its
+  ``searchsorted`` position in some shard's array (see ``_locate``), and
+  an id no shard holds — never issued, or dropped by a re-layout —
+  resolves to nothing.  COAX never renumbers local ids and global ids
+  are issued in increasing order, so the arrays only ever append and a
+  global id resolves to the same (shard, local) pair for the lifetime
+  of the record.
 * **Partitioning.**  ``range`` partitioning splits on quantile boundaries
   of one attribute — by default the predictor of the largest FD group,
   the attribute query translation concentrates constraints on, so
@@ -241,15 +244,11 @@ class ShardedCOAX(MultidimensionalIndex):
                 self._aggregate_inlier_fractions(),
             )
 
-        # Global-id ↔ (shard, local position) mapping.  ``_global_of[s]``
-        # is indexed by shard-local row id (== local table position, the
-        # per-shard invariant) and only ever appends, because local ids
-        # are never renumbered or reused.
-        self._shard_of = assignment.astype(np.int64)
-        self._local_of = np.empty(n_rows, dtype=np.int64)
-        for global_ids in shard_global_ids:
-            self._local_of[global_ids] = np.arange(len(global_ids), dtype=np.int64)
-        self._global_of: List[np.ndarray] = [ids.copy() for ids in shard_global_ids]
+        # Local → global id mapping.  ``_global_of[s]`` is indexed by
+        # shard-local row id (== local table position, the per-shard
+        # invariant), strictly ascending, and only ever appends, because
+        # local ids are never renumbered or reused.
+        self._global_of: List[np.ndarray] = shard_global_ids
         self._next_global_id = int(n_rows)
 
     # ------------------------------------------------------------------
@@ -524,42 +523,41 @@ class ShardedCOAX(MultidimensionalIndex):
             return np.empty(0, dtype=np.int64)
         return np.sort(np.concatenate(parts))
 
+    def _locate(self, row_ids: np.ndarray) -> List[Tuple[int, np.ndarray, np.ndarray]]:
+        """Resolve global ids to ``(shard_no, selector, local_ids)`` per shard.
+
+        ``selector`` is a boolean mask over ``row_ids`` of the ids shard
+        ``shard_no`` holds, and ``local_ids`` their local ids in order.
+        Every ``_global_of[s]`` is strictly ascending, so one clipped
+        ``searchsorted`` plus an equality check per shard finds them; ids
+        no shard holds (never issued, or dropped by a re-layout) appear
+        in no selector.
+        """
+        located = []
+        for shard_no, global_of in enumerate(self._global_of):
+            if len(global_of) == 0:
+                continue
+            local = np.searchsorted(global_of, row_ids)
+            np.minimum(local, len(global_of) - 1, out=local)
+            selector = global_of[local] == row_ids
+            if selector.any():
+                located.append((shard_no, selector, local[selector]))
+        return located
+
     def rows_live(self, row_ids: np.ndarray) -> np.ndarray:
         """Which of ``row_ids`` are covered and not tombstoned (per shard)."""
         row_ids = np.asarray(row_ids, dtype=np.int64)
         mask = np.zeros(len(row_ids), dtype=bool)
-        known = (row_ids >= 0) & (row_ids < self._next_global_id)
-        if not known.any():
-            return mask
-        known_ids = row_ids[known]
-        shard_ids = self._shard_of[known_ids]
-        known_mask = np.zeros(len(known_ids), dtype=bool)
-        for shard_no in np.unique(shard_ids):
-            routed = shard_ids == shard_no
-            known_mask[routed] = self._shards[shard_no].rows_live(
-                self._local_of[known_ids[routed]]
-            )
-        mask[known] = known_mask
+        for shard_no, selector, local in self._locate(row_ids):
+            mask[selector] = self._shards[shard_no].rows_live(local)
         return mask
 
     def positions_of(self, row_ids: np.ndarray) -> np.ndarray:
         """Covered ids pass through: global row id == global table position."""
         row_ids = np.asarray(row_ids, dtype=np.int64)
-        if len(row_ids) == 0:
-            return np.empty(0, dtype=np.int64)
         covered = np.zeros(len(row_ids), dtype=bool)
-        known = (row_ids >= 0) & (row_ids < self._next_global_id)
-        if known.any():
-            known_ids = row_ids[known]
-            shard_ids = self._shard_of[known_ids]
-            known_covered = np.zeros(len(known_ids), dtype=bool)
-            for shard_no in np.unique(shard_ids):
-                routed = shard_ids == shard_no
-                known_covered[routed] = np.isin(
-                    self._local_of[known_ids[routed]],
-                    self._shards[shard_no].row_ids,
-                )
-            covered[known] = known_covered
+        for shard_no, selector, local in self._locate(row_ids):
+            covered[selector] = np.isin(local, self._shards[shard_no].row_ids)
         return row_ids[covered]
 
     def column(self, name: str) -> np.ndarray:
@@ -1059,9 +1057,10 @@ class ShardedCOAX(MultidimensionalIndex):
         is split by the partitioner and lands in each shard's delta store
         with one call per touched shard; a shard whose auto-compaction
         trigger fires compacts independently (local ids survive, so the
-        global mapping is untouched).  Mutation entry point: holds the
-        engine lock, and each shard's lock around the shard append plus
-        its mapping extension.
+        global mapping is untouched).  The new global ids exceed every
+        issued one, so appending them keeps each shard's ``_global_of``
+        ascending.  Mutation entry point: holds the engine lock, and each
+        shard's lock around the shard append plus its mapping extension.
         """
         with self._write_lock:
             self._check_open()
@@ -1071,7 +1070,6 @@ class ShardedCOAX(MultidimensionalIndex):
             if n_new == 0:
                 return global_ids
             assignment = self._route(columns, global_ids)
-            local_ids = np.empty(n_new, dtype=np.int64)
             masks = self._new_mask_gather(n_new)
             for shard_no in np.unique(assignment):
                 routed = assignment == shard_no
@@ -1082,13 +1080,11 @@ class ShardedCOAX(MultidimensionalIndex):
                 # lock: a pending row visible to a scatter worker always
                 # has its global id resolvable.
                 with shard.write_lock:
-                    local_ids[routed] = shard.insert_batch(sub_columns)
+                    shard.insert_batch(sub_columns)
                     self._gather_shard_masks(shard, routed, masks, sub_columns)
                     self._global_of[shard_no] = np.concatenate(
                         [self._global_of[shard_no], global_ids[routed]]
                     )
-            self._shard_of = np.concatenate([self._shard_of, assignment])
-            self._local_of = np.concatenate([self._local_of, local_ids])
             self._next_global_id += n_new
             self._observe_columns(columns, masks)
             return global_ids
@@ -1163,15 +1159,8 @@ class ShardedCOAX(MultidimensionalIndex):
         with self._write_lock:
             self._check_open()
             row_ids = np.unique(np.asarray(row_ids, dtype=np.int64))
-            if len(row_ids) == 0:
-                return 0
-            known = row_ids[(row_ids >= 0) & (row_ids < self._next_global_id)]
-            if len(known) == 0:
-                return 0
             deleted = 0
-            shard_ids = self._shard_of[known]
-            for shard_no in np.unique(shard_ids):
-                local = self._local_of[known[shard_ids == shard_no]]
+            for shard_no, _, local in self._locate(row_ids):
                 deleted += self._shards[shard_no].delete_batch(local)
             return int(deleted)
 
@@ -1217,30 +1206,20 @@ class ShardedCOAX(MultidimensionalIndex):
                 return row_ids
             if len(np.unique(row_ids)) != len(row_ids):
                 raise ValueError("update batch contains duplicate row ids")
-            known = (row_ids >= 0) & (row_ids < self._next_global_id)
-            if not known.all():
-                missing = row_ids[~known]
-                raise KeyError(
-                    f"cannot update unknown or deleted row ids: {missing.tolist()[:10]}"
-                )
-            shard_ids = self._shard_of[row_ids]
-            local_ids = self._local_of[row_ids]
-            touched = np.unique(shard_ids)
+            located = self._locate(row_ids)
             live = np.zeros(n_new, dtype=bool)
-            for shard_no in touched:
-                routed = shard_ids == shard_no
-                live[routed] = self._shards[shard_no]._live_ids_mask(local_ids[routed])
+            for shard_no, routed, local in located:
+                live[routed] = self._shards[shard_no]._live_ids_mask(local)
             if not live.all():
                 missing = row_ids[~live]
                 raise KeyError(
                     f"cannot update unknown or deleted row ids: {missing.tolist()[:10]}"
                 )
             masks = self._new_mask_gather(n_new)
-            for shard_no in touched:
-                routed = shard_ids == shard_no
+            for shard_no, routed, local in located:
                 sub_columns = {name: array[routed] for name, array in columns.items()}
                 shard = self._shards[shard_no]
-                shard.update_batch(local_ids[routed], sub_columns)
+                shard.update_batch(local, sub_columns)
                 self._gather_shard_masks(shard, routed, masks, sub_columns)
             self._observe_columns(columns, masks)
             return row_ids
@@ -1304,10 +1283,11 @@ class ShardedCOAX(MultidimensionalIndex):
         monitor exists).  Phase 1 is pure — live rows are gathered and
         fresh shards built without mutating anything, so a build failure
         leaves the engine on the old layout, fully consistent.  Phase 2
-        swaps shard list, boundaries and the global-id mapping; global ids
-        survive verbatim (dead ids map
-        to the ``-1`` local sentinel no shard ever matches), so results
-        are bit-identical across the re-layout.
+        swaps shard list, boundaries and the global-id mapping; live
+        global ids survive verbatim, sorted ascending in each fresh
+        shard's ``_global_of``, and dead ids are in no shard's array, so
+        they resolve to nothing and results are bit-identical across the
+        re-layout.
         """
         columns, global_ids = self._gather_live_rows()
         boundaries = np.asarray(proposal.boundaries, dtype=np.float64)
@@ -1338,14 +1318,6 @@ class ShardedCOAX(MultidimensionalIndex):
         self._shards = fresh
         self._boundaries = boundaries
         self._global_of = shard_globals
-        total = self._next_global_id
-        self._shard_of = np.zeros(total, dtype=np.int64)
-        # Dead ids resolve to local -1: the clipped-searchsorted liveness
-        # and position lookups of the shards can never match it.
-        self._local_of = np.full(total, -1, dtype=np.int64)
-        for shard_no, ids in enumerate(shard_globals):
-            self._shard_of[ids] = shard_no
-            self._local_of[ids] = np.arange(len(ids), dtype=np.int64)
         if n_new != self._config.n_shards:
             self._config = replace(self._config, n_shards=n_new)
 
@@ -1455,16 +1427,14 @@ class ShardedCOAX(MultidimensionalIndex):
         return int(sum(shard.data_bytes() for shard in self._shards))
 
     def memory_breakdown(self) -> Dict[str, int]:
-        """Directory bytes per component (shards plus the mapping)."""
+        """Directory bytes per component: one entry per shard, plus
+        ``mapping`` — every id array the engine holds, which is the
+        per-shard ``_global_of`` arrays, 8 bytes per id a shard holds."""
         breakdown = {
             f"shard{shard_no}": shard.directory_bytes()
             for shard_no, shard in enumerate(self._shards)
         }
-        breakdown["mapping"] = (
-            self._shard_of.nbytes
-            + self._local_of.nbytes
-            + int(sum(array.nbytes for array in self._global_of))
-        )
+        breakdown["mapping"] = int(sum(array.nbytes for array in self._global_of))
         return breakdown
 
     # ------------------------------------------------------------------
@@ -1485,9 +1455,11 @@ class ShardedCOAX(MultidimensionalIndex):
     ) -> "ShardedCOAX":
         """Assemble an engine from restored shards plus their mapping.
 
-        Used by the v4 archive loader and by :meth:`from_index`; validates
-        that the mapping covers every global id exactly once before
-        trusting it.
+        Used by the v4 archive loader and by :meth:`from_index`; before
+        trusting the mapping it validates that every shard's ``_global_of``
+        covers its local ids, is strictly ascending inside
+        ``[0, next_global_id)``, and shares no id with another shard.  Ids
+        no shard holds are allowed: a re-layout drops the dead ones.
         """
         shards = list(shards)
         if len(shards) != config.n_shards:
@@ -1495,11 +1467,23 @@ class ShardedCOAX(MultidimensionalIndex):
                 f"engine config expects {config.n_shards} shards, got {len(shards)}"
             )
         global_of = [np.asarray(ids, dtype=np.int64) for ids in global_of]
-        total = int(sum(len(ids) for ids in global_of))
-        if total != next_global_id:
-            raise ValueError(
-                f"shard mapping covers {total} global ids, expected {next_global_id}"
-            )
+        seen = np.zeros(next_global_id, dtype=bool)
+        for shard_no, (shard, ids) in enumerate(zip(shards, global_of)):
+            if len(ids) != shard.next_row_id:
+                raise ValueError(
+                    f"shard {shard_no} mapping has {len(ids)} ids for "
+                    f"{shard.next_row_id} local ids"
+                )
+            if len(ids) == 0:
+                continue
+            if ids[0] < 0 or ids[-1] >= next_global_id or np.any(ids[1:] <= ids[:-1]):
+                raise ValueError(
+                    f"shard {shard_no} mapping is not strictly ascending "
+                    f"inside [0, {next_global_id})"
+                )
+            if seen[ids].any():
+                raise ValueError("shard mapping assigns some global id twice")
+            seen[ids] = True
         self = cls.__new__(cls)
         self._config = config
         # The facade table only carries the schema for insert coercion;
@@ -1540,15 +1524,6 @@ class ShardedCOAX(MultidimensionalIndex):
                     config.coax.maintenance,
                     self._aggregate_inlier_fractions(),
                 )
-        self._shard_of = np.empty(next_global_id, dtype=np.int64)
-        self._local_of = np.empty(next_global_id, dtype=np.int64)
-        seen = np.zeros(next_global_id, dtype=bool)
-        for shard_no, ids in enumerate(global_of):
-            if seen[ids].any():
-                raise ValueError("shard mapping assigns some global id twice")
-            seen[ids] = True
-            self._shard_of[ids] = shard_no
-            self._local_of[ids] = np.arange(len(ids), dtype=np.int64)
         self._global_of = global_of
         self._next_global_id = int(next_global_id)
         return self

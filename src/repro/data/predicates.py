@@ -11,7 +11,7 @@ indexes and the query translator need.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple
 
 import numpy as np
@@ -321,22 +321,3 @@ def batch_live(
     for lows, highs in bounds.values():
         live &= lows <= highs
     return live
-
-
-@dataclass
-class PredicateStats:
-    """Bookkeeping for predicate evaluation, used by benchmark reporting."""
-
-    rows_examined: int = 0
-    rows_matched: int = 0
-    cells_visited: int = 0
-    extra: Dict[str, float] = field(default_factory=dict)
-
-    def merge(self, other: "PredicateStats") -> "PredicateStats":
-        """Accumulate another stats object into this one and return self."""
-        self.rows_examined += other.rows_examined
-        self.rows_matched += other.rows_matched
-        self.cells_visited += other.cells_visited
-        for key, value in other.extra.items():
-            self.extra[key] = self.extra.get(key, 0.0) + value
-        return self

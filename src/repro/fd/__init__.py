@@ -13,12 +13,7 @@ from repro.fd.bayesian import BayesianLinearRegression, PosteriorSummary
 from repro.fd.bucketing import BucketGrid, BucketingConfig, build_training_set
 from repro.fd.margins import MarginEstimate, estimate_margins
 from repro.fd.detection import DetectionConfig, FDCandidate, detect_soft_fds, evaluate_pair
-from repro.fd.groups import (
-    FDGroup,
-    build_groups,
-    combined_inlier_mask,
-    per_model_inlier_masks,
-)
+from repro.fd.groups import FDGroup, build_groups, per_model_inlier_masks
 
 __all__ = [
     "FDModel",
@@ -38,6 +33,5 @@ __all__ = [
     "evaluate_pair",
     "FDGroup",
     "build_groups",
-    "combined_inlier_mask",
     "per_model_inlier_masks",
 ]

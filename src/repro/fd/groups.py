@@ -24,7 +24,6 @@ __all__ = [
     "UnionFind",
     "build_groups",
     "per_model_inlier_masks",
-    "combined_inlier_mask",
 ]
 
 
@@ -142,29 +141,6 @@ def per_model_inlier_masks(
                 predictor_values, dependent_values
             )
     return masks
-
-
-def combined_inlier_mask(
-    groups: Sequence["FDGroup"],
-    columns: Mapping[str, np.ndarray],
-    *,
-    n_rows: Optional[int] = None,
-) -> np.ndarray:
-    """Mask of rows inside every margin of every group (primary-index rows).
-
-    With no groups every row is an inlier, which is why ``n_rows`` may be
-    passed explicitly (an empty group list cannot reveal the batch length).
-    """
-    if n_rows is None:
-        for array in columns.values():
-            n_rows = len(array)
-            break
-        else:
-            n_rows = 0
-    mask = np.ones(int(n_rows), dtype=bool)
-    for group in groups:
-        mask &= group.inlier_mask(columns)
-    return mask
 
 
 #: Callback used by :func:`build_groups` to (re)fit a model for a specific

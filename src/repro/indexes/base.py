@@ -458,7 +458,7 @@ class MultidimensionalIndex(ABC):
             self._row_id_order = np.argsort(self._row_ids, kind="stable")
             self._sorted_row_ids = self._row_ids[self._row_id_order]
         located = np.searchsorted(self._sorted_row_ids, row_ids)
-        located = np.clip(located, 0, len(self._sorted_row_ids) - 1)
+        np.minimum(located, len(self._sorted_row_ids) - 1, out=located)
         valid = self._sorted_row_ids[located] == row_ids
         return self._row_id_order[located[valid]]
 
@@ -508,11 +508,8 @@ class MultidimensionalIndex(ABC):
         if self._row_id_order is None or self._sorted_row_ids is None:
             self._row_id_order = np.argsort(self._row_ids, kind="stable")
             self._sorted_row_ids = self._row_ids[self._row_id_order]
-        located = np.clip(
-            np.searchsorted(self._sorted_row_ids, row_ids),
-            0,
-            len(self._sorted_row_ids) - 1,
-        )
+        located = np.searchsorted(self._sorted_row_ids, row_ids)
+        np.minimum(located, len(self._sorted_row_ids) - 1, out=located)
         found = self._sorted_row_ids[located] == row_ids
         if self._tombstone is None:
             return found

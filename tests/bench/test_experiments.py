@@ -49,6 +49,14 @@ class TestTable1:
         assert 0.6 <= osm["primary_ratio"] <= 0.9
         # Airline must reduce to fewer indexed than total dimensions.
         assert airline["indexed_dims"] < airline["dimensions"]
+        # The paper notes and dimension counts match table1.PAPER_VALUES.
+        assert result.notes[:2] == [
+            "paper: Airline correlated dims (3, 3), indexed 2-4, primary ratio 92%",
+            "paper: OSM correlated dims (2,), indexed 3, primary ratio 73%",
+        ]
+        assert [row["dimensions"] for row in result.rows] == [
+            table1.PAPER_VALUES[row["dataset"]]["dimensions"] for row in result.rows
+        ]
 
 
 class TestFig4:

@@ -23,6 +23,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.core.coax import COAXIndex
 from repro.core.config import COAXConfig, EngineConfig, LayoutConfig, MaintenanceConfig
 from repro.core.engine import EngineClosedError, ShardedCOAX
+from repro.core.layout import LayoutProposal
 from repro.data.executors import TopK
 from repro.data.predicates import Interval, Rectangle
 from repro.data.table import Table
@@ -122,7 +123,7 @@ class TestConstruction:
         engine = build_engine(table, 3, 1, partitioning="hash")
         assert engine.partition_dimension is None
         for global_id in (0, 1, 2, 5, 399):
-            shard_no = int(engine._shard_of[global_id])
+            [(shard_no, _, _)] = engine._locate(np.array([global_id], dtype=np.int64))
             assert shard_no == global_id % 3
 
     def test_mapping_round_trips_every_global_id(self):
@@ -131,8 +132,9 @@ class TestConstruction:
         for shard_no, shard in enumerate(engine.shards):
             locals_ = np.arange(shard.n_rows, dtype=np.int64)
             globals_ = engine._global_of[shard_no][locals_]
-            assert np.all(engine._shard_of[globals_] == shard_no)
-            assert np.array_equal(engine._local_of[globals_], locals_)
+            [(located_shard, selector, located_locals)] = engine._locate(globals_)
+            assert located_shard == shard_no and selector.all()
+            assert np.array_equal(located_locals, locals_)
 
     def test_more_shards_than_rows_tolerated(self):
         table = linear_table(3, n=5)
@@ -242,8 +244,6 @@ class TestPruning:
             np.array([local_id], dtype=np.int64),
         )
         shard._next_row_id = local_id + 1
-        engine._shard_of = np.concatenate([engine._shard_of, [3]])
-        engine._local_of = np.concatenate([engine._local_of, [local_id]])
         engine._global_of[3] = np.concatenate(
             [engine._global_of[3], [engine.next_row_id]]
         )
@@ -455,6 +455,104 @@ class TestReLayoutEquivalenceProperty:
         finally:
             for engine in engines.values():
                 engine.close()
+
+
+#: Steps the mapping-invariant property draws its sequences from.
+MAPPING_STEPS = ("insert", "delete", "update", "compact_shard", "compact", "relayout", "reload")
+
+
+def assert_mapping_invariant(engine: ShardedCOAX, live_ids) -> None:
+    """Every ``_global_of[s]`` covers its shard's local ids, is strictly
+    ascending and disjoint from the others, and ``_locate`` agrees with a
+    brute-force dict built from the arrays — including for ids that no
+    shard holds, which must resolve to nothing."""
+    expected = {}
+    for shard_no, (shard, global_of) in enumerate(zip(engine.shards, engine._global_of)):
+        assert len(global_of) == shard.next_row_id, shard_no
+        assert np.all(np.diff(global_of) > 0), shard_no
+        for local_id, global_id in enumerate(global_of.tolist()):
+            assert global_id not in expected, global_id  # disjoint shards
+            expected[global_id] = (shard_no, local_id)
+    assert set(live_ids) <= set(expected)
+    probe = np.arange(-2, engine.next_row_id + 3, dtype=np.int64)
+    located = {}
+    for shard_no, selector, local in engine._locate(probe):
+        for global_id, local_id in zip(probe[selector].tolist(), local.tolist()):
+            assert global_id not in located, global_id
+            located[global_id] = (shard_no, local_id)
+    assert located == expected
+    # rows_live reports covered rows only (pending ones are not yet
+    # covered), but a dead or never-issued id must never read as live.
+    dead = np.isin(probe, np.fromiter(live_ids, dtype=np.int64), invert=True)
+    assert not engine.rows_live(probe[dead]).any()
+
+
+class TestMappingInvariantProperty:
+    """The derived id lookup is only correct while every shard's
+    ``_global_of`` stays strictly ascending and the shards stay disjoint.
+    Any sequence of writes, per-shard and full compactions, forced
+    re-layouts and save/load round trips, under range and hash
+    partitioning, must keep that invariant after every step."""
+
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        partitioning=st.sampled_from(["range", "hash"]),
+        steps=st.lists(st.sampled_from(MAPPING_STEPS), min_size=1, max_size=8),
+    )
+    @settings(
+        max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    def test_global_of_stays_ascending_disjoint_and_locatable(
+        self, seed, partitioning, steps, tmp_path_factory
+    ):
+        rng = np.random.default_rng(seed)
+        table = linear_table(seed, n=200)
+        engine = build_engine(table, 3, 1, partitioning=partitioning)
+        live = set(range(table.n_rows))
+        assert_mapping_invariant(engine, live)
+        try:
+            for step_no, step in enumerate(steps):
+                if step == "insert":
+                    x = rng.uniform(0.0, 100.0, size=int(rng.integers(1, 30)))
+                    ids = engine.insert_batch({"x": x, "y": 2.0 * x})
+                    live.update(ids.tolist())
+                elif step == "delete":
+                    doomed = rng.integers(-1, engine.next_row_id + 2, size=20)
+                    engine.delete_batch(doomed)
+                    live.difference_update(doomed.tolist())
+                elif step == "update" and live:
+                    pool = np.array(sorted(live), dtype=np.int64)
+                    targets = rng.choice(pool, size=min(len(pool), 10), replace=False)
+                    x = rng.uniform(0.0, 100.0, size=len(targets))
+                    engine.update_batch(targets, {"x": x, "y": 2.0 * x})
+                elif step == "compact_shard":
+                    engine.compact(shard=int(rng.integers(0, engine.n_shards)))
+                elif step == "relayout" and partitioning == "range":
+                    n_new = int(rng.integers(1, 5))
+                    boundaries = np.sort(rng.uniform(0.0, 100.0, size=n_new - 1))
+                    proposal = LayoutProposal(
+                        boundaries=tuple(boundaries.tolist()),
+                        n_shards=n_new,
+                        old_cost=1.0,
+                        new_cost=1.0,
+                        n_queries=0,
+                    )
+                    with engine.write_lock:
+                        engine._rebuild_layout(proposal, list(engine.groups))
+                elif step == "reload":
+                    path = tmp_path_factory.mktemp("mapping") / f"step{step_no}"
+                    save_index(engine, path)
+                    reloaded = load_engine(path)
+                    engine.close()
+                    engine = reloaded
+                else:
+                    # "compact", and the steps that do not apply here: a
+                    # re-layout under hash partitioning, an update with
+                    # no live row left.
+                    engine.compact()
+                assert_mapping_invariant(engine, live)
+        finally:
+            engine.close()
 
 
 class TestProcessExecutor:
@@ -896,6 +994,57 @@ class TestEnginePersistence:
             )
         # Insert routing keeps working against the restored boundaries.
         assert loaded.insert({"x": 50.0, "y": 100.0}) == engine.next_row_id
+
+    def test_archive_saved_after_relayout_loads(self, tmp_path):
+        """A re-layout keeps only live ids in the shard mappings, so the
+        archive no longer maps every issued id; it must still load, answer
+        like the oracle and issue the next id where the engine left off."""
+        table = linear_table(22)
+        oracle = COAXIndex(table, groups=linear_groups())
+        layout = LayoutConfig(enabled=True, min_queries=8, min_gain=1.0)
+        engine = build_engine(table, 2, 1, layout=layout)
+        doomed = np.arange(0, 400, 10, dtype=np.int64)
+        assert engine.delete_batch(doomed) == oracle.delete_batch(doomed) == 40
+        hot = [
+            Rectangle({"x": Interval(low, low + 3.0)})
+            for low in np.linspace(10.0, 20.0, 12)
+        ]
+        engine.batch_range_query(hot)
+        engine.compact()
+        oracle.compact()
+        assert engine.layout.epoch == 1
+        assert sum(len(ids) for ids in engine._global_of) == 360
+        path = save_index(engine, tmp_path / "engine")
+        loaded = load_engine(path)
+        assert_engine_matches_oracle(loaded, oracle, PROBES + hot)
+        assert not loaded.rows_live(doomed).any()
+        record = {"x": 50.0, "y": 100.0}
+        assert loaded.insert(record) == oracle.insert(record) == engine.next_row_id
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda ids: [ids[0], np.concatenate([ids[1][:-1], ids[0][-1:]])],
+            lambda ids: [ids[0][::-1].copy(), ids[1]],
+            lambda ids: [ids[0] + 1_000, ids[1]],
+            lambda ids: [ids[0] - 1_000, ids[1]],
+            lambda ids: [ids[0][:-1], ids[1]],
+        ],
+        ids=["overlapping", "descending", "past-next-id", "negative", "short"],
+    )
+    def test_corrupt_mapping_is_rejected(self, corrupt):
+        engine = build_engine(linear_table(23), 2, 1)
+        with pytest.raises(ValueError):
+            ShardedCOAX._from_shards(
+                engine.shards,
+                config=engine.config,
+                groups=engine.groups,
+                dimensions=engine.dimensions,
+                global_of=corrupt(engine._global_of),
+                next_global_id=engine.next_row_id,
+                boundaries=engine.shard_boundaries,
+                partition_dimension=engine.partition_dimension,
+            )
 
     def test_load_engine_wraps_flat_archives(self, tmp_path):
         table = linear_table(13)
