@@ -52,8 +52,6 @@ from repro.indexes import (
     RTreeIndex,
     SortedCellGridIndex,
     UniformGridIndex,
-    available_indexes,
-    create_index,
 )
 from repro.core import (
     COAXConfig,
@@ -72,10 +70,8 @@ from repro.io import (
     load_csv,
     load_engine,
     load_index,
-    load_npz,
     save_csv,
     save_index,
-    save_npz,
 )
 from repro.stats.profile import TableProfile, profile_table
 
@@ -109,8 +105,6 @@ __all__ = [
     "RTreeIndex",
     "SortedCellGridIndex",
     "UniformGridIndex",
-    "available_indexes",
-    "create_index",
     "COAXConfig",
     "COAXIndex",
     "EngineClosedError",
@@ -127,8 +121,6 @@ __all__ = [
     "UnsupportedFormatError",
     "load_csv",
     "save_csv",
-    "load_npz",
-    "save_npz",
     "TableProfile",
     "profile_table",
     "__version__",

@@ -16,8 +16,8 @@ from repro.bench.harness import (
     time_workload,
 )
 from repro.bench.reporting import ExperimentResult, format_table
-from repro.bench.export import export_all, export_csv, export_json
-from repro.bench.tuning import TuningResult, grid_search, tune_coax, tune_rtree
+from repro.bench.export import export_json
+from repro.bench.tuning import TuningResult, grid_search, tune_coax
 
 __all__ = [
     "ComparisonRow",
@@ -29,11 +29,8 @@ __all__ = [
     "time_workload",
     "ExperimentResult",
     "format_table",
-    "export_all",
-    "export_csv",
     "export_json",
     "TuningResult",
     "grid_search",
     "tune_coax",
-    "tune_rtree",
 ]

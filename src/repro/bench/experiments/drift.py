@@ -35,8 +35,10 @@ adaptivity must change performance, never results.
 The pass/fail gates are deterministic: the adaptive engine must retain a
 strictly higher primary fraction than the frozen one, examine strictly
 fewer rows per query on the ``range-predicted`` workload, and at least
-one model refresh must actually have fired.  (Wall-clock speedups are
-reported but not asserted — CI machines are noisy.)  ``smoke=True``
+one model refresh must actually have fired.  The rows carry each
+engine's wall clock, but no adaptive-vs-frozen wall-clock ratio is
+reported: the timed work is a few hundredths of a second, and the ratio
+ranged from 0.45x to 1.38x between runs.  ``smoke=True``
 shrinks everything to CI scale and keeps all gates, so a maintenance
 regression fails the pipeline next to the read-path, CRUD and scale
 gates.
@@ -248,7 +250,6 @@ def run(
         for workload_name, queries in workloads.items()
     }
 
-    latency: Dict[tuple, float] = {}
     examined: Dict[tuple, float] = {}
     for name, index in engines:
         for workload_name, queries in workloads.items():
@@ -264,7 +265,6 @@ def run(
                     f"{name} diverged from the full-scan oracle on "
                     f"{mismatched}/{len(queries)} {workload_name} queries"
                 )
-            latency[(name, workload_name)] = seconds
             examined[(name, workload_name)] = index.stats.rows_examined / max(
                 index.stats.queries, 1
             )
@@ -297,15 +297,11 @@ def run(
         f"({_refresh_count(adaptive)} model refreshes)"
     )
     for workload_name in workloads:
-        speedup = latency[("COAX (frozen)", workload_name)] / max(
-            latency[("COAX (adaptive)", workload_name)], 1e-9
-        )
         exam_ratio = examined[("COAX (frozen)", workload_name)] / max(
             examined[("COAX (adaptive)", workload_name)], 1e-9
         )
         notes.append(
-            f"adaptive vs frozen on {workload_name}: {speedup:.2f}x wall clock, "
-            f"{exam_ratio:.2f}x rows examined"
+            f"adaptive vs frozen on {workload_name}: {exam_ratio:.2f}x rows examined"
         )
 
     if adaptive_fraction <= frozen_fraction:

@@ -1,27 +1,26 @@
-"""Exporting experiment results to CSV and JSON.
+"""Exporting experiment results to JSON.
 
 The experiment drivers return :class:`~repro.bench.reporting.ExperimentResult`
 objects whose rows are exactly the series a plot of the corresponding paper
-figure would show.  These helpers write them to disk so they can be plotted
+figure would show.  :func:`export_json` writes them to disk so they can be plotted
 with any external tool (the library itself deliberately has no plotting
 dependency).
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 import platform
 import subprocess
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Dict, List, Optional, Union
 
 import numpy as np
 
 from repro.bench.reporting import ExperimentResult
 
-__all__ = ["export_csv", "export_json", "export_all", "host_stamp", "STANDARD_FIELDS"]
+__all__ = ["export_json", "host_stamp", "STANDARD_FIELDS"]
 
 PathLike = Union[str, Path]
 
@@ -38,23 +37,6 @@ STANDARD_FIELDS = {
 def _standardised_rows(result: ExperimentResult) -> List[dict]:
     """The result rows with the standard fields filled in."""
     return [{**STANDARD_FIELDS, **row} for row in result.rows]
-
-
-def export_csv(result: ExperimentResult, path: PathLike) -> Path:
-    """Write the result rows as a CSV file with a unified header."""
-    path = Path(path)
-    rows = _standardised_rows(result)
-    columns: List[str] = []
-    for row in rows:
-        for key in row:
-            if key not in columns:
-                columns.append(key)
-    with path.open("w", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=columns, restval="")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
-    return path
 
 
 def _git_sha() -> Optional[str]:
@@ -95,14 +77,3 @@ def export_json(result: ExperimentResult, path: PathLike) -> Path:
     }
     path.write_text(json.dumps(payload, indent=2, default=str))
     return path
-
-
-def export_all(results: Iterable[ExperimentResult], directory: PathLike) -> List[Path]:
-    """Export every result to ``<directory>/<experiment>.csv`` and ``.json``."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    written: List[Path] = []
-    for result in results:
-        written.append(export_csv(result, directory / f"{result.experiment}.csv"))
-        written.append(export_json(result, directory / f"{result.experiment}.json"))
-    return written

@@ -9,7 +9,7 @@ leaf capacity) of the R-Tree."
 This module implements that tuning step as a small, honest grid search: for
 each candidate configuration the index is built, a (sub)workload is timed,
 results are verified against ground truth, and the fastest configuration
-wins.  Convenience wrappers cover the four structures the paper tunes.
+wins.  :func:`tune_coax` wraps it for COAX's primary cell count.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.bench.harness import execute_workload
 from repro.core.coax import COAXIndex
@@ -25,18 +25,12 @@ from repro.core.config import COAXConfig
 from repro.data.queries import QueryWorkload
 from repro.data.table import Table
 from repro.indexes.base import IndexBuildError, MultidimensionalIndex
-from repro.indexes.column_files import ColumnFilesIndex
-from repro.indexes.rtree import RTreeIndex
-from repro.indexes.uniform_grid import UniformGridIndex
 
 __all__ = [
     "TuningTrial",
     "TuningResult",
     "grid_search",
     "tune_coax",
-    "tune_rtree",
-    "tune_uniform_grid",
-    "tune_column_files",
 ]
 
 #: Builds an index from a table and one parameter assignment.
@@ -79,23 +73,6 @@ class TuningResult:
     def best_params(self) -> Dict[str, object]:
         """Parameters of the best trial."""
         return dict(self.best.params)
-
-    def as_rows(self) -> List[Dict[str, object]]:
-        """Row dicts for the text reporter."""
-        rows = []
-        for trial in self.trials:
-            row: Dict[str, object] = dict(trial.params)
-            row.update(
-                {
-                    "mean_ms": round(trial.mean_query_ms, 3),
-                    "build_s": round(trial.build_seconds, 3),
-                    "dir_bytes": trial.directory_bytes,
-                }
-            )
-            if trial.failed:
-                row["failed"] = trial.failure_reason
-            rows.append(row)
-        return rows
 
 
 def grid_search(
@@ -160,9 +137,6 @@ def grid_search(
     return result
 
 
-# ----------------------------------------------------------------------
-# Convenience wrappers for the structures the paper tunes
-# ----------------------------------------------------------------------
 def tune_coax(
     table: Table,
     workload: QueryWorkload,
@@ -205,59 +179,3 @@ def tune_coax(
         min_primary_fraction=base.min_primary_fraction,
     )
     return best_config, result
-
-
-def tune_rtree(
-    table: Table,
-    workload: QueryWorkload,
-    *,
-    capacity_candidates: Sequence[int] = (2, 4, 8, 12, 16, 24, 32),
-) -> Tuple[int, TuningResult]:
-    """Tune the R-Tree node capacity (paper: 2..32, best usually 8-12)."""
-
-    def factory(data: Table, params: Dict[str, object]) -> MultidimensionalIndex:
-        return RTreeIndex(data, node_capacity=int(params["node_capacity"]))
-
-    result = grid_search(table, workload, factory, {"node_capacity": list(capacity_candidates)})
-    return int(result.best_params["node_capacity"]), result
-
-
-def tune_uniform_grid(
-    table: Table,
-    workload: QueryWorkload,
-    *,
-    cells_candidates: Sequence[int] = (2, 4, 6, 8, 12, 16),
-) -> Tuple[int, TuningResult]:
-    """Tune the full grid's cells-per-dimension ("chunk size")."""
-
-    def factory(data: Table, params: Dict[str, object]) -> MultidimensionalIndex:
-        return UniformGridIndex(data, cells_per_dim=int(params["cells_per_dim"]))
-
-    result = grid_search(table, workload, factory, {"cells_per_dim": list(cells_candidates)})
-    return int(result.best_params["cells_per_dim"]), result
-
-
-def tune_column_files(
-    table: Table,
-    workload: QueryWorkload,
-    *,
-    cells_candidates: Sequence[int] = (2, 4, 8, 16),
-    sort_candidates: Optional[Iterable[str]] = None,
-) -> Tuple[Dict[str, object], TuningResult]:
-    """Tune Column Files' cell count and sorted dimension."""
-    sort_dims = list(sort_candidates) if sort_candidates is not None else list(table.schema)
-
-    def factory(data: Table, params: Dict[str, object]) -> MultidimensionalIndex:
-        return ColumnFilesIndex(
-            data,
-            cells_per_dim=int(params["cells_per_dim"]),
-            sort_dimension=str(params["sort_dimension"]),
-        )
-
-    result = grid_search(
-        table,
-        workload,
-        factory,
-        {"cells_per_dim": list(cells_candidates), "sort_dimension": sort_dims},
-    )
-    return result.best_params, result

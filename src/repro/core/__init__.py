@@ -24,7 +24,6 @@ from repro.core.results import (
     QueryResult,
     merge_flat_row_ids,
     merge_row_ids,
-    merge_row_ids_batch,
 )
 from repro.core.coax import COAXIndex, COAXBuildReport
 
@@ -47,7 +46,6 @@ __all__ = [
     "QueryResult",
     "merge_row_ids",
     "merge_flat_row_ids",
-    "merge_row_ids_batch",
     "COAXIndex",
     "COAXBuildReport",
 ]

@@ -64,7 +64,7 @@ from repro.data.table import Table
 from repro.fd.detection import DetectionConfig, FDCandidate, detect_soft_fds, evaluate_pair
 from repro.fd.groups import FDGroup, build_groups
 from repro.fd.maintenance import REFIT, REUSE, MaintenanceManager
-from repro.indexes.base import IndexBuildError, MultidimensionalIndex, QueryStats, register_index
+from repro.indexes.base import IndexBuildError, MultidimensionalIndex, QueryStats
 from repro.indexes.grid_file import SortedCellGridIndex
 from repro.indexes.rtree import RTreeIndex
 from repro.indexes.uniform_grid import UniformGridIndex
@@ -143,11 +143,8 @@ class COAXBuildReport:
         return "\n".join(lines)
 
 
-@register_index
 class COAXIndex(MultidimensionalIndex):
     """Correlation-aware multidimensional primary index."""
-
-    name = "coax"
 
     def __init__(
         self,

@@ -516,12 +516,6 @@ class DeltaStore:
         ids = self._row_ids[: self._size][mask]
         return select_topk(keys, ids, spec.k, largest=spec.largest)
 
-    def pending_table(self) -> Optional[Table]:
-        """The buffered records as a :class:`Table` (``None`` when empty)."""
-        if self._size == 0:
-            return None
-        return Table({name: self.column(name).copy() for name in self._schema})
-
     # ------------------------------------------------------------------
     # Persistence
     # ------------------------------------------------------------------

@@ -73,7 +73,7 @@ from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from repro.core.coax import COAXBuildReport, COAXIndex, learn_groups
+from repro.core.coax import COAXIndex, learn_groups
 from repro.core.config import COAXConfig, EngineConfig
 from repro.core.delta import BatchLike, coerce_batch
 from repro.core.layout import LayoutMonitor, LayoutProposal
@@ -132,8 +132,6 @@ class ShardedCOAX(MultidimensionalIndex):
     ``delete_batch`` / ``update_batch`` / ``compact`` — routed per shard
     through the global-id mapping.
     """
-
-    name = "sharded_coax"
 
     def __init__(
         self,
@@ -448,11 +446,6 @@ class ShardedCOAX(MultidimensionalIndex):
     def shard_boundaries(self) -> np.ndarray:
         """Range-partition boundaries (``n_shards - 1`` ascending values)."""
         return self._boundaries
-
-    @property
-    def shard_reports(self) -> List[COAXBuildReport]:
-        """Per-shard build reports, in shard order."""
-        return [shard.build_report for shard in self._shards]
 
     @property
     def n_rows(self) -> int:

@@ -23,7 +23,6 @@ from repro.fd.groups import FDGroup
 __all__ = [
     "translated_predictor_interval",
     "translate_query",
-    "translated_predictor_intervals_batch",
     "translate_bounds_batch",
     "translate_query_batch",
     "rewritten_queries_from_bounds",
@@ -109,21 +108,6 @@ def _group_effective_bounds(
         lows = np.maximum(lows, translated_lows)
         highs = np.minimum(highs, translated_highs)
     return lows, highs
-
-
-def translated_predictor_intervals_batch(
-    queries: Sequence[Rectangle], group: FDGroup
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Effective predictor bounds of one group for a whole query batch.
-
-    The vectorized counterpart of :func:`translated_predictor_interval`:
-    the margin/inverse-model evaluation runs once over bound arrays
-    covering every query instead of once per query.  Returns parallel
-    ``(lows, highs)`` arrays; ``lows[i] > highs[i]`` means no inlier can
-    match query ``i``.
-    """
-    queries = list(queries)
-    return _group_effective_bounds(batch_bounds(queries), len(queries), group)
 
 
 def translate_bounds_batch(

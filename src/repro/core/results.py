@@ -19,7 +19,6 @@ __all__ = [
     "QueryResult",
     "merge_row_ids",
     "merge_flat_row_ids",
-    "merge_row_ids_batch",
     "split_counter_evenly",
 ]
 
@@ -93,29 +92,6 @@ def merge_flat_row_ids(
     counts = np.bincount(out_qids, minlength=n_queries)
     ends = counts.cumsum()
     return [out_ids[end - count : end] for count, end in zip(counts, ends)]
-
-
-def merge_row_ids_batch(parts_per_query: Sequence[Sequence[np.ndarray]]) -> List[np.ndarray]:
-    """Per-query sorted unions for a whole batch in one vectorized pass.
-
-    ``parts_per_query[i]`` holds the result fragments (primary, outlier,
-    pending, ...) of query ``i``.  Instead of one ``np.unique`` dispatch per
-    query, all fragments are flattened into one ``(row id, query id)``
-    stream and merged by :func:`merge_flat_row_ids` with a single sort;
-    each output is identical to ``merge_row_ids`` of that query's
-    fragments.
-    """
-    n_queries = len(parts_per_query)
-    lengths = np.array(
-        [sum(len(part) for part in parts) for parts in parts_per_query], dtype=np.int64
-    )
-    if int(lengths.sum()) == 0:
-        return [np.empty(0, dtype=np.int64) for _ in range(n_queries)]
-    ids = np.concatenate(
-        [np.asarray(part, dtype=np.int64) for parts in parts_per_query for part in parts]
-    )
-    qids = np.repeat(np.arange(n_queries, dtype=np.int64), lengths)
-    return merge_flat_row_ids(ids, qids, n_queries)
 
 
 @dataclass

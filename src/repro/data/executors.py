@@ -241,15 +241,6 @@ class AggregatePartial:
         np.minimum.at(self.minimum, slots, other.minimum)
         np.maximum.at(self.maximum, slots, other.maximum)
 
-    def take(self, slots: np.ndarray) -> "AggregatePartial":
-        """Dense copy of the accumulator rows for the query subset ``slots``."""
-        return AggregatePartial(
-            count=self.count[slots],
-            total=self.total[slots],
-            minimum=self.minimum[slots],
-            maximum=self.maximum[slots],
-        )
-
     def finalize(self, spec: Aggregate) -> np.ndarray:
         """Per-query results of ``spec`` (int64 for COUNT, float64 otherwise).
 

@@ -84,20 +84,6 @@ class Interval:
             return self
         return Interval(min(self.low, other.low), max(self.high, other.high))
 
-    def expand(self, below: float, above: float) -> "Interval":
-        """Widen the interval by ``below`` on the left and ``above`` on the right."""
-        if below < 0 or above < 0:
-            raise ValueError("expansion amounts must be non-negative")
-        return Interval(self.low - below, self.high + above)
-
-    def clamp(self, low: float, high: float) -> "Interval":
-        """Restrict the interval to ``[low, high]``."""
-        return self.intersect(Interval(low, high))
-
-    def overlaps(self, other: "Interval") -> bool:
-        """True when the two intervals share at least one value."""
-        return not self.intersect(other).is_empty
-
     @classmethod
     def point(cls, value: float) -> "Interval":
         """Interval containing exactly one value."""
@@ -141,17 +127,6 @@ class Rectangle:
     # Construction helpers
     # ------------------------------------------------------------------
     @classmethod
-    def from_bounds(
-        cls,
-        lows: Mapping[str, float],
-        highs: Mapping[str, float],
-    ) -> "Rectangle":
-        """Build a rectangle from parallel lower/upper bound mappings."""
-        if set(lows) != set(highs):
-            raise ValueError("lows and highs must cover the same attributes")
-        return cls({name: Interval(lows[name], highs[name]) for name in lows})
-
-    @classmethod
     def from_point(cls, point: Mapping[str, float]) -> "Rectangle":
         """Point query: every dimension constrained to a single value."""
         return cls({name: Interval.point(value) for name, value in point.items()})
@@ -164,11 +139,6 @@ class Rectangle:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    @property
-    def constrained_dims(self) -> Tuple[str, ...]:
-        """Names of the attributes that carry a real constraint."""
-        return tuple(self._intervals)
-
     @property
     def is_empty(self) -> bool:
         """True when any constraint is unsatisfiable."""
@@ -258,16 +228,6 @@ class Rectangle:
         else:
             merged[dim] = interval
         return Rectangle(merged)
-
-    def without_dims(self, dims: Iterable[str]) -> "Rectangle":
-        """Copy of the rectangle with constraints on ``dims`` dropped."""
-        drop = set(dims)
-        return Rectangle({n: iv for n, iv in self._intervals.items() if n not in drop})
-
-    def project(self, dims: Iterable[str]) -> "Rectangle":
-        """Copy keeping only constraints on ``dims``."""
-        keep = set(dims)
-        return Rectangle({n: iv for n, iv in self._intervals.items() if n in keep})
 
     def overlaps_box(self, lows: Mapping[str, float], highs: Mapping[str, float]) -> bool:
         """True when the rectangle intersects the axis-aligned box given by bounds."""

@@ -10,7 +10,7 @@ on it, but the dtype is configurable per column.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,22 +36,10 @@ class Schema:
         if not self.columns:
             raise ValueError("schema must contain at least one column")
 
-    @classmethod
-    def of(cls, *columns: str) -> "Schema":
-        """Convenience constructor: ``Schema.of("a", "b")``."""
-        return cls(tuple(columns))
-
     @property
     def n_dims(self) -> int:
         """Number of attributes."""
         return len(self.columns)
-
-    def index_of(self, column: str) -> int:
-        """Position of ``column`` in the schema order."""
-        try:
-            return self.columns.index(column)
-        except ValueError as exc:
-            raise KeyError(f"unknown column {column!r}") from exc
 
     def __contains__(self, column: str) -> bool:
         return column in self.columns
@@ -94,24 +82,6 @@ class Table:
         self._schema = Schema(tuple(names))
         self._columns = arrays
         self._n_rows = int(n_rows or 0)
-
-    # ------------------------------------------------------------------
-    # Construction helpers
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_matrix(cls, matrix: np.ndarray, columns: Sequence[str]) -> "Table":
-        """Build a table from a 2-D array whose columns follow ``columns``."""
-        matrix = np.asarray(matrix, dtype=np.float64)
-        if matrix.ndim != 2:
-            raise ValueError("matrix must be two-dimensional")
-        if matrix.shape[1] != len(columns):
-            raise ValueError("column name count does not match matrix width")
-        return cls({name: matrix[:, i] for i, name in enumerate(columns)})
-
-    @classmethod
-    def empty(cls, schema: Schema) -> "Table":
-        """Table with the given schema and zero rows."""
-        return cls({name: np.empty(0, dtype=np.float64) for name in schema})
 
     # ------------------------------------------------------------------
     # Introspection
@@ -170,12 +140,6 @@ class Table:
         array = self.column(name)
         return float(array.max()) if len(array) else 0.0
 
-    def bounds(self) -> Tuple[Dict[str, float], Dict[str, float]]:
-        """Per-column (mins, maxs) of the table."""
-        lows = {name: self.min(name) for name in self._schema}
-        highs = {name: self.max(name) for name in self._schema}
-        return lows, highs
-
     # ------------------------------------------------------------------
     # Row selection
     # ------------------------------------------------------------------
@@ -215,19 +179,6 @@ class Table:
             }
         )
 
-    def with_column(self, name: str, values: np.ndarray) -> "Table":
-        """Copy of the table with an extra (or replaced) column appended."""
-        values = np.asarray(values, dtype=np.float64)
-        if len(values) != self._n_rows:
-            raise ValueError("new column length does not match table")
-        merged = dict(self._columns)
-        merged[name] = values
-        return Table(merged)
-
-    def rename(self, mapping: Mapping[str, str]) -> "Table":
-        """Copy of the table with columns renamed according to ``mapping``."""
-        return Table({mapping.get(name, name): array for name, array in self._columns.items()})
-
     def iter_rows(self) -> Iterator[Dict[str, float]]:
         """Iterate over records as dicts (slow; intended for tests and examples)."""
         for row_id in range(self._n_rows):
@@ -235,14 +186,3 @@ class Table:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Table(n_rows={self._n_rows}, columns={list(self._schema)})"
-
-
-def concat_tables(tables: Iterable[Table]) -> Table:
-    """Concatenate an iterable of tables sharing one schema."""
-    tables = list(tables)
-    if not tables:
-        raise ValueError("need at least one table to concatenate")
-    result = tables[0]
-    for table in tables[1:]:
-        result = result.concat(table)
-    return result

@@ -203,10 +203,3 @@ class BayesianLinearRegression:
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Posterior-mean prediction for new inputs."""
         return self.posterior().predict(x)
-
-    def predictive_interval(self, x: np.ndarray, n_std: float = 2.0) -> Tuple[np.ndarray, np.ndarray]:
-        """Symmetric predictive band ``mean +/- n_std * noise_std``."""
-        summary = self.posterior()
-        centre = summary.predict(x)
-        half_width = n_std * summary.noise_std
-        return centre - half_width, centre + half_width

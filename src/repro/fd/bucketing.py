@@ -131,14 +131,6 @@ class BucketGrid:
         weights = self._counts[dense[:, 0], dense[:, 1]].astype(np.float64)
         return x_mid[dense[:, 0]], y_mid[dense[:, 1]], weights
 
-    def dense_fraction(self, threshold: int) -> float:
-        """Fraction of absorbed records falling in dense cells."""
-        total = self.total_count
-        if total == 0:
-            return 0.0
-        dense_mass = int(self._counts[self._counts > threshold].sum())
-        return dense_mass / total
-
     def memory_bytes(self) -> int:
         """Bytes used by the counts and the edge arrays."""
         return int(self._counts.nbytes + self._x_edges.nbytes + self._y_edges.nbytes)

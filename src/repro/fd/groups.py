@@ -102,22 +102,6 @@ class FDGroup:
         """Bytes occupied by the group's models."""
         return sum(model.memory_bytes() for model in self.models.values())
 
-    def inlier_mask(self, columns: Mapping[str, np.ndarray]) -> np.ndarray:
-        """Vectorised margin check of a whole batch against this group.
-
-        ``columns`` maps attribute names to equal-length arrays (a table, a
-        delta buffer, an insert batch).  Returns the boolean mask of rows
-        inside the margin band of *every* model of the group — one
-        ``within_margin`` call per model instead of a Python loop per row.
-        """
-        predictor_values = np.asarray(columns[self.predictor], dtype=np.float64)
-        mask = np.ones(len(predictor_values), dtype=bool)
-        for dependent in self.dependents:
-            model = self.models[dependent]
-            dependent_values = np.asarray(columns[dependent], dtype=np.float64)
-            mask &= model.within_margin(predictor_values, dependent_values)
-        return mask
-
 
 def per_model_inlier_masks(
     groups: Sequence["FDGroup"],

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["MarginEstimate", "estimate_margins", "estimate_margins_robust", "fixed_margins"]
+__all__ = ["MarginEstimate", "estimate_margins", "estimate_margins_robust"]
 
 
 @dataclass(frozen=True)
@@ -102,10 +102,3 @@ def estimate_margins_robust(
         eps_lb = eps_ub = max(eps_lb, eps_ub)
     coverage = float(np.mean((residuals >= -eps_lb) & (residuals <= eps_ub)))
     return MarginEstimate(eps_lb=eps_lb, eps_ub=eps_ub, coverage=coverage)
-
-
-def fixed_margins(epsilon: float) -> MarginEstimate:
-    """Symmetric fixed margins (used by the theory and ablation experiments)."""
-    if epsilon < 0:
-        raise ValueError("epsilon must be non-negative")
-    return MarginEstimate(eps_lb=epsilon, eps_ub=epsilon, coverage=float("nan"))

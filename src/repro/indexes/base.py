@@ -37,7 +37,7 @@ import threading
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Type
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -58,9 +58,6 @@ __all__ = [
     "IndexBuildError",
     "QueryStats",
     "MultidimensionalIndex",
-    "register_index",
-    "create_index",
-    "available_indexes",
 ]
 
 
@@ -272,9 +269,6 @@ class MultidimensionalIndex(ABC):
     filtering candidates, so results are always exact with respect to the
     full query rectangle.
     """
-
-    #: Short name used by the registry and benchmark reports.
-    name: str = "abstract"
 
     def __init__(
         self,
@@ -781,31 +775,3 @@ class MultidimensionalIndex(ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(n_rows={self.n_rows}, dims={list(self._dimensions)})"
-
-
-# ----------------------------------------------------------------------
-# Registry
-# ----------------------------------------------------------------------
-_REGISTRY: Dict[str, Type[MultidimensionalIndex]] = {}
-
-
-def register_index(cls: Type[MultidimensionalIndex]) -> Type[MultidimensionalIndex]:
-    """Class decorator adding an index type to the global registry."""
-    if not cls.name or cls.name == "abstract":
-        raise ValueError("registered indexes must define a unique name")
-    _REGISTRY[cls.name] = cls
-    return cls
-
-
-def create_index(name: str, table: Table, **kwargs) -> MultidimensionalIndex:
-    """Instantiate a registered index by name."""
-    try:
-        cls = _REGISTRY[name]
-    except KeyError as exc:
-        raise KeyError(f"unknown index {name!r}; available: {sorted(_REGISTRY)}") from exc
-    return cls(table, **kwargs)
-
-
-def available_indexes() -> List[str]:
-    """Names of all registered index types."""
-    return sorted(_REGISTRY)

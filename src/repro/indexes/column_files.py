@@ -28,17 +28,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.data.table import Table
-from repro.indexes.base import register_index
 from repro.indexes.grid_file import SortedCellGridIndex
 
 __all__ = ["ColumnFilesIndex"]
 
 
-@register_index
 class ColumnFilesIndex(SortedCellGridIndex):
     """CDF-aligned grid over all attributes with one in-cell sorted attribute."""
-
-    name = "column_files"
 
     def __init__(
         self,

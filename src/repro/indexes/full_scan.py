@@ -20,16 +20,13 @@ import numpy as np
 
 from repro.data.executors import Aggregate, AggregatePartial, TopK
 from repro.data.predicates import Rectangle
-from repro.indexes.base import MultidimensionalIndex, register_index
+from repro.indexes.base import MultidimensionalIndex
 
 __all__ = ["FullScanIndex"]
 
 
-@register_index
 class FullScanIndex(MultidimensionalIndex):
     """Scan every record for every query."""
-
-    name = "full_scan"
 
     def _match_mask(self, query: Rectangle) -> np.ndarray:
         """Live-and-matching boolean mask over every covered position."""

@@ -36,7 +36,7 @@ import numpy as np
 from repro.data.executors import Aggregate, AggregatePartial, point_distances, select_topk
 from repro.data.predicates import Rectangle, batch_bounds, batch_live
 from repro.data.table import Table
-from repro.indexes.base import IndexBuildError, MultidimensionalIndex, register_index
+from repro.indexes.base import IndexBuildError, MultidimensionalIndex
 from repro.indexes.kernels import (
     SMALL_QUERY_CELLS,
     axis_cell_ranges,
@@ -59,11 +59,8 @@ from repro.stats.quantiles import quantile_boundaries
 __all__ = ["SortedCellGridIndex"]
 
 
-@register_index
 class SortedCellGridIndex(MultidimensionalIndex):
     """Grid file with quantile boundaries and an in-cell sorted dimension."""
-
-    name = "sorted_cell_grid"
 
     def __init__(
         self,

@@ -1,55 +1,14 @@
 """Memory accounting helpers.
 
 Figure 8 of the paper plots query runtime against the *memory overhead* of
-each index — the directory structure kept on top of the raw records.  This
-module turns the per-index accounting exposed by
-:meth:`~repro.indexes.base.MultidimensionalIndex.directory_bytes` into a
-uniform report object used by the benchmark harness and the CLI.
+each index — the directory structure kept on top of the raw records, as
+:meth:`~repro.indexes.base.MultidimensionalIndex.directory_bytes` reports
+it.  :func:`format_bytes` prints such counts for people.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Mapping
-
-from repro.indexes.base import MultidimensionalIndex
-
-__all__ = ["MemoryReport", "memory_report", "format_bytes"]
-
-
-@dataclass(frozen=True)
-class MemoryReport:
-    """Memory breakdown of one index instance."""
-
-    name: str
-    directory_bytes: int
-    data_bytes: int
-    n_rows: int
-
-    @property
-    def total_bytes(self) -> int:
-        """Directory plus data."""
-        return self.directory_bytes + self.data_bytes
-
-    @property
-    def overhead_ratio(self) -> float:
-        """Directory bytes relative to data bytes (0 when there is no data)."""
-        return self.directory_bytes / self.data_bytes if self.data_bytes else 0.0
-
-    @property
-    def bytes_per_row(self) -> float:
-        """Directory bytes per indexed record."""
-        return self.directory_bytes / self.n_rows if self.n_rows else 0.0
-
-
-def memory_report(index: MultidimensionalIndex, name: str = "") -> MemoryReport:
-    """Build a :class:`MemoryReport` for an index instance."""
-    return MemoryReport(
-        name=name or index.name,
-        directory_bytes=index.directory_bytes(),
-        data_bytes=index.data_bytes(),
-        n_rows=index.n_rows,
-    )
+__all__ = ["format_bytes"]
 
 
 def format_bytes(n_bytes: float) -> str:
@@ -60,13 +19,3 @@ def format_bytes(n_bytes: float) -> str:
             return f"{value:.1f} {unit}"
         value /= 1024.0
     return f"{value:.1f} TB"
-
-
-def compare_reports(reports: Mapping[str, MemoryReport]) -> Dict[str, float]:
-    """Directory sizes of every report relative to the smallest one."""
-    if not reports:
-        return {}
-    smallest = min(max(report.directory_bytes, 1) for report in reports.values())
-    return {
-        name: max(report.directory_bytes, 1) / smallest for name, report in reports.items()
-    }

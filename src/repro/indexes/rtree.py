@@ -7,9 +7,7 @@ between 8 and 12; the capacity is a constructor parameter here so the
 Figure 8 sweep can reproduce that tuning.
 
 The tree is bulk-loaded with the Sort-Tile-Recursive (STR) algorithm, which
-gives well-packed nodes for static data, and additionally supports
-incremental insertion (least-enlargement descent with quadratic node
-splits) so COAX's update path can reuse it for the outlier index.
+gives well-packed nodes for static data.
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ import numpy as np
 
 from repro.data.predicates import Rectangle
 from repro.data.table import Table
-from repro.indexes.base import IndexBuildError, MultidimensionalIndex, register_index
+from repro.indexes.base import IndexBuildError, MultidimensionalIndex
 
 __all__ = ["RTreeIndex", "RTreeNode"]
 
@@ -66,30 +64,13 @@ class RTreeNode:
                 self.lows = np.full(n_dims, np.inf)
                 self.highs = np.full(n_dims, -np.inf)
 
-    def extend_mbr(self, lows: np.ndarray, highs: np.ndarray) -> None:
-        """Grow the node MBR to cover the given box."""
-        self.lows = np.minimum(self.lows, lows)
-        self.highs = np.maximum(self.highs, highs)
-
     def intersects(self, lows: np.ndarray, highs: np.ndarray) -> bool:
         """True when the node MBR overlaps the query box."""
         return bool(np.all(self.lows <= highs) and np.all(self.highs >= lows))
 
 
-def _enlargement(node: RTreeNode, lows: np.ndarray, highs: np.ndarray) -> float:
-    """Volume increase needed for ``node`` to cover the box (choose-leaf metric)."""
-    current = np.prod(np.maximum(node.highs - node.lows, 0.0))
-    merged_lows = np.minimum(node.lows, lows)
-    merged_highs = np.maximum(node.highs, highs)
-    merged = np.prod(np.maximum(merged_highs - merged_lows, 0.0))
-    return float(merged - current)
-
-
-@register_index
 class RTreeIndex(MultidimensionalIndex):
     """STR-bulk-loaded R-Tree with tunable node capacity."""
-
-    name = "rtree"
 
     def __init__(
         self,
@@ -162,73 +143,6 @@ class RTreeIndex(MultidimensionalIndex):
         return nodes[0]
 
     # ------------------------------------------------------------------
-    # Incremental insertion
-    # ------------------------------------------------------------------
-    def insert_point(self, position: int) -> None:
-        """Insert the record at local position ``position`` into the tree.
-
-        Used by COAX's update path; ``position`` must index into the local
-        subset (i.e. it is a positional id, not an original row id).
-        """
-        if position < 0 or position >= len(self._points):
-            raise IndexError("position out of range for this index")
-        point = self._points[position]
-        split = self._insert_recursive(self._root, position, point)
-        if split is not None:
-            new_root = RTreeNode(is_leaf=False, n_dims=len(self._dimensions))
-            new_root.children = [self._root, split]
-            new_root.recompute_mbr(self._points)
-            self._root = new_root
-
-    def _insert_recursive(
-        self, node: RTreeNode, position: int, point: np.ndarray
-    ) -> Optional[RTreeNode]:
-        node.extend_mbr(point, point)
-        if node.is_leaf:
-            node.positions.append(int(position))
-            if node.n_entries > self._capacity:
-                return self._split_leaf(node)
-            return None
-        best_child = min(node.children, key=lambda child: _enlargement(child, point, point))
-        split = self._insert_recursive(best_child, position, point)
-        if split is not None:
-            node.children.append(split)
-            if node.n_entries > self._capacity:
-                return self._split_internal(node)
-        return None
-
-    def _split_leaf(self, node: RTreeNode) -> RTreeNode:
-        """Quadratic-style split of an overflowing leaf along the widest axis."""
-        positions = np.asarray(node.positions, dtype=np.int64)
-        block = self._points[positions]
-        spread = block.max(axis=0) - block.min(axis=0)
-        axis = int(np.argmax(spread))
-        order = np.argsort(block[:, axis], kind="stable")
-        half = len(order) // 2
-        keep, move = positions[order[:half]], positions[order[half:]]
-        node.positions = [int(p) for p in keep]
-        node.recompute_mbr(self._points)
-        sibling = RTreeNode(is_leaf=True, n_dims=len(self._dimensions))
-        sibling.positions = [int(p) for p in move]
-        sibling.recompute_mbr(self._points)
-        return sibling
-
-    def _split_internal(self, node: RTreeNode) -> RTreeNode:
-        """Split an overflowing internal node along the widest centre axis."""
-        centres = np.array([(child.lows + child.highs) / 2.0 for child in node.children])
-        spread = centres.max(axis=0) - centres.min(axis=0)
-        axis = int(np.argmax(spread))
-        order = np.argsort(centres[:, axis], kind="stable")
-        half = len(order) // 2
-        children = node.children
-        node.children = [children[int(i)] for i in order[:half]]
-        node.recompute_mbr(self._points)
-        sibling = RTreeNode(is_leaf=False, n_dims=len(self._dimensions))
-        sibling.children = [children[int(i)] for i in order[half:]]
-        sibling.recompute_mbr(self._points)
-        return sibling
-
-    # ------------------------------------------------------------------
     # Query
     # ------------------------------------------------------------------
     def _range_query_positions(self, query: Rectangle) -> np.ndarray:
@@ -277,11 +191,6 @@ class RTreeIndex(MultidimensionalIndex):
                 stack.extend(node.children)
         return node_bytes
 
-    @property
-    def node_capacity(self) -> int:
-        """Maximum entries per node."""
-        return self._capacity
-
     def height(self) -> int:
         """Height of the tree (1 for a single leaf root)."""
         height = 1
@@ -290,14 +199,3 @@ class RTreeIndex(MultidimensionalIndex):
             node = node.children[0]
             height += 1
         return height
-
-    def node_count(self) -> int:
-        """Total number of nodes."""
-        count = 0
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            count += 1
-            if not node.is_leaf:
-                stack.extend(node.children)
-        return count

@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.data.predicates import Rectangle
 from repro.data.table import Table
-from repro.indexes.base import IndexBuildError, MultidimensionalIndex, register_index
+from repro.indexes.base import IndexBuildError, MultidimensionalIndex
 from repro.indexes.kernels import (
     SMALL_QUERY_CELLS,
     axis_filter_needed,
@@ -55,11 +55,8 @@ def _capped_cells_per_dim(requested: int, n_dims: int, budget_cells: int) -> int
     return max(1, capped)
 
 
-@register_index
 class UniformGridIndex(MultidimensionalIndex):
     """Equi-width grid over every indexed dimension."""
-
-    name = "uniform_grid"
 
     def __init__(
         self,

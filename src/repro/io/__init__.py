@@ -3,8 +3,8 @@
 * :mod:`repro.io.persistence` — save and load COAX indexes (models, margins,
   partition and configuration) so an index built offline can be shipped next
   to the data it covers.
-* :mod:`repro.io.datasets` — load and store tables as CSV or ``.npz`` files,
-  with schema inference for CSV headers.
+* :mod:`repro.io.datasets` — load and store tables as CSV files, with
+  schema inference for CSV headers.
 """
 
 from repro.io.persistence import (
@@ -13,7 +13,7 @@ from repro.io.persistence import (
     load_index,
     save_index,
 )
-from repro.io.datasets import load_csv, load_npz, save_csv, save_npz
+from repro.io.datasets import load_csv, save_csv
 
 __all__ = [
     "save_index",
@@ -22,6 +22,4 @@ __all__ = [
     "UnsupportedFormatError",
     "load_csv",
     "save_csv",
-    "load_npz",
-    "save_npz",
 ]

@@ -1,9 +1,9 @@
-"""Loading and saving tables as CSV or ``.npz`` files.
+"""Loading and saving tables as CSV files.
 
 The synthetic generators cover the reproduction, but a downstream user will
 want to point COAX at their own data.  These helpers read a numeric CSV
-(with a header row) or a NumPy archive into a :class:`~repro.data.table.Table`
-and write tables back out.  Non-numeric CSV columns can either be skipped or
+(with a header row) into a :class:`~repro.data.table.Table` and write
+tables back out.  Non-numeric CSV columns can either be skipped or
 dictionary-encoded into float codes (COAX, like the paper's implementation,
 indexes numeric attributes only).
 """
@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.data.table import Table
 
-__all__ = ["load_csv", "save_csv", "load_npz", "save_npz", "encode_categories"]
+__all__ = ["load_csv", "save_csv", "encode_categories"]
 
 PathLike = Union[str, Path]
 
@@ -115,20 +115,4 @@ def save_csv(table: Table, path: PathLike, *, delimiter: str = ",") -> Path:
         matrix = table.to_matrix(names)
         for row in matrix:
             writer.writerow([repr(float(value)) for value in row])
-    return path
-
-
-def load_npz(path: PathLike) -> Table:
-    """Load a table from a NumPy archive (one array per column)."""
-    path = Path(path)
-    with np.load(path, allow_pickle=False) as archive:
-        columns = {name: archive[name] for name in archive.files}
-    return Table(columns)
-
-
-def save_npz(table: Table, path: PathLike) -> Path:
-    """Save a table as a compressed NumPy archive (one array per column)."""
-    path = Path(path)
-    with path.open("wb") as handle:
-        np.savez_compressed(handle, **{name: table.column(name) for name in table.schema})
     return path

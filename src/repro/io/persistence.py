@@ -44,9 +44,8 @@ delta section, v2 delta without per-model masks, v3 tombstones + masks,
 v4 the sharded archive, v5 drift-monitor state; see the git history for
 the blow-by-blow).  They all keep loading through a conversion shim —
 the loaders dispatch on *file* (npz, v1–v5) vs *directory with manifest*
-(v6+) — and saving a loaded index writes the current version.  ``save_index(...,
-layout="npz")`` still writes the v5 single-file layout for compatibility
-tooling and benchmarks.  :func:`load_engine` wraps any flat archive into
+(v6+) — and saving a loaded index writes the current version; nothing
+writes them any more.  :func:`load_engine` wraps any flat archive into
 a 1-shard engine; sharded archives remember the engine's ``workers``
 setting, which can be overridden at load time (a deployment knob, not
 part of the data).  Their ``executor`` key is written for compatibility
@@ -89,7 +88,6 @@ __all__ = [
     "load_engine",
     "UnsupportedFormatError",
     "FORMAT_VERSION",
-    "LEGACY_FORMAT_VERSION",
     "SHARDED_FORMAT_VERSION",
     "SUPPORTED_VERSIONS",
     "MANIFEST_NAME",
@@ -98,10 +96,6 @@ __all__ = [
 #: Version written for every archive (flat and sharded; the two layouts
 #: are distinguished by the presence of the ``engine`` header section).
 FORMAT_VERSION = 8
-
-#: The single-file ``.npz`` layout still written by
-#: ``save_index(..., layout="npz")`` for compatibility tooling.
-LEGACY_FORMAT_VERSION = 5
 
 #: Deprecated alias: since format 5 the version number no longer
 #: distinguishes the flat and sharded layouts — check for the ``engine``
@@ -346,9 +340,7 @@ def _restore_grid(
     )
 
 
-def _index_payload(
-    index: COAXIndex, *, structured: bool = True
-) -> Tuple[Dict, Dict[str, np.ndarray]]:
+def _index_payload(index: COAXIndex) -> Tuple[Dict, Dict[str, np.ndarray]]:
     """Flat-format ``(meta, arrays)`` of one COAX index (no file I/O).
 
     Shared by the flat save path and the per-shard sections of a sharded
@@ -357,9 +349,8 @@ def _index_payload(
     ``__row_ids__`` records their original ids so loading can scatter them
     back to their table positions — row ids survive a round trip even for
     subset-scoped indexes, which format v2 had to fold-and-renumber
-    instead.  With ``structured`` (the columnar layout), eligible indexes
-    additionally store their derived structures so loading reattaches
-    instead of rebuilding.
+    instead.  Eligible indexes additionally store their derived
+    structures so loading reattaches instead of rebuilding.
     """
     aligned = index.rows_aligned
     table = index.table if aligned else index.table.take(index.row_ids)
@@ -394,32 +385,9 @@ def _index_payload(
         # array per monitored model); no header field is needed.
         for name, state in index.maintenance.state().items():
             arrays[f"monitor::{name}"] = state
-    if structured and _structured_eligible(index):
+    if _structured_eligible(index):
         meta["structured"] = _structured_payload(index, arrays)
     return meta, arrays
-
-
-def _strip_structured(meta: Dict, arrays: Dict[str, np.ndarray]) -> None:
-    """Drop the v6+ sections for the legacy (v5) ``.npz`` layout."""
-    meta.pop("structured", None)
-    if "engine" in meta:
-        meta["engine"].pop("layout", None)
-    for key in [key for key in arrays if key.startswith("layout::")]:
-        del arrays[key]
-    for shard_meta in meta.get("shards", ()):
-        shard_meta.pop("structured", None)
-    structured_markers = ("partition::", "primary::", "outlier::")
-    for key in [
-        key
-        for key in arrays
-        if key.split("::", 1)[-1:] and any(
-            key.split("shard", 1)[-1].split("::", 1)[-1].startswith(marker)
-            if key.startswith("shard")
-            else key.startswith(marker)
-            for marker in structured_markers
-        )
-    ]:
-        del arrays[key]
 
 
 def _restore_structured_index(
@@ -672,18 +640,6 @@ def _read_columnar(path: Path) -> Tuple[Dict, Dict[str, np.ndarray]]:
     return meta, arrays
 
 
-def _write_npz(meta: Dict, arrays: Dict[str, np.ndarray], path: Path) -> Path:
-    """Write the legacy (v5) single-file ``.npz`` layout."""
-    meta = dict(meta)
-    arrays = dict(arrays)
-    _strip_structured(meta, arrays)
-    meta["format_version"] = LEGACY_FORMAT_VERSION
-    arrays["__meta__"] = np.array(json.dumps(meta))
-    with path.open("wb") as handle:
-        np.savez_compressed(handle, **arrays)
-    return path
-
-
 def _build_archive(index: Union[COAXIndex, ShardedCOAX]) -> Tuple[Dict, Dict[str, np.ndarray]]:
     """Assemble the full ``(meta, arrays)`` snapshot of an index or engine.
 
@@ -739,29 +695,19 @@ def _build_archive(index: Union[COAXIndex, ShardedCOAX]) -> Tuple[Dict, Dict[str
 def save_index(
     index: Union[COAXIndex, ShardedCOAX],
     path: Union[str, Path],
-    *,
-    layout: str = "columnar",
 ) -> Path:
     """Persist an index (data + learned state + delta store) to ``path``.
 
-    The default ``layout="columnar"`` writes a :data:`FORMAT_VERSION`
-    archive *directory*: one raw little-endian file per column/array plus a
-    ``manifest.json`` written last, assembled under a temporary name and
-    atomically renamed into place so readers never observe a torn
-    archive.  ``layout="npz"`` writes the legacy v5 single-file archive
-    (no structured-restore section) for compatibility tooling.  Both
-    layouts serve flat :class:`COAXIndex` and sharded :class:`ShardedCOAX`
-    snapshots — pending records, tombstones and drift-monitor state
-    included — so loading restores the exact pre-save state.  Returns the
-    path written.
+    Writes a :data:`FORMAT_VERSION` archive *directory*: one raw
+    little-endian file per column/array plus a ``manifest.json`` written
+    last, assembled under a temporary name and atomically renamed into
+    place so readers never observe a torn archive.  It serves flat
+    :class:`COAXIndex` and sharded :class:`ShardedCOAX` snapshots —
+    pending records, tombstones and drift-monitor state included — so
+    loading restores the exact pre-save state.  Returns the path written.
     """
-    path = Path(path)
-    if layout not in ("columnar", "npz"):
-        raise ValueError(f"layout must be 'columnar' or 'npz', got {layout!r}")
     meta, arrays = _build_archive(index)
-    if layout == "npz":
-        return _write_npz(meta, arrays, path)
-    return _write_columnar(meta, arrays, path)
+    return _write_columnar(meta, arrays, Path(path))
 
 
 def _restore_engine(

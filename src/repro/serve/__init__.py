@@ -35,7 +35,6 @@ from repro.serve.dispatcher import EngineDispatcher
 from repro.serve.protocol import ProtocolError
 from repro.serve.server import (
     CoalescingQueryServer,
-    QueryServer,
     ServerConfig,
     ServerNotStartedError,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "PendingQuery",
     "ProtocolError",
     "QueryCoalescer",
-    "QueryServer",
     "RemoteBadRequestError",
     "RemoteInternalError",
     "ServeClient",

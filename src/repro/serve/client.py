@@ -85,7 +85,7 @@ class ServeResult:
 
 
 class ServeClient:
-    """One pipelining connection to a :class:`~repro.serve.server.QueryServer`."""
+    """One pipelining connection to a :class:`~repro.serve.server.CoalescingQueryServer`."""
 
     def __init__(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter

@@ -192,11 +192,6 @@ class QueryCoalescer:
         """Clock time of the armed time trigger (``None`` when idle)."""
         return self._deadline
 
-    @property
-    def gap_ewma(self) -> Optional[float]:
-        """Smoothed inter-arrival gap in seconds (``None`` before two offers)."""
-        return self._gap_ewma
-
     def snapshot(self) -> Dict[str, float]:
         """Serving counters for stats endpoints and benchmark reports."""
         return {

@@ -1,8 +1,8 @@
 """Asyncio TCP serving front end over the sharded engine.
 
-:class:`QueryServer` is the connection/protocol layer;
-:class:`CoalescingQueryServer` routes admitted queries to the engine.
-Queries from all connections flow into one :class:`~repro.serve.coalescer.
+:class:`CoalescingQueryServer` speaks the wire protocol on every
+connection and routes admitted queries to the engine.  Queries from all
+connections flow into one :class:`~repro.serve.coalescer.
 QueryCoalescer`; micro-batches are flushed (size trigger, adaptive time
 trigger, or group commit — the instant an in-flight batch completes) to
 the :class:`~repro.serve.dispatcher.EngineDispatcher`, which runs them on
@@ -48,7 +48,6 @@ from repro.serve.protocol import (
 __all__ = [
     "ServerConfig",
     "ServerNotStartedError",
-    "QueryServer",
     "CoalescingQueryServer",
     "stats_to_wire",
 ]
@@ -92,14 +91,16 @@ class ServerConfig:
     backlog: int = 1024
 
 
-class QueryServer:
-    """Shared connection/protocol layer; subclasses route admitted queries."""
+class CoalescingQueryServer:
+    """Adaptive micro-batching front end (see the module docstring)."""
 
     def __init__(self, engine, *, config: Optional[ServerConfig] = None) -> None:
         self.config = config if config is not None else ServerConfig()
         self.dispatcher = EngineDispatcher(
             engine, max_workers=self.config.dispatch_workers
         )
+        self.coalescer = QueryCoalescer(self.config.coalescer)
+        self._flush_handle: Optional[asyncio.TimerHandle] = None
         self._server: Optional[asyncio.AbstractServer] = None
         self._connections: Set[asyncio.Task] = set()
         self._stopping = False
@@ -110,7 +111,7 @@ class QueryServer:
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    async def start(self) -> "QueryServer":
+    async def start(self) -> "CoalescingQueryServer":
         """Bind and start accepting connections; returns ``self``."""
         self._server = await asyncio.start_server(
             self._on_connection,
@@ -139,24 +140,28 @@ class QueryServer:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        self._drain_pending()
+        if self._flush_handle is not None:
+            self._flush_handle.cancel()
+            self._flush_handle = None
+        for entry in self.coalescer.take_batch():
+            if not entry.future.done():
+                entry.future.set_exception(
+                    EngineClosedError("server stopped before the query was dispatched")
+                )
         for task in list(self._connections):
             task.cancel()
         if self._connections:
             await asyncio.gather(*self._connections, return_exceptions=True)
         await asyncio.get_running_loop().run_in_executor(None, self.dispatcher.close)
 
-    async def __aenter__(self) -> "QueryServer":
+    async def __aenter__(self) -> "CoalescingQueryServer":
         return await self.start()
 
     async def __aexit__(self, *exc_info) -> None:
         await self.stop()
 
-    def _drain_pending(self) -> None:
-        """Subclass hook: fail queries still queued at stop time."""
-
     def snapshot(self) -> Dict[str, float]:
-        """Serving counters (extended by subclasses).
+        """Serving and coalescer counters.
 
         Engine-side pruning work (``shards_pruned`` / ``rows_examined``)
         and — when the engine runs workload-adaptive layout — the layout
@@ -180,6 +185,9 @@ class QueryServer:
         if layout is not None:
             counters["layout_epoch"] = layout.epoch
             counters["layout_observed"] = layout.observed
+        counters.update(
+            {f"coalescer_{key}": value for key, value in self.coalescer.snapshot().items()}
+        )
         return counters
 
     # ------------------------------------------------------------------
@@ -291,20 +299,8 @@ class QueryServer:
                 return
 
     # ------------------------------------------------------------------
-    # Admission — subclass responsibility
+    # Admission and flush machinery
     # ------------------------------------------------------------------
-    def _admit(self, entry: PendingQuery) -> None:
-        raise NotImplementedError
-
-
-class CoalescingQueryServer(QueryServer):
-    """Adaptive micro-batching front end (see the module docstring)."""
-
-    def __init__(self, engine, *, config: Optional[ServerConfig] = None) -> None:
-        super().__init__(engine, config=config)
-        self.coalescer = QueryCoalescer(self.config.coalescer)
-        self._flush_handle: Optional[asyncio.TimerHandle] = None
-
     def _admit(self, entry: PendingQuery) -> None:
         try:
             action = self.coalescer.offer(entry, busy=self.dispatcher.busy)
@@ -318,9 +314,6 @@ class CoalescingQueryServer(QueryServer):
         elif action == SCHEDULE:
             self._arm_timer()
 
-    # ------------------------------------------------------------------
-    # Flush machinery
-    # ------------------------------------------------------------------
     def _arm_timer(self) -> None:
         deadline = self.coalescer.deadline
         if deadline is None:
@@ -364,20 +357,3 @@ class CoalescingQueryServer(QueryServer):
             task.exception()  # dispatch() types errors onto the futures
         if not self._stopping and self.coalescer.n_waiting:
             self._flush_now()
-
-    def _drain_pending(self) -> None:
-        if self._flush_handle is not None:
-            self._flush_handle.cancel()
-            self._flush_handle = None
-        for entry in self.coalescer.take_batch():
-            if not entry.future.done():
-                entry.future.set_exception(
-                    EngineClosedError("server stopped before the query was dispatched")
-                )
-
-    def snapshot(self) -> Dict[str, float]:
-        merged = super().snapshot()
-        merged.update(
-            {f"coalescer_{key}": value for key, value in self.coalescer.snapshot().items()}
-        )
-        return merged

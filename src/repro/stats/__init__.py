@@ -9,11 +9,10 @@ Appendix G grid comparison).
 
 from repro.stats.correlation import (
     pearson_correlation,
-    spearman_correlation,
     soft_fd_strength,
 )
 from repro.stats.kl import kl_divergence_from_uniform, uniformity_score
-from repro.stats.quantiles import quantile_boundaries, empirical_cdf
+from repro.stats.quantiles import quantile_boundaries
 from repro.stats.csm import CentreSequence, build_centre_sequence, segment_stream
 from repro.stats.theory import (
     effectiveness_ratio,
@@ -22,18 +21,15 @@ from repro.stats.theory import (
     expected_segment_count,
     grid_cells_scanned,
     scanned_area,
-    result_area,
 )
 from repro.stats.profile import ColumnProfile, TableProfile, profile_table
 
 __all__ = [
     "pearson_correlation",
-    "spearman_correlation",
     "soft_fd_strength",
     "kl_divergence_from_uniform",
     "uniformity_score",
     "quantile_boundaries",
-    "empirical_cdf",
     "CentreSequence",
     "build_centre_sequence",
     "segment_stream",
@@ -43,7 +39,6 @@ __all__ = [
     "expected_segment_count",
     "grid_cells_scanned",
     "scanned_area",
-    "result_area",
     "ColumnProfile",
     "TableProfile",
     "profile_table",

@@ -16,7 +16,6 @@ import numpy as np
 
 __all__ = [
     "pearson_correlation",
-    "spearman_correlation",
     "soft_fd_strength",
     "fit_line",
 ]
@@ -40,16 +39,6 @@ def pearson_correlation(x: np.ndarray, y: np.ndarray) -> float:
     if x_std == 0.0 or y_std == 0.0:
         return 0.0
     return float(np.mean((x - x.mean()) * (y - y.mean())) / (x_std * y_std))
-
-
-def spearman_correlation(x: np.ndarray, y: np.ndarray) -> float:
-    """Spearman rank correlation (robust to monotone non-linearity)."""
-    x, y = _validate_pair(x, y)
-    if len(x) < 2:
-        return 0.0
-    x_ranks = np.argsort(np.argsort(x)).astype(np.float64)
-    y_ranks = np.argsort(np.argsort(y)).astype(np.float64)
-    return pearson_correlation(x_ranks, y_ranks)
 
 
 def fit_line(x: np.ndarray, y: np.ndarray) -> Tuple[float, float]:

@@ -19,7 +19,7 @@ This module provides:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -28,7 +28,6 @@ __all__ = [
     "build_centre_sequence",
     "segment_stream",
     "simulate_gap_stream",
-    "segment_lengths",
 ]
 
 
@@ -61,19 +60,6 @@ class CentreSequence:
         if len(self.centres) < 2:
             return np.empty(0, dtype=np.float64)
         return np.diff(self.centres)
-
-    def gap_statistics(self) -> Tuple[float, float]:
-        """(mean, standard deviation) of the gap distribution."""
-        gaps = self.gaps
-        if len(gaps) == 0:
-            return 0.0, 0.0
-        return float(gaps.mean()), float(gaps.std())
-
-    def empty_fraction(self, n_requested: int) -> float:
-        """Fraction of requested intervals that contained no data."""
-        if n_requested <= 0:
-            return 0.0
-        return 1.0 - self.n_intervals / n_requested
 
 
 def build_centre_sequence(
@@ -173,18 +159,3 @@ def segment_stream(
     if current_length:
         lengths.append(current_length)
     return lengths
-
-
-def segment_lengths(
-    x: np.ndarray,
-    y: np.ndarray,
-    epsilon: float,
-    n_intervals: int,
-) -> List[int]:
-    """Segment lengths of the CSM sequence of a real dataset.
-
-    Convenience wrapper combining :func:`build_centre_sequence` and
-    :func:`segment_stream`; used by the spline-capacity benchmarks.
-    """
-    sequence = build_centre_sequence(x, y, n_intervals)
-    return segment_stream(sequence.gaps, epsilon)

@@ -38,11 +38,6 @@ class ColumnProfile:
     n_distinct: int
     uniformity: float
 
-    @property
-    def is_nearly_constant(self) -> bool:
-        """True when the column carries (almost) no information."""
-        return self.n_distinct <= 1 or self.std == 0.0
-
 
 @dataclass
 class TableProfile:

@@ -8,11 +8,9 @@ quantiles along each dimension" (Section 6), and the Column Files baseline
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
-__all__ = ["quantile_boundaries", "empirical_cdf", "uniform_boundaries"]
+__all__ = ["quantile_boundaries", "uniform_boundaries"]
 
 
 def quantile_boundaries(values: np.ndarray, n_cells: int) -> np.ndarray:
@@ -56,13 +54,3 @@ def uniform_boundaries(values: np.ndarray, n_cells: int) -> np.ndarray:
     if high <= low:
         high = low + 1.0
     return np.linspace(low, high, n_cells + 1)
-
-
-def empirical_cdf(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Sorted values plus their empirical CDF positions in [0, 1]."""
-    values = np.asarray(values, dtype=np.float64)
-    if len(values) == 0:
-        return values, values
-    order = np.sort(values)
-    positions = np.arange(1, len(order) + 1, dtype=np.float64) / len(order)
-    return order, positions

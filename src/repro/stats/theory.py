@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 
 __all__ = [
-    "result_area",
     "scanned_area",
     "effectiveness_ratio",
     "expected_keys_per_segment",
@@ -25,16 +24,7 @@ __all__ = [
     "expected_segment_count",
     "mean_first_exit_time_with_drift",
     "grid_cells_scanned",
-    "box_aspect_ratio",
 ]
-
-
-def result_area(query_width: float, epsilon: float, slope: float) -> float:
-    """Area of the R-box (Equation 3): ``q_y * 2 eps / a``."""
-    _validate_positive(epsilon=epsilon, slope=slope)
-    if query_width < 0:
-        raise ValueError("query_width must be non-negative")
-    return query_width * 2.0 * epsilon / slope
 
 
 def scanned_area(query_width: float, epsilon: float, slope: float) -> float:
@@ -85,18 +75,6 @@ def mean_first_exit_time_with_drift(epsilon: float, sigma: float, drift: float) 
     if drift == 0.0:
         return expected_keys_per_segment(epsilon, sigma)
     return (epsilon / drift) * math.tanh(epsilon * drift / sigma**2)
-
-
-def box_aspect_ratio(
-    x_range: float, y_range: float, epsilon: float, slope: float
-) -> float:
-    """Equation 15: ratio between the length and the width of the B-box."""
-    _validate_positive(epsilon=epsilon, slope=slope)
-    if x_range < 0 or y_range < 0:
-        raise ValueError("ranges must be non-negative")
-    length = math.hypot(x_range, y_range)
-    width = 2.0 * epsilon / math.sqrt(1.0 + slope**2)
-    return length / width if width > 0 else math.inf
 
 
 def grid_cells_scanned(

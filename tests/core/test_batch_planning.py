@@ -9,8 +9,8 @@ two can never drift apart:
 * ``plan_query_flags`` (fed by ``translate_bounds_batch``) == the
   ``use_primary`` / ``use_outlier`` decisions of ``plan_query`` per query
 * ``translate_query_batch(qs)``   == ``[translate_query(q) for q in qs]``
-* ``translated_predictor_intervals_batch`` == the scalar interval per query
-* ``merge_row_ids_batch``         == ``merge_row_ids`` per query
+* ``translate_bounds_batch``'s predictor bounds == the scalar interval per query
+* ``merge_flat_row_ids``          == ``merge_row_ids`` per query
 * ``batch_overlaps_boxes``        == ``Rectangle.overlaps_box`` per (box, query)
 * the sharded engine's stacked shard pruning == ``plan_query_flags`` plus
   the delta-box check, shard by shard
@@ -33,9 +33,8 @@ from repro.core.query_translation import (
     translate_query,
     translate_query_batch,
     translated_predictor_interval,
-    translated_predictor_intervals_batch,
 )
-from repro.core.results import merge_row_ids, merge_row_ids_batch
+from repro.core.results import merge_flat_row_ids, merge_row_ids
 from repro.data.predicates import Interval, Rectangle, batch_bounds, batch_live
 from repro.data.table import Table
 from repro.fd.groups import FDGroup
@@ -132,7 +131,8 @@ class TestTranslateBatchParity:
     @settings(max_examples=40, deadline=None)
     def test_predictor_intervals_match_scalar(self, queries):
         for group in make_groups():
-            lows, highs = translated_predictor_intervals_batch(queries, group)
+            translated, _ = translate_bounds_batch(batch_bounds(queries), len(queries), [group])
+            lows, highs = translated[group.predictor]
             for i, query in enumerate(queries):
                 interval = translated_predictor_interval(query, group)
                 assert lows[i] == interval.low, (query, group.predictor)
@@ -152,7 +152,12 @@ class TestMergeBatchParity:
             ]
             for _ in range(n_queries)
         ]
-        merged = merge_row_ids_batch(parts_per_query)
+        lengths = [sum(len(part) for part in parts) for parts in parts_per_query]
+        ids = np.concatenate(
+            [part for parts in parts_per_query for part in parts] + [np.empty(0, np.int64)]
+        )
+        qids = np.repeat(np.arange(n_queries, dtype=np.int64), lengths)
+        merged = merge_flat_row_ids(ids, qids, n_queries)
         assert len(merged) == n_queries
         for parts, got in zip(parts_per_query, merged):
             assert np.array_equal(got, merge_row_ids(parts))

@@ -321,14 +321,6 @@ class TestStateRoundTrip:
         assert restored.inlier_mask.tolist() == store.inlier_mask.tolist()
         assert np.array_equal(restored.column("y"), store.column("y"))
 
-    def test_pending_table(self):
-        store = make_store()
-        assert store.pending_table() is None
-        store.append_batch(batch([1.0], [2.0]), np.array([0]))
-        table = store.pending_table()
-        assert isinstance(table, Table)
-        assert table.n_rows == 1
-
 
 class TestIncrementalHull:
     def test_box_tracks_appended_rows(self):

@@ -45,7 +45,7 @@ class TestKNNQueries:
             table, WorkloadConfig(n_queries=5, k_neighbours=30, dimensions=("a", "c"))
         )
         for query in workload:
-            assert set(query.constrained_dims) <= {"a", "c"}
+            assert {name for name, _ in query.items()} <= {"a", "c"}
             assert query.constrains("a")
 
     def test_each_query_matches_at_least_k_records(self, table):

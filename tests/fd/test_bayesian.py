@@ -109,16 +109,6 @@ class TestPrediction:
         assert predictions[0] == pytest.approx(1.0, abs=1e-3)
         assert predictions[1] == pytest.approx(5.0, abs=1e-3)
 
-    def test_predictive_interval_contains_most_points(self):
-        rng = np.random.default_rng(3)
-        x = rng.uniform(0.0, 100.0, size=5_000)
-        y = 2.0 * x + rng.normal(scale=3.0, size=5_000)
-        model = BayesianLinearRegression()
-        model.fit(x, y)
-        low, high = model.predictive_interval(x, n_std=2.0)
-        coverage = np.mean((y >= low) & (y <= high))
-        assert coverage > 0.9
-
 
 class TestPriorValidation:
     def test_invalid_prior_parameters(self):

@@ -61,14 +61,6 @@ class TestBucketGrid:
         # Dense-cell centres should themselves lie near the generating line.
         assert np.abs(cy - 2.0 * cx).max() < 15.0
 
-    def test_dense_fraction(self):
-        rng = np.random.default_rng(3)
-        x = rng.normal(0.0, 1.0, size=5_000)
-        y = x + rng.normal(scale=0.1, size=5_000)
-        grid = BucketGrid.from_sample(x, y, bucket_chunks=16)
-        assert 0.0 < grid.dense_fraction(threshold=3) <= 1.0
-        assert grid.dense_fraction(threshold=10**9) == 0.0
-
     def test_no_dense_cells(self):
         grid = BucketGrid(np.linspace(0, 1, 5), np.linspace(0, 1, 5))
         cx, cy, weights = grid.dense_cell_centres(threshold=1)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.fd.margins import estimate_margins, estimate_margins_robust, fixed_margins
+from repro.fd.margins import estimate_margins, estimate_margins_robust
 
 
 class TestQuantileMargins:
@@ -89,13 +89,3 @@ class TestRobustMargins:
         wide = estimate_margins_robust(residuals, n_sigmas=4.0)
         assert wide.width > narrow.width
         assert wide.coverage >= narrow.coverage
-
-
-class TestFixedMargins:
-    def test_symmetric_fixed(self):
-        estimate = fixed_margins(3.5)
-        assert estimate.eps_lb == estimate.eps_ub == 3.5
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            fixed_margins(-1.0)

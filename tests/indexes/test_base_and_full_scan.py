@@ -1,4 +1,4 @@
-"""Tests for the index base class contract, registry and the full-scan baseline."""
+"""Tests for the index base class contract and the full-scan baseline."""
 
 from __future__ import annotations
 
@@ -7,14 +7,23 @@ import pytest
 
 from repro.data.predicates import Interval, Rectangle
 from repro.data.table import Table
-from repro.indexes.base import (
-    IndexBuildError,
-    QueryStats,
-    available_indexes,
-    create_index,
-    register_index,
-)
+from repro.core.coax import COAXIndex
+from repro.indexes.base import IndexBuildError, QueryStats
+from repro.indexes.column_files import ColumnFilesIndex
 from repro.indexes.full_scan import FullScanIndex
+from repro.indexes.grid_file import SortedCellGridIndex
+from repro.indexes.rtree import RTreeIndex
+from repro.indexes.uniform_grid import UniformGridIndex
+
+#: Every index type of the library.
+INDEX_CLASSES = (
+    ColumnFilesIndex,
+    COAXIndex,
+    FullScanIndex,
+    RTreeIndex,
+    SortedCellGridIndex,
+    UniformGridIndex,
+)
 
 
 @pytest.fixture(scope="module")
@@ -111,27 +120,22 @@ class TestQueryStats:
         assert window.mean_rows_examined == 0.0
 
 
-class TestRegistry:
-    def test_known_indexes_registered(self):
-        names = available_indexes()
-        for expected in ("full_scan", "sorted_column", "uniform_grid",
-                         "sorted_cell_grid", "column_files", "rtree", "coax"):
-            assert expected in names
+class TestEveryIndexType:
+    """The base-class contract holds for every index type, not just the scan."""
 
-    def test_create_index_by_name(self, table):
-        index = create_index("full_scan", table)
-        assert isinstance(index, FullScanIndex)
+    @pytest.mark.parametrize("cls", INDEX_CLASSES, ids=lambda cls: cls.__name__)
+    def test_unknown_dimension_rejected(self, table, cls):
+        with pytest.raises(IndexBuildError):
+            cls(table, dimensions=("nope",))
 
-    def test_unknown_name(self, table):
-        with pytest.raises(KeyError):
-            create_index("nope", table)
-
-    def test_register_requires_name(self):
-        class Nameless(FullScanIndex):
-            name = "abstract"
-
-        with pytest.raises(ValueError):
-            register_index(Nameless)
+    @pytest.mark.parametrize("cls", INDEX_CLASSES, ids=lambda cls: cls.__name__)
+    def test_row_ids_subset(self, table, cls):
+        row_ids = np.arange(0, 2_000, 2, dtype=np.int64)
+        index = cls(table, row_ids=row_ids)
+        assert index.n_rows == len(row_ids)
+        query = Rectangle({"a": Interval(10.0, 60.0)})
+        expected = np.intersect1d(table.select(query), row_ids)
+        assert np.array_equal(np.sort(index.range_query(query)), expected)
 
 
 class TestBaseContract:

@@ -1,7 +1,7 @@
 """Batch-vs-sequential equivalence of the read path — including CRUD.
 
 The batch execution kernels must be a pure optimisation: for every
-registered index, ``batch_range_query(queries)`` has to return exactly
+index type, ``batch_range_query(queries)`` has to return exactly
 ``[range_query(q) for q in queries]`` — same row ids, same order, query by
 query — and leave the same work statistics behind.  Hypothesis drives the
 property over random tables and workloads; dedicated tests pin the edge
@@ -10,7 +10,7 @@ rows.
 
 The CRUD property extends this to mutations: interleaved
 insert/delete/update/query/compact sequences must stay bit-identical to a
-delete-aware full scan for every registered index (tombstone deletes) and
+delete-aware full scan for every index type (tombstone deletes) and
 for COAX with pending rows (full CRUD), before and after compaction and
 across a format-v3 save/load round trip.
 """
@@ -29,18 +29,32 @@ from repro.fd.bucketing import BucketingConfig
 from repro.fd.detection import DetectionConfig
 from repro.fd.groups import FDGroup
 from repro.fd.model import LinearFDModel
-from repro.indexes.base import available_indexes, create_index
+from repro.indexes.column_files import ColumnFilesIndex
+from repro.indexes.full_scan import FullScanIndex
+from repro.indexes.grid_file import SortedCellGridIndex
+from repro.indexes.rtree import RTreeIndex
+from repro.indexes.uniform_grid import UniformGridIndex
 from repro.io.persistence import load_index, save_index
 
+#: Every index type of the library.
+INDEX_CLASSES = (
+    ColumnFilesIndex,
+    COAXIndex,
+    FullScanIndex,
+    RTreeIndex,
+    SortedCellGridIndex,
+    UniformGridIndex,
+)
 
-def build_registered_indexes(table: Table):
-    """One instance of every registered index type over ``table``.
+
+def build_indexes(table: Table):
+    """One instance of every index type over ``table``.
 
     COAX is built with a detection configuration cheap enough for
     property-test scale; every other index uses light default parameters.
     """
-    kwargs_by_name = {
-        "coax": {
+    light = {
+        COAXIndex: {
             "config": COAXConfig(
                 detection=DetectionConfig(
                     bucketing=BucketingConfig(sample_count=min(table.n_rows, 500)),
@@ -48,15 +62,12 @@ def build_registered_indexes(table: Table):
                 )
             )
         },
-        "uniform_grid": {"cells_per_dim": 4},
-        "sorted_cell_grid": {"cells_per_dim": 4},
-        "column_files": {"cells_per_dim": 4},
-        "rtree": {"node_capacity": 6},
+        UniformGridIndex: {"cells_per_dim": 4},
+        SortedCellGridIndex: {"cells_per_dim": 4},
+        ColumnFilesIndex: {"cells_per_dim": 4},
+        RTreeIndex: {"node_capacity": 6},
     }
-    return [
-        create_index(name, table, **kwargs_by_name.get(name, {}))
-        for name in available_indexes()
-    ]
+    return [cls(table, **light.get(cls, {})) for cls in INDEX_CLASSES]
 
 
 def assert_batch_matches_sequential(index, queries):
@@ -120,7 +131,7 @@ class TestBatchEquivalenceProperty:
     @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_every_registered_index(self, table_and_workload):
         table, queries = table_and_workload
-        for index in build_registered_indexes(table):
+        for index in build_indexes(table):
             assert_batch_matches_sequential(index, queries)
 
 
@@ -137,7 +148,7 @@ class TestBatchEdgeCases:
         )
 
     def test_empty_batch(self, table):
-        for index in build_registered_indexes(table):
+        for index in build_indexes(table):
             assert index.batch_range_query([]) == []
 
     def test_empty_and_unconstrained_queries(self, table):
@@ -146,7 +157,7 @@ class TestBatchEdgeCases:
             Rectangle(),  # matches everything
             Rectangle({"a": Interval(10.0, 60.0), "b": Interval(3.0, -3.0)}),
         ]
-        for index in build_registered_indexes(table):
+        for index in build_indexes(table):
             assert_batch_matches_sequential(index, queries)
 
     def test_nan_polluted_column(self):
@@ -166,32 +177,32 @@ class TestBatchEdgeCases:
             Rectangle({"a": Interval(10.0, 20.0), "b": Interval(0.0, 50.0)}),
             Rectangle({"b": Interval(30.0, 60.0)}),
         ]
-        for name in available_indexes():
-            if name == "coax":
+        for cls in INDEX_CLASSES:
+            if cls is COAXIndex:
                 continue  # COAX refuses to fit FD models over NaN data
-            index = create_index(name, table)
+            index = cls(table)
             assert_batch_matches_sequential(index, queries)
 
     def test_empty_index(self, table):
         queries = [Rectangle({"a": Interval(0.0, 50.0)}), Rectangle()]
         no_rows = np.empty(0, dtype=np.int64)
-        for name in available_indexes():
-            if name == "coax":
+        for cls in INDEX_CLASSES:
+            if cls is COAXIndex:
                 continue  # COAX needs build data for FD detection
-            index = create_index(name, table, row_ids=no_rows)
+            index = cls(table, row_ids=no_rows)
             assert_batch_matches_sequential(index, queries)
             assert all(len(result) == 0 for result in index.batch_range_query(queries))
 
 
 class TestInterleavedDeletes:
-    """Tombstone deletes on every registered index vs a delete-aware scan."""
+    """Tombstone deletes on every index type vs a delete-aware scan."""
 
     @given(tables_and_workloads(), st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_every_registered_index(self, table_and_workload, delete_seed):
         table, queries = table_and_workload
         rng = np.random.default_rng(delete_seed)
-        indexes = build_registered_indexes(table)
+        indexes = build_indexes(table)
         deleted: set = set()
         for _ in range(2):
             doomed = rng.choice(

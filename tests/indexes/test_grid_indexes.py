@@ -12,8 +12,8 @@ from repro.data.predicates import Interval, Rectangle, batch_bounds, batch_live
 from repro.data.table import Table
 from repro.indexes.base import IndexBuildError
 from repro.indexes.column_files import ColumnFilesIndex
+from repro.indexes.full_scan import FullScanIndex
 from repro.indexes.grid_file import SortedCellGridIndex
-from repro.indexes.sorted_array import SortedColumnIndex
 from repro.indexes.uniform_grid import UniformGridIndex, _capped_cells_per_dim
 
 
@@ -183,10 +183,10 @@ class TestSortedCellGrid:
 
     def test_single_dimension_degenerates_to_sorted_column(self, table):
         grid = SortedCellGridIndex(table, dimensions=("a",), sort_dimension="a")
-        sorted_column = SortedColumnIndex(table, sort_dimension="a", dimensions=("a",))
+        full_scan = FullScanIndex(table, dimensions=("a",))
         query = Rectangle({"a": Interval(5.0, 10.0)})
         assert np.array_equal(
-            np.sort(grid.range_query(query)), np.sort(sorted_column.range_query(query))
+            np.sort(grid.range_query(query)), np.sort(full_scan.range_query(query))
         )
 
 
@@ -249,26 +249,6 @@ class TestSharedBatchCore:
         assert flat_stats.cells_visited == agg_stats.cells_visited > 0
 
 
-class TestSortedColumn:
-    def test_exactness(self, table, queries):
-        index = SortedColumnIndex(table, sort_dimension="a")
-        for query in queries:
-            assert np.array_equal(np.sort(index.range_query(query)), table.select(query))
-
-    def test_zero_directory(self, table):
-        assert SortedColumnIndex(table, sort_dimension="a").directory_bytes() == 0
-
-    def test_unknown_sort_dimension(self, table):
-        with pytest.raises(IndexBuildError):
-            SortedColumnIndex(table, sort_dimension="zzz")
-
-    def test_scan_is_bounded_by_sorted_range(self, table):
-        index = SortedColumnIndex(table, sort_dimension="a")
-        index.stats.reset()
-        index.range_query(Rectangle({"a": Interval(0.0, 1.0)}))
-        assert index.stats.rows_examined < table.n_rows / 10
-
-
 class TestColumnFiles:
     def test_exactness(self, table, queries):
         index = ColumnFilesIndex(table, cells_per_dim=6, sort_dimension="a")
@@ -279,9 +259,6 @@ class TestColumnFiles:
         index = ColumnFilesIndex(table)
         assert index.dimensions == tuple(table.schema)
         assert index.sort_dimension == tuple(table.schema)[0]
-
-    def test_registered_name(self, table):
-        assert ColumnFilesIndex.name == "column_files"
 
 
 class TestAbsorbRows:

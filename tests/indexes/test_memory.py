@@ -1,4 +1,4 @@
-"""Tests for memory accounting and reports."""
+"""Tests for memory accounting."""
 
 from __future__ import annotations
 
@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from repro.data.table import Table
-from repro.indexes.full_scan import FullScanIndex
-from repro.indexes.memory import compare_reports, format_bytes, memory_report
+from repro.indexes.memory import format_bytes
 from repro.indexes.rtree import RTreeIndex
 from repro.indexes.uniform_grid import UniformGridIndex
 
@@ -16,45 +15,6 @@ from repro.indexes.uniform_grid import UniformGridIndex
 def table() -> Table:
     rng = np.random.default_rng(5)
     return Table({"a": rng.uniform(size=2_000), "b": rng.uniform(size=2_000)})
-
-
-class TestMemoryReport:
-    def test_report_fields(self, table):
-        index = UniformGridIndex(table, cells_per_dim=8)
-        report = memory_report(index)
-        assert report.name == "uniform_grid"
-        assert report.directory_bytes == index.directory_bytes()
-        assert report.data_bytes == table.nbytes()
-        assert report.total_bytes == report.directory_bytes + report.data_bytes
-        assert report.bytes_per_row == pytest.approx(report.directory_bytes / 2_000)
-
-    def test_overhead_ratio(self, table):
-        report = memory_report(FullScanIndex(table))
-        assert report.overhead_ratio == 0.0
-
-    def test_empty_index_ratios(self, table):
-        index = FullScanIndex(table, row_ids=np.empty(0, dtype=np.int64))
-        report = memory_report(index)
-        assert report.overhead_ratio == 0.0
-        assert report.bytes_per_row == 0.0
-
-    def test_custom_name(self, table):
-        report = memory_report(FullScanIndex(table), name="baseline")
-        assert report.name == "baseline"
-
-
-class TestCompareReports:
-    def test_relative_factors(self, table):
-        reports = {
-            "grid": memory_report(UniformGridIndex(table, cells_per_dim=8)),
-            "rtree": memory_report(RTreeIndex(table, node_capacity=8)),
-        }
-        factors = compare_reports(reports)
-        assert min(factors.values()) == pytest.approx(1.0)
-        assert factors["rtree"] > factors["grid"]
-
-    def test_empty(self):
-        assert compare_reports({}) == {}
 
 
 class TestFormatBytes:

@@ -41,6 +41,18 @@ def queries(table):
     return result
 
 
+def _node_count(index: RTreeIndex) -> int:
+    """Total number of nodes of the tree."""
+    count = 0
+    stack = [index._root]
+    while stack:
+        node = stack.pop()
+        count += 1
+        if not node.is_leaf:
+            stack.extend(node.children)
+    return count
+
+
 class TestBulkLoad:
     def test_exactness(self, table, queries):
         index = RTreeIndex(table, node_capacity=10)
@@ -60,7 +72,7 @@ class TestBulkLoad:
         small_cap = RTreeIndex(table, node_capacity=4)
         large_cap = RTreeIndex(table, node_capacity=32)
         assert small_cap.height() >= large_cap.height()
-        assert small_cap.node_count() > large_cap.node_count()
+        assert _node_count(small_cap) > _node_count(large_cap)
 
     def test_leaf_occupancy_respects_capacity(self, table):
         index = RTreeIndex(table, node_capacity=10)
@@ -90,47 +102,9 @@ class TestBulkLoad:
         index.stats.reset()
         index.range_query(Rectangle({"x": Interval(0.0, 1.0), "y": Interval(0.0, 1.0)}))
         assert index.stats.rows_examined < table.n_rows / 5
-        assert index.stats.nodes_visited < index.node_count()
+        assert index.stats.nodes_visited < _node_count(index)
 
     def test_query_on_non_indexed_dimension_is_still_exact(self, table):
         index = RTreeIndex(table, dimensions=("x", "y"))
         query = Rectangle({"z": Interval(0.0, 2.0)})
         assert np.array_equal(np.sort(index.range_query(query)), table.select(query))
-
-
-class TestInsertion:
-    def test_insert_point_becomes_visible(self, table):
-        index = RTreeIndex(table, node_capacity=8)
-        # Re-insert an existing position: it should now appear twice.
-        target = table.row(7)
-        before = len(index.point_query(target))
-        index.insert_point(7)
-        after = len(index.point_query(target))
-        assert after == before + 1
-
-    def test_insert_many_points_keeps_exactness(self, table, queries):
-        row_ids = np.arange(0, 500, dtype=np.int64)
-        index = RTreeIndex(table, row_ids=row_ids, node_capacity=6)
-        for position in range(500):
-            index.insert_point(position)
-        # Each record is now present twice; counts double relative to a scan.
-        subset = table.take(row_ids)
-        for query in queries:
-            expected = 2 * len(subset.select(query))
-            assert len(index.range_query(query)) == expected
-
-    def test_insert_out_of_range_position(self, table):
-        index = RTreeIndex(table)
-        with pytest.raises(IndexError):
-            index.insert_point(table.n_rows + 5)
-
-    def test_insert_respects_capacity(self, table):
-        index = RTreeIndex(table, row_ids=np.arange(50, dtype=np.int64), node_capacity=4)
-        for position in range(50):
-            index.insert_point(position)
-        stack = [index._root]
-        while stack:
-            node = stack.pop()
-            assert node.n_entries <= 4
-            if not node.is_leaf:
-                stack.extend(node.children)

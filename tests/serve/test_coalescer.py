@@ -103,7 +103,7 @@ def test_window_shrinks_when_hot():
     coalescer.offer(entry(), now=0.0)
     coalescer.take_batch(now=0.0)  # prime EWMA without batching effects
     coalescer.offer(entry(), now=50e-6)
-    assert coalescer.gap_ewma == pytest.approx(50e-6)
+    assert coalescer._gap_ewma == pytest.approx(50e-6)
     assert coalescer.deadline is not None
     window = coalescer.deadline - 50e-6
     assert window == pytest.approx(50e-6 * (config.max_batch - 1))

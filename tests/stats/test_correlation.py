@@ -10,7 +10,6 @@ from repro.stats.correlation import (
     fit_line,
     pearson_correlation,
     soft_fd_strength,
-    spearman_correlation,
 )
 
 
@@ -44,19 +43,6 @@ class TestPearson:
         y = np.sin(x)  # arbitrary deterministic transform
         r = pearson_correlation(x, y)
         assert -1.0 - 1e-9 <= r <= 1.0 + 1e-9
-
-
-class TestSpearman:
-    def test_monotone_nonlinear_is_perfect(self):
-        x = np.linspace(0.1, 10.0, 200)
-        y = np.exp(x)
-        assert spearman_correlation(x, y) == pytest.approx(1.0)
-
-    def test_symmetric(self):
-        rng = np.random.default_rng(1)
-        x = rng.normal(size=200)
-        y = x + rng.normal(scale=0.5, size=200)
-        assert spearman_correlation(x, y) == pytest.approx(spearman_correlation(y, x), abs=1e-9)
 
 
 class TestFitLine:

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from repro.stats.csm import (
     CentreSequence,
     build_centre_sequence,
-    segment_lengths,
     segment_stream,
     simulate_gap_stream,
 )
@@ -20,20 +19,9 @@ class TestCentreSequence:
         with pytest.raises(ValueError):
             CentreSequence(np.arange(3.0), np.arange(2.0), np.arange(3))
 
-    def test_gap_statistics(self):
-        sequence = CentreSequence(
-            positions=np.arange(4.0),
-            centres=np.array([0.0, 2.0, 4.0, 6.0]),
-            counts=np.ones(4, dtype=np.int64),
-        )
-        mean, std = sequence.gap_statistics()
-        assert mean == pytest.approx(2.0)
-        assert std == pytest.approx(0.0)
-
     def test_empty_gaps(self):
         sequence = CentreSequence(np.array([1.0]), np.array([2.0]), np.array([1]))
         assert len(sequence.gaps) == 0
-        assert sequence.gap_statistics() == (0.0, 0.0)
 
 
 class TestBuildCentreSequence:
@@ -58,7 +46,6 @@ class TestBuildCentreSequence:
         y = np.concatenate([np.zeros(100), np.full(100, 10.0)])
         sequence = build_centre_sequence(x, y, 50)
         assert sequence.n_intervals == 2
-        assert sequence.empty_fraction(50) == pytest.approx(0.96)
 
     def test_degenerate_inputs(self):
         empty = build_centre_sequence(np.array([]), np.array([]), 10)
@@ -124,13 +111,3 @@ class TestSegmentStream:
         lengths = segment_stream(gaps, epsilon=epsilon)
         assert sum(lengths) == n
         assert all(length > 0 for length in lengths)
-
-
-class TestSegmentLengths:
-    def test_on_real_linear_data(self):
-        rng = np.random.default_rng(5)
-        x = np.sort(rng.uniform(0.0, 1000.0, size=10_000))
-        y = 2.0 * x + rng.normal(scale=1.0, size=10_000)
-        lengths = segment_lengths(x, y, epsilon=50.0, n_intervals=500)
-        assert sum(lengths) > 0
-        assert len(lengths) >= 1

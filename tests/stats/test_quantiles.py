@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.stats.quantiles import empirical_cdf, quantile_boundaries, uniform_boundaries
+from repro.stats.quantiles import quantile_boundaries, uniform_boundaries
 
 
 class TestQuantileBoundaries:
@@ -60,17 +60,3 @@ class TestUniformBoundaries:
     def test_invalid_cell_count(self):
         with pytest.raises(ValueError):
             uniform_boundaries(np.arange(4.0), 0)
-
-
-class TestEmpiricalCDF:
-    def test_positions_are_monotone_in_unit_interval(self):
-        rng = np.random.default_rng(1)
-        values = rng.normal(size=500)
-        ordered, positions = empirical_cdf(values)
-        assert np.all(np.diff(ordered) >= 0)
-        assert positions[0] == pytest.approx(1.0 / 500)
-        assert positions[-1] == pytest.approx(1.0)
-
-    def test_empty(self):
-        ordered, positions = empirical_cdf(np.array([]))
-        assert len(ordered) == 0 and len(positions) == 0

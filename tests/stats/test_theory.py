@@ -8,31 +8,31 @@ import pytest
 
 from repro.stats.csm import segment_stream, simulate_gap_stream
 from repro.stats.theory import (
-    box_aspect_ratio,
     effectiveness_ratio,
     expected_keys_per_segment,
     expected_segment_count,
     grid_cells_scanned,
     keys_per_segment_variance,
     mean_first_exit_time_with_drift,
-    result_area,
     scanned_area,
 )
 
 
+def _result_area(query_width, epsilon, slope):
+    """Area of the R-box (Equation 3): ``q_y * 2 eps / a``."""
+    return query_width * 2.0 * epsilon / slope
+
+
 class TestAreas:
     def test_equation_3_and_4(self):
-        assert result_area(10.0, 2.0, 1.0) == pytest.approx(40.0)
         assert scanned_area(10.0, 2.0, 1.0) == pytest.approx(2 * 2 * (4 + 10) / 1.0)
 
     def test_scanned_area_always_at_least_result_area(self):
         for q in (0.0, 1.0, 5.0, 100.0):
             for eps in (0.5, 2.0, 10.0):
-                assert scanned_area(q, eps, 2.0) >= result_area(q, eps, 2.0)
+                assert scanned_area(q, eps, 2.0) >= _result_area(q, eps, 2.0)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            result_area(1.0, -1.0, 1.0)
         with pytest.raises(ValueError):
             scanned_area(-1.0, 1.0, 1.0)
 
@@ -50,7 +50,7 @@ class TestEffectiveness:
     def test_matches_area_ratio(self):
         q, eps, a = 7.0, 3.0, 2.0
         assert effectiveness_ratio(q, eps) == pytest.approx(
-            result_area(q, eps, a) / scanned_area(q, eps, a)
+            _result_area(q, eps, a) / scanned_area(q, eps, a)
         )
 
     def test_bounded_in_unit_interval(self):
@@ -113,13 +113,6 @@ class TestGridComparison:
         halved = grid_cells_scanned(100.0, 100.0, 1.0, 1.0, 5.0, scan_factor=2.0)
         assert halved == pytest.approx(base / 2.0)
 
-    def test_box_aspect_ratio_increases_with_narrow_margin(self):
-        wide = box_aspect_ratio(100.0, 100.0, 10.0, 1.0)
-        narrow = box_aspect_ratio(100.0, 100.0, 1.0, 1.0)
-        assert narrow > wide
-
     def test_validation(self):
         with pytest.raises(ValueError):
             grid_cells_scanned(0.0, 1.0, 1.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            box_aspect_ratio(-1.0, 1.0, 1.0, 1.0)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,10 +18,9 @@ from repro.data.table import Table
 from repro.fd.groups import FDGroup
 from repro.fd.model import LinearFDModel, SplineFDModel
 from repro.indexes.grid_file import SortedCellGridIndex
-from repro.io.datasets import encode_categories, load_csv, load_npz, save_csv, save_npz
+from repro.io.datasets import encode_categories, load_csv, save_csv
 from repro.io.persistence import (
     FORMAT_VERSION,
-    LEGACY_FORMAT_VERSION,
     MANIFEST_NAME,
     MMAP_MIN_BYTES,
     SUPPORTED_VERSIONS,
@@ -29,6 +29,11 @@ from repro.io.persistence import (
     load_index,
     save_index,
 )
+
+#: Format-v5 single-file archives, written by the v5 writer before it was
+#: retired (see ``archives/README.md``).  Each test that loads one builds
+#: the same index in memory as its reference.
+V5_ARCHIVES = Path(__file__).with_name("archives")
 
 
 def _manifest(path):
@@ -259,7 +264,7 @@ class TestIndexPersistence:
         ]
         index = COAXIndex(table, groups=groups)
         index.insert_batch({"x": [10.0, 20.0], "y": [20.1, 700.0]})
-        path = save_index(index, tmp_path / "v3.npz", layout="npz")
+        path = V5_ARCHIVES / "flat_pending.npz"
         with np.load(path, allow_pickle=False) as archive:
             arrays = {key: archive[key] for key in archive.files}
         meta = json.loads(str(arrays["__meta__"]))
@@ -331,7 +336,7 @@ class TestIndexPersistence:
     def test_unsupported_version_error_is_typed(self, airline_coax, tmp_path):
         """A future version raises the typed error naming what IS readable —
         in both the legacy single-file and the v6 directory layout."""
-        path = save_index(airline_coax, tmp_path / "future.npz", layout="npz")
+        path = V5_ARCHIVES / "flat.npz"
         with np.load(path, allow_pickle=False) as archive:
             arrays = {key: archive[key] for key in archive.files}
         meta = json.loads(str(arrays["__meta__"]))
@@ -375,8 +380,8 @@ class TestFormatVersionMatrix:
     clustered grid sections); v7 and v6 are the same directory re-stamped
     (v6 also minus the layout sections) — their loader ignores the grid
     sections and rebuilds from the groups, as it must for the older
-    permutation grid sections those versions really carried; v5
-    is what ``layout="npz"`` still writes; v3 (flat) and v4 (sharded)
+    permutation grid sections those versions really carried; v5 is a
+    committed archive of the same index and engine; v3 (flat) and v4 (sharded)
     are byte-identical to v5 minus the version stamp and any monitor
     sections, so the fixtures derive them by rewriting the header; v2/v1
     strip the per-model masks resp. the whole delta section, as those
@@ -441,12 +446,12 @@ class TestFormatVersionMatrix:
         # layout sections).
         paths[7] = self._restamp_directory(paths[8], base / "v7.coax", 7)
         paths[6] = self._restamp_directory(paths[8], base / "v6.coax", 6)
-        # v5: the legacy single-file layout, still written on request.
-        paths[5] = save_index(index, base / "v5.npz", layout="npz")
+        # v5: the legacy single-file layout, committed.
+        paths[5] = V5_ARCHIVES / "flat.npz"
         with np.load(paths[5], allow_pickle=False) as archive:
             arrays = {key: archive[key] for key in archive.files}
         meta = json.loads(str(arrays["__meta__"]))
-        assert meta["format_version"] == LEGACY_FORMAT_VERSION == 5
+        assert meta["format_version"] == 5
         # v3: identical layout, pre-maintenance version stamp.
         paths[3] = self._rewrite(
             arrays, dict(meta, format_version=3), base / "v3.npz"
@@ -471,13 +476,13 @@ class TestFormatVersionMatrix:
             if not key.startswith("delta::") and key != "__meta__"
         }
         paths[1] = self._rewrite(v1_arrays, v1_meta, base / "v1.npz")
-        # Sharded engine over the same data and delta state: saved as v5,
-        # re-stamped as v4 (the pre-maintenance sharded format).
+        # Sharded engine over the same data and delta state: committed as
+        # v5, re-stamped as v4 (the pre-maintenance sharded format).
         engine = ShardedCOAX(
             table, config=EngineConfig(n_shards=3, workers=1), groups=groups
         )
         engine.insert_batch({"x": [10.0, 20.0], "y": [20.1, 700.0]})
-        engine_path = save_index(engine, base / "engine_v5.npz", layout="npz")
+        engine_path = V5_ARCHIVES / "engine.npz"
         with np.load(engine_path, allow_pickle=False) as archive:
             engine_arrays = {key: archive[key] for key in archive.files}
         engine_meta = json.loads(str(engine_arrays["__meta__"]))
@@ -666,7 +671,7 @@ class TestLayoutStatePersistence:
 
     def test_legacy_npz_strips_layout_state(self, adaptive_engine, tmp_path):
         engine = adaptive_engine
-        path = save_index(engine, tmp_path / "adaptive.npz", layout="npz")
+        path = V5_ARCHIVES / "engine_adaptive_layout.npz"
         with np.load(path, allow_pickle=False) as archive:
             meta = json.loads(str(archive["__meta__"]))
             assert not any(key.startswith("layout::") for key in archive.files)
@@ -810,12 +815,9 @@ class TestEngineExecutorPersistence:
         loaded.close()
 
     def test_pre_v6_archives_default_to_thread_executor(self, tmp_path):
-        path = self._engine(tmp_path, workers=2)
-        # Strip the executor field, as a v4/v5 writer would have.
-        with np.load(
-            save_index(load_engine(path), tmp_path / "legacy.npz", layout="npz"),
-            allow_pickle=False,
-        ) as archive:
+        # A v5 archive of ``_engine(workers=2)``, without the executor
+        # field, as a v4/v5 writer would have left it.
+        with np.load(V5_ARCHIVES / "engine_two_workers.npz", allow_pickle=False) as archive:
             arrays = {key: archive[key] for key in archive.files}
         meta = json.loads(str(arrays["__meta__"]))
         meta["engine"].pop("executor", None)
@@ -922,7 +924,7 @@ class TestAdaptiveMonitorPersistence:
         rng = np.random.default_rng(26)
         bx = rng.uniform(0.0, 100.0, size=150)
         index.insert_batch({"x": bx, "y": 2.0 * bx + 1.0})
-        path = save_index(index, tmp_path / "v5.npz", layout="npz")
+        path = V5_ARCHIVES / "flat_monitored.npz"
         with np.load(path, allow_pickle=False) as archive:
             arrays = {key: archive[key] for key in archive.files}
         meta = json.loads(str(arrays["__meta__"]))
@@ -999,13 +1001,3 @@ class TestCSV:
 
     def test_encode_categories_is_stable(self):
         assert encode_categories(["b", "a", "b"]) == {"a": 0.0, "b": 1.0}
-
-
-class TestNPZ:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(3)
-        table = Table({"x": rng.uniform(size=50), "y": rng.normal(size=50)})
-        path = save_npz(table, tmp_path / "t.npz")
-        loaded = load_npz(path)
-        assert set(loaded.schema) == {"x", "y"}
-        assert np.allclose(loaded.column("x"), table.column("x"))
