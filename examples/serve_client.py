@@ -33,7 +33,7 @@ import asyncio
 
 import numpy as np
 
-from repro import EngineConfig, Interval, Rectangle, ShardedCOAX
+from repro import EngineConfig, Interval, Rectangle, ShardedCOAX, Table
 from repro.data.airline import AirlineConfig, generate_airline_dataset
 from repro.data.queries import WorkloadConfig, generate_knn_queries
 from repro.serve import (
@@ -70,7 +70,8 @@ async def single_query(engine: ShardedCOAX) -> None:
 
 async def concurrent_burst(engine: ShardedCOAX) -> None:
     print("=== 3+4. Concurrent clients coalesce into micro-batches ===")
-    table = engine.shards[0].table  # any shard shares the schema
+    # Query around the rows of one shard, read back with their global ids.
+    table = Table(engine.shards[0].live_rows()[0])
     dims = tuple(engine.shards[0].build_report.indexed_dimensions)
     queries = list(
         generate_knn_queries(

@@ -158,11 +158,14 @@ def main() -> None:
     assert len(index.range_query(heavy_and_pricey)) == final - n_deleted
 
     # Reprice the remaining matches in place — the row ids stay the same.
+    # live_rows() reads the current values back from the index, in id order.
     remaining = index.range_query(heavy_and_pricey)
+    current, live_ids = index.live_rows(("order_id", "weight"))
+    at = np.searchsorted(live_ids, remaining)
     repriced = {
-        "order_id": index.table.column("order_id")[remaining],
+        "order_id": current["order_id"][at],
         "price": np.full(len(remaining), 99.0),
-        "weight": index.table.column("weight")[remaining],
+        "weight": current["weight"][at],
     }
     index.update_batch(remaining, repriced)
     print(f"repriced {len(remaining)} orders to 99.00 with update_batch() "

@@ -23,16 +23,21 @@ boundaries are all reused, so compaction merges instead of rebuilding.
 
 Deletes and in-place updates complete the CRUD surface in the delta-store
 tradition: :meth:`COAXIndex.delete_batch` tombstones main-structure rows in
-a bitmap (``O(k log n)`` per batch, immediately visible because every read
-path masks tombstoned positions next to its exact post-filter) and removes
-pending rows from the delta buffers in place;
+their sub-index's bitmap (``O(k log n)`` per batch, immediately visible
+because every read path masks tombstoned positions next to its exact
+post-filter) and removes pending rows from the delta buffers in place;
 :meth:`COAXIndex.update_batch` is delete + reinsert under the *same* row
-ids (row ids are table positions, an invariant compaction preserves).  A
-compaction that sees tombstones physically reclaims them — partition
-fractions and bounding boxes are rebuilt from the survivors — and can be
-triggered automatically via ``COAXConfig.auto_compact_tombstone_fraction``.
-Row ids are stable for the lifetime of a record: deletion retires an id
-forever and compaction never renumbers.
+ids.  A compaction that sees tombstones physically reclaims them — the
+live rows are rebuilt into fresh structures, and partition fractions and
+bounding boxes are recomputed from them — and can be triggered
+automatically via ``COAXConfig.auto_compact_tombstone_fraction``.
+
+The primary and the outlier index are the only place a COAX index stores
+records: every row sits in exactly one of them (or, until compaction, in
+the delta store) and carries its id there.  Ids are labels, not table
+positions: they are stable for the lifetime of a record, deletion retires
+an id forever and compaction never renumbers.  The facade keeps the
+schema, never the table it was built from.
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ from repro.core.delta import BatchLike, DeltaStore, coerce_batch
 from repro.core.partitioner import PartitionResult, partition_rows
 from repro.core.planner import (
     QueryPlan,
-    bounding_box_of_rows,
+    bounding_box_of_columns,
     merge_boxes,
     plan_query,
     plan_query_flags,
@@ -154,17 +159,29 @@ class COAXIndex(MultidimensionalIndex):
         groups: Optional[Sequence[FDGroup]] = None,
         row_ids: Optional[np.ndarray] = None,
         dimensions: Optional[Sequence[str]] = None,
+        ids: Optional[np.ndarray] = None,
     ) -> None:
-        super().__init__(table, row_ids=row_ids, dimensions=dimensions)
+        """Build over the rows of ``table`` that ``row_ids`` selects (default:
+        all of them); each row carries its id from ``ids`` (default: its
+        table position)."""
+        self._init_state(table.schema, self._checked_dimensions(table, dimensions))
         self._config = config if config is not None else COAXConfig()
         config = self._config
         warnings: List[str] = []
+        positions = (
+            np.arange(table.n_rows, dtype=np.int64)
+            if row_ids is None
+            else np.asarray(row_ids, dtype=np.int64)
+        )
+        labels = positions if ids is None else np.asarray(ids, dtype=np.int64)
+        if len(labels) != len(positions):
+            raise IndexBuildError(f"{len(labels)} ids given for {len(positions)} rows")
 
         # ------------------------------------------------------------------
         # 1. Learn (or accept) the soft-FD groups.
         # ------------------------------------------------------------------
-        build_table = table if row_ids is None else table.take(self._row_ids)
         if groups is None:
+            build_table = table if row_ids is None else table.take(positions)
             learned_groups = self._detect_groups(build_table, config.detection)
         else:
             learned_groups = list(groups)
@@ -183,7 +200,7 @@ class COAXIndex(MultidimensionalIndex):
         # ------------------------------------------------------------------
         # 2. Partition rows into inliers and outliers.
         # ------------------------------------------------------------------
-        partition = partition_rows(table, self._groups, row_ids=self._row_ids)
+        inliers, partition = partition_rows(table, self._groups, row_ids=row_ids)
         self._partition = partition
         if partition.primary_ratio < config.min_primary_fraction:
             warnings.append(
@@ -207,24 +224,30 @@ class COAXIndex(MultidimensionalIndex):
         self._sort_dim = sort_dim
 
         # ------------------------------------------------------------------
-        # 4. Build the primary and the outlier index.
+        # 4. Build the primary and the outlier index: each gathers its own
+        #    rows from the table, and from then on they are the only copy.
         # ------------------------------------------------------------------
         self._primary = SortedCellGridIndex(
             table,
             cells_per_dim=config.primary_cells_per_dim,
             sort_dimension=sort_dim,
-            row_ids=partition.inlier_ids,
+            row_ids=positions[inliers],
             dimensions=indexed_dims,
+            ids=None if ids is None else labels[inliers],
         )
-        self._outlier = self._build_outlier_index(table, partition.outlier_ids)
-        self._primary_box = bounding_box_of_rows(table, partition.inlier_ids)
-        self._outlier_box = bounding_box_of_rows(table, partition.outlier_ids)
+        self._outlier = self._build_outlier_index(
+            table, positions[~inliers], None if ids is None else labels[~inliers]
+        )
+        self._primary_box = self._box_of(self._primary)
+        self._outlier_box = self._box_of(self._outlier)
 
         # ------------------------------------------------------------------
         # 5. Columnar delta store for inserted records (update support).
         # ------------------------------------------------------------------
-        self._delta = DeltaStore(tuple(table.schema), self._groups)
-        self._next_row_id = int(table.n_rows)
+        self._delta = DeltaStore(self._schema, self._groups)
+        self._next_row_id = (
+            int(table.n_rows) if ids is None else int(labels.max(initial=-1)) + 1
+        )
 
         # ------------------------------------------------------------------
         # 6. Drift-aware model maintenance (optional; see fd.maintenance).
@@ -255,12 +278,11 @@ class COAXIndex(MultidimensionalIndex):
     @classmethod
     def _restore_structured(
         cls,
-        table: Table,
         *,
         config: COAXConfig,
         groups: Sequence[FDGroup],
         dimensions: Sequence[str],
-        partition: PartitionResult,
+        per_model_inlier_fraction: Mapping[str, float],
         indexed_dims: Sequence[str],
         predicted_dims: Sequence[str],
         sort_dim: str,
@@ -272,24 +294,22 @@ class COAXIndex(MultidimensionalIndex):
     ) -> "COAXIndex":
         """Reattach a COAX index from persisted derived state — no rebuild.
 
-        Structured (format v6) restore: the inlier/outlier partition, the
-        pre-built primary and outlier indexes and the bounding boxes are
+        Structured (format v6+) restore: the pre-built primary and outlier
+        indexes, the bounding boxes and the per-model inlier fractions are
         adopted verbatim, so no FD model is evaluated and nothing is
-        re-sorted — cold start is O(metadata).  Only valid for an index
-        aligned with its table (row id == position); the caller re-applies
+        re-sorted — cold start is O(metadata).  The caller re-applies
         tombstones, delta state and drift-monitor state afterwards, exactly
         like the rebuild path does.
         """
         index = cls.__new__(cls)
-        index._init_restored(
-            table,
-            row_ids=np.arange(table.n_rows, dtype=np.int64),
-            columns={name: table.column(name) for name in table.schema},
-            dimensions=dimensions,
-        )
+        index._init_state(primary.schema, dimensions)
         index._config = config
         index._groups = list(groups)
-        index._partition = partition
+        index._partition = PartitionResult(
+            n_inliers=primary.n_rows,
+            n_outliers=outlier.n_rows,
+            per_model_inlier_fraction=dict(per_model_inlier_fraction),
+        )
         index._indexed_dims = tuple(indexed_dims)
         index._predicted_dims = tuple(predicted_dims)
         index._sort_dim = sort_dim
@@ -297,20 +317,20 @@ class COAXIndex(MultidimensionalIndex):
         index._outlier = outlier
         index._primary_box = primary_box
         index._outlier_box = outlier_box
-        index._delta = DeltaStore(tuple(table.schema), index._groups)
-        index._next_row_id = int(table.n_rows)
+        index._delta = DeltaStore(index._schema, index._groups)
+        index._next_row_id = index.n_rows
         index._maintenance = None
         if config.maintenance.enabled and index._groups:
             index._maintenance = MaintenanceManager(
                 index._groups,
                 config.maintenance,
-                partition.per_model_inlier_fraction,
+                index._partition.per_model_inlier_fraction,
             )
         index._report = COAXBuildReport(
             n_rows=index.n_rows,
             groups=list(index._groups),
-            primary_ratio=partition.primary_ratio,
-            per_model_inlier_fraction=dict(partition.per_model_inlier_fraction),
+            primary_ratio=index._partition.primary_ratio,
+            per_model_inlier_fraction=dict(index._partition.per_model_inlier_fraction),
             indexed_dimensions=index._indexed_dims,
             predicted_dimensions=index._predicted_dims,
             primary_sort_dimension=sort_dim,
@@ -341,34 +361,49 @@ class COAXIndex(MultidimensionalIndex):
                 return group.predictor
         return indexed_dims[0]
 
-    def _build_outlier_index(self, table: Table, outlier_ids: np.ndarray) -> MultidimensionalIndex:
-        """Instantiate the configured outlier index over all dimensions."""
+    def _build_outlier_index(
+        self, table: Table, positions: Optional[np.ndarray], ids: Optional[np.ndarray]
+    ) -> MultidimensionalIndex:
+        """Instantiate the configured outlier index over all dimensions,
+        holding the rows of ``table`` at ``positions`` (default: all) under
+        ``ids`` (default: their positions)."""
         kind = self._config.outlier_index
         if kind == "sorted_cell_grid":
             return SortedCellGridIndex(
                 table,
                 cells_per_dim=self._config.outlier_cells_per_dim,
                 sort_dimension=self._sort_dim if self._sort_dim in self._dimensions else None,
-                row_ids=outlier_ids,
+                row_ids=positions,
                 dimensions=self._dimensions,
+                ids=ids,
             )
         if kind == "uniform_grid":
             return UniformGridIndex(
                 table,
                 cells_per_dim=self._config.outlier_cells_per_dim,
-                row_ids=outlier_ids,
+                row_ids=positions,
                 dimensions=self._dimensions,
+                ids=ids,
             )
         if kind == "rtree":
             return RTreeIndex(
                 table,
                 node_capacity=self._config.outlier_node_capacity,
-                row_ids=outlier_ids,
+                row_ids=positions,
                 dimensions=self._dimensions,
+                ids=ids,
             )
         if kind == "full_scan":
-            return FullScanIndex(table, row_ids=outlier_ids, dimensions=self._dimensions)
+            return FullScanIndex(
+                table, row_ids=positions, dimensions=self._dimensions, ids=ids
+            )
         raise IndexBuildError(f"unknown outlier index type {kind!r}")
+
+    def _box_of(
+        self, index: MultidimensionalIndex
+    ) -> Optional[Tuple[Dict[str, float], Dict[str, float]]]:
+        """Bounding box of a sub-index's rows, read from its own columns."""
+        return bounding_box_of_columns({name: index.column(name) for name in self._schema})
 
     # ------------------------------------------------------------------
     # Introspection
@@ -441,19 +476,6 @@ class COAXIndex(MultidimensionalIndex):
         return self._next_row_id
 
     @property
-    def rows_aligned(self) -> bool:
-        """True when the index covers exactly rows 0..n-1 of its table in order.
-
-        Only then can appended rows keep their assigned ids; both incremental
-        compaction and persistence branch on this.
-        """
-        return self._table.n_rows == len(self._row_ids) and bool(
-            np.array_equal(
-                self._row_ids, np.arange(self._table.n_rows, dtype=np.int64)
-            )
-        )
-
-    @property
     def n_pending(self) -> int:
         """Number of inserted records still sitting in the delta store."""
         return self._delta.n_pending
@@ -467,6 +489,79 @@ class COAXIndex(MultidimensionalIndex):
     def n_pending_outlier(self) -> int:
         """Pending records violating some margin (outlier-bound)."""
         return self._delta.n_pending_outlier
+
+    # ------------------------------------------------------------------
+    # Rows: held by the two sub-indexes (plus the delta store, pending)
+    # ------------------------------------------------------------------
+    @property
+    def n_rows(self) -> int:
+        """Records covered by the main structures (live and tombstoned)."""
+        return self._primary.n_rows + self._outlier.n_rows
+
+    @property
+    def n_tombstoned(self) -> int:
+        """Covered records marked deleted but not yet reclaimed."""
+        return self._primary.n_tombstoned + self._outlier.n_tombstoned
+
+    @property
+    def tombstone_mask(self) -> Optional[np.ndarray]:
+        """Tombstones live in each sub-index; the facade keeps no bitmap."""
+        return None
+
+    @property
+    def row_ids(self) -> np.ndarray:
+        """Ids of the records covered by the main structures (sorted)."""
+        return np.sort(np.concatenate([self._primary.row_ids, self._outlier.row_ids]))
+
+    def live_row_ids(self) -> np.ndarray:
+        """Ids of the covered records that are still live (sorted)."""
+        return np.sort(
+            np.concatenate([self._primary.live_row_ids(), self._outlier.live_row_ids()])
+        )
+
+    def rows_live(self, row_ids: np.ndarray) -> np.ndarray:
+        """Which of ``row_ids`` are covered and not tombstoned (one binary
+        search per sub-index)."""
+        return self._primary.rows_live(row_ids) | self._outlier.rows_live(row_ids)
+
+    def positions_of(self, row_ids: np.ndarray) -> np.ndarray:
+        """Positions of the covered ``row_ids`` within :attr:`row_ids`;
+        other ids are dropped."""
+        row_ids = np.asarray(row_ids, dtype=np.int64)
+        covered = self.row_ids
+        if len(row_ids) == 0 or len(covered) == 0:
+            return np.empty(0, dtype=np.int64)
+        located = np.minimum(np.searchsorted(covered, row_ids), len(covered) - 1)
+        return located[covered[located] == row_ids]
+
+    def column(self, name: str) -> np.ndarray:
+        """Not provided: the records live in the sub-indexes."""
+        raise NotImplementedError(
+            "COAXIndex keeps no column copies of its own; read "
+            "primary_index.column() and outlier_index.column(), or live_rows()"
+        )
+
+    def live_rows(
+        self, names: Optional[Sequence[str]] = None
+    ) -> Tuple[Dict[str, np.ndarray], np.ndarray]:
+        """Every live record, main-structure and pending, with its id.
+
+        Returns ``(columns, ids)`` in ascending id order; ``names``
+        restricts the columns (default: the whole schema).  Main rows
+        come from the sub-indexes' own columns minus their tombstones,
+        pending rows from the delta buffers.  A row updated in place is
+        tombstoned in its sub-index and re-buffered under the same id, so
+        the sources are disjoint and together they are exactly the live
+        set.  This is the one gather of live rows: reclaiming compaction
+        rebuilds from it, and so does the engine's re-layout.
+        """
+        names = self._schema if names is None else tuple(names)
+        parts = [
+            _live_part(self._primary, names),
+            _live_part(self._outlier, names),
+            ({name: self._delta.column(name) for name in names}, self._delta.row_ids),
+        ]
+        return _concat_by_id(parts, names)
 
     # ------------------------------------------------------------------
     # Queries
@@ -819,10 +914,7 @@ class COAXIndex(MultidimensionalIndex):
 
     def _range_query_positions(self, query: Rectangle) -> np.ndarray:
         """Positional ids; only needed to satisfy the base-class contract."""
-        matches = self.range_query(query)
-        # Map original row ids back to positions within this index's subset
-        # via the cached lookup (no per-query argsort).
-        return self.positions_of(matches)
+        return self.positions_of(self.range_query(query))
 
     def _scan_pending(self, query: Rectangle) -> np.ndarray:
         """Vectorised rectangle scan of the delta store."""
@@ -863,18 +955,26 @@ class COAXIndex(MultidimensionalIndex):
         batch (see the concurrency contract in :mod:`repro.indexes.base`).
         """
         with self._write_lock:
-            columns = coerce_batch(batch, tuple(self._table.schema))
+            columns = coerce_batch(batch, self._schema)
             n_new = len(next(iter(columns.values()))) if columns else 0
             row_ids = self._next_row_id + np.arange(n_new, dtype=np.int64)
-            if n_new == 0:
-                return row_ids
-            self._delta.append_batch(columns, row_ids)
-            # Claim the ids only after the append succeeded: a batch that
-            # blows up mid-routing must not permanently burn its id range.
-            self._next_row_id += n_new
-            self._observe_pending_tail(columns, n_new)
-            self._maybe_auto_compact()
+            if n_new:
+                self._append_pending(columns, row_ids)
             return row_ids
+
+    def _append_pending(self, columns: Mapping[str, np.ndarray], row_ids: np.ndarray) -> None:
+        """Buffer coerced new rows under fresh ``row_ids``, then run the
+        auto-compaction triggers.
+
+        The write path of :meth:`insert_batch`, and of the sharded engine,
+        which issues the ids itself; the caller holds the write lock.
+        """
+        self._delta.append_batch(columns, row_ids)
+        # Claim the ids only after the append succeeded: a batch that
+        # blows up mid-routing must not permanently burn its id range.
+        self._next_row_id = max(self._next_row_id, int(row_ids.max()) + 1)
+        self._observe_pending_tail(columns, len(row_ids))
+        self._maybe_auto_compact()
 
     def _observe_pending_tail(self, columns: Mapping[str, np.ndarray], n_new: int) -> None:
         """Stream a just-appended batch into the drift monitors.
@@ -964,16 +1064,14 @@ class COAXIndex(MultidimensionalIndex):
             return matches
 
     def _delete_main_rows(self, row_ids: np.ndarray) -> int:
-        """Tombstone main-structure rows on the facade and both sub-indexes.
+        """Tombstone main-structure rows in the sub-index holding each.
 
         ``row_ids`` must already be de-duplicated; the sort is paid once by
-        the caller instead of once per structure.
+        the caller instead of once per structure.  Every covered row sits
+        in exactly one sub-index, so the two counts add up.
         """
-        newly = MultidimensionalIndex.delete_rows(self, row_ids, assume_unique=True)
-        if newly:
-            self._primary.delete_rows(row_ids, assume_unique=True)
-            self._outlier.delete_rows(row_ids, assume_unique=True)
-        return newly
+        newly = self._primary.delete_rows(row_ids, assume_unique=True)
+        return newly + self._outlier.delete_rows(row_ids, assume_unique=True)
 
     def _live_ids_mask(self, row_ids: np.ndarray) -> np.ndarray:
         """Which of ``row_ids`` are currently live (main or pending)."""
@@ -990,10 +1088,10 @@ class COAXIndex(MultidimensionalIndex):
         update is a delete plus a reinsert through the delta store: the old
         version is tombstoned (main rows) or removed in place (pending
         rows) and the new version is appended under the *same* row id with
-        its routing re-evaluated against the learned models — ids stay
-        aligned with table positions, the invariant compaction relies on to
-        write updated values back in place.  Unknown or already-deleted ids
-        raise ``KeyError`` (a partial update never applies silently);
+        its routing re-evaluated against the learned models, so the next
+        compaction carries the new values under the old id.  Unknown or
+        already-deleted ids raise ``KeyError`` (a partial update never
+        applies silently);
         duplicate ids in one batch raise ``ValueError``.  Returns
         ``row_ids`` unchanged, mirroring :meth:`insert_batch`.
 
@@ -1001,7 +1099,7 @@ class COAXIndex(MultidimensionalIndex):
         batch (see the concurrency contract in :mod:`repro.indexes.base`).
         """
         with self._write_lock:
-            columns = coerce_batch(batch, tuple(self._table.schema))
+            columns = coerce_batch(batch, self._schema)
             row_ids = np.asarray(row_ids, dtype=np.int64)
             n_new = len(next(iter(columns.values()))) if columns else 0
             if n_new != len(row_ids):
@@ -1035,13 +1133,13 @@ class COAXIndex(MultidimensionalIndex):
         outlier index is rebuilt only when its type cannot merge in place —
         it holds the small minority of the data by construction.
 
-        When tombstones exist (or the index covers a table subset), the
-        tombstoned rows are physically reclaimed instead: the index is
-        rebuilt with the learned groups over the survivors only, so
-        partition fractions and the primary/outlier bounding boxes are
-        recomputed from live rows.  Row ids are preserved either way —
-        compaction never renumbers.  Returns ``self`` so existing
-        ``index = index.compact()`` call sites keep working.
+        When tombstones exist, the tombstoned rows are physically reclaimed
+        instead: the index is rebuilt with the learned groups over the
+        survivors only, so partition fractions and the primary/outlier
+        bounding boxes are recomputed from live rows.  Row ids are
+        preserved either way — compaction never renumbers.  Returns
+        ``self`` so existing ``index = index.compact()`` call sites keep
+        working.
 
         With drift-aware maintenance enabled
         (``COAXConfig.maintenance.enabled``), compaction first consults the
@@ -1075,23 +1173,11 @@ class COAXIndex(MultidimensionalIndex):
                     # the new one too.
                     self._adopt_groups(outcome.groups)
                     self._maintenance.commit(outcome)
-            if (
-                self._delta.n_pending == 0
-                and self._n_tombstoned == 0
-                and refresh != REFIT
-            ):
+            reclaim = self.n_tombstoned > 0 or refresh == REFIT
+            if self._delta.n_pending == 0 and not reclaim:
                 return self
-            if (
-                self.rows_aligned
-                and self._n_tombstoned == 0
-                and refresh != REFIT
-            ):
-                pending_ids = self._delta.row_ids.copy()
-                pending_inliers = self._delta.inlier_mask.copy()
-                pending_model_counts = self._delta.per_model_inlier_counts
-                self._compact_incremental(
-                    pending_ids, pending_inliers, pending_model_counts
-                )
+            if not reclaim:
+                self._compact_incremental()
             else:
                 self._compact_reclaim(groups=refit_groups)
                 if refresh == REFIT:
@@ -1143,68 +1229,52 @@ class COAXIndex(MultidimensionalIndex):
                 ]
             )
 
-    def _pending_tail_table(self) -> Table:
-        """Tail table spanning ids ``[table.n_rows, next_row_id)``.
-
-        Each live pending row is scattered to position ``id - n_rows`` so
-        the invariant *row id == table position* survives concatenation.
-        Slots whose id was deleted from the delta store before compaction
-        are filled with NaN; they are never covered by any row-id set, so
-        no structure or query ever reads them.
-        """
-        n_rows = self._table.n_rows
-        span = self._next_row_id - n_rows
-        slots = self._delta.row_ids - n_rows
-        columns: Dict[str, np.ndarray] = {}
-        for name in self._table.schema:
-            tail = np.full(span, np.nan)
-            tail[slots] = self._delta.column(name)
-            columns[name] = tail
-        return Table(columns)
-
-    def _compact_incremental(
-        self,
-        pending_ids: np.ndarray,
-        pending_inliers: np.ndarray,
-        pending_model_counts: Dict[str, int],
-    ) -> None:
-        """Merge pending rows into the existing structures (aligned case)."""
-        combined = self._table.concat(self._pending_tail_table())
-        new_inlier_ids = pending_ids[pending_inliers]
-        new_outlier_ids = pending_ids[~pending_inliers]
+    def _compact_incremental(self) -> None:
+        """Merge the pending rows into the existing structures (no
+        tombstones, so every pending id is new to them)."""
+        pending = self._delta.columns()
+        pending_ids = self._delta.row_ids
+        inliers = self._delta.inlier_mask
+        new_inliers = {name: values[inliers] for name, values in pending.items()}
+        new_outliers = {name: values[~inliers] for name, values in pending.items()}
         # Primary grid: absorb into the existing quantile layout.
-        self._primary.absorb_rows(combined, new_inlier_ids)
+        self._primary.absorb_rows(new_inliers, pending_ids[inliers])
         # Outlier index: absorb when the structure supports it, else rebuild
         # (over the outlier minority only).
-        outlier_ids = np.concatenate([self._partition.outlier_ids, new_outlier_ids])
         if isinstance(self._outlier, SortedCellGridIndex):
-            self._outlier.absorb_rows(combined, new_outlier_ids)
+            self._outlier.absorb_rows(new_outliers, pending_ids[~inliers])
         else:
-            self._outlier = self._build_outlier_index(combined, outlier_ids)
-        # Flat row bookkeeping of the COAX facade itself.
-        n_old = len(self._row_ids)
-        n_new = len(pending_ids)
-        self._append_rows(combined, pending_ids)
-        inlier_ids = np.concatenate([self._partition.inlier_ids, new_inlier_ids])
+            columns, ids = _concat_by_id(
+                [
+                    _live_part(self._outlier, self._schema),
+                    (new_outliers, pending_ids[~inliers]),
+                ],
+                self._schema,
+            )
+            self._outlier = self._build_outlier_index(Table(columns), None, ids)
         # Per-model fractions merge exactly as weighted means using the
         # counts the delta store recorded at append time — no model is
         # re-evaluated during compaction.
+        n_old = self._partition.n_rows
+        n_new = len(pending_ids)
+        pending_model_counts = self._delta.per_model_inlier_counts
         per_model = {
             name: (old_fraction * n_old + pending_model_counts.get(name, 0))
             / (n_old + n_new)
             for name, old_fraction in self._partition.per_model_inlier_fraction.items()
         }
+        n_new_inliers = int(np.count_nonzero(inliers))
         self._partition = PartitionResult(
-            inlier_ids=inlier_ids,
-            outlier_ids=outlier_ids,
+            n_inliers=self._partition.n_inliers + n_new_inliers,
+            n_outliers=self._partition.n_outliers + n_new - n_new_inliers,
             per_model_inlier_fraction=per_model,
         )
         # Bounding boxes only ever grow: hull of the old box and the batch box.
         self._primary_box = merge_boxes(
-            self._primary_box, bounding_box_of_rows(combined, new_inlier_ids)
+            self._primary_box, bounding_box_of_columns(new_inliers)
         )
         self._outlier_box = merge_boxes(
-            self._outlier_box, bounding_box_of_rows(combined, new_outlier_ids)
+            self._outlier_box, bounding_box_of_columns(new_outliers)
         )
         self._report = replace(
             self._report,
@@ -1216,17 +1286,13 @@ class COAXIndex(MultidimensionalIndex):
     def _compact_reclaim(self, groups: Optional[Sequence[FDGroup]] = None) -> None:
         """Rebuild over the survivors with the learned groups, keeping ids.
 
-        Used whenever tombstones exist, the index covers a table subset, or
-        a model refit requires a re-partition (``groups`` then carries the
-        refitted models): tombstoned rows are dropped from every structure
-        (directories, partition, bounding boxes and the per-index column
-        copies are all recomputed from live rows only), updated pending
-        rows are written back to their original table positions, and new
-        pending rows land at ``position == id`` in the extended table — so
-        every surviving record keeps the row id it has always had.  Dead
-        positions stay in the backing table as uncovered slots; every index
-        structure and column copy is rebuilt without them, which is where
-        the memory and scan cost of deleted rows actually lived.
+        Used whenever tombstones exist or a model refit requires a
+        re-partition (``groups`` then carries the refitted models): the
+        live rows (:meth:`live_rows`, pending ones included) are rebuilt
+        into fresh structures under the ids they carry, so tombstoned rows
+        are gone from every structure, partition and bounding boxes are
+        recomputed from live rows only, and every surviving record keeps
+        the row id it has always had.
 
         Exception-safe: the fresh index (including any refitted groups) is
         fully built *before* anything on ``self`` changes, so a failed
@@ -1245,28 +1311,13 @@ class COAXIndex(MultidimensionalIndex):
         engine's coordinated refit uses this directly to prepare every
         shard before committing any of them.
         """
-        pending_ids = self._delta.row_ids.copy()
-        n_rows = self._table.n_rows
-        updated = pending_ids < n_rows  # in-place updates of existing rows
-        span = self._next_row_id - n_rows
-        columns: Dict[str, np.ndarray] = {}
-        for name in self._table.schema:
-            base = self._table.column(name)
-            values = self._delta.column(name)
-            if updated.any():
-                base = base.copy()
-                base[pending_ids[updated]] = values[updated]
-            tail = np.full(span, np.nan)
-            tail[pending_ids[~updated] - n_rows] = values[~updated]
-            columns[name] = np.concatenate([base, tail])
-        combined = Table(columns)
-        survivors = np.union1d(self.live_row_ids(), pending_ids)
+        columns, ids = self.live_rows()
         return COAXIndex(
-            combined,
+            Table(columns),
             config=self._config,
             groups=list(groups) if groups is not None else self._groups,
-            row_ids=survivors,
             dimensions=self._dimensions,
+            ids=ids,
         )
 
     def _swap_reclaimed(self, fresh: "COAXIndex") -> None:
@@ -1309,3 +1360,33 @@ class COAXIndex(MultidimensionalIndex):
             "outlier": self._outlier.directory_bytes(),
             "models": sum(group.memory_bytes() for group in self._groups),
         }
+
+    def data_bytes(self) -> int:
+        """Record bytes of the main structures: the sub-indexes' columns,
+        the one copy of every covered record."""
+        return self._primary.data_bytes() + self._outlier.data_bytes()
+
+
+def _live_part(
+    index: MultidimensionalIndex, names: Sequence[str]
+) -> Tuple[Dict[str, np.ndarray], np.ndarray]:
+    """``(columns, ids)`` of a sub-index's live rows, in its own order."""
+    dead = index.tombstone_mask
+    if dead is None:
+        return {name: index.column(name) for name in names}, index.row_ids
+    live = ~dead
+    return {name: index.column(name)[live] for name in names}, index.row_ids[live]
+
+
+def _concat_by_id(
+    parts: Sequence[Tuple[Mapping[str, np.ndarray], np.ndarray]], names: Sequence[str]
+) -> Tuple[Dict[str, np.ndarray], np.ndarray]:
+    """Concatenate ``(columns, ids)`` parts into one, in ascending id
+    order — the order a fresh build lays rows out from, whatever order the
+    parts came in."""
+    ids = np.concatenate([part_ids for _, part_ids in parts])
+    order = np.argsort(ids, kind="stable")
+    columns = {
+        name: np.concatenate([part[name] for part, _ in parts])[order] for name in names
+    }
+    return columns, ids[order]

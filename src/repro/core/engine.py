@@ -4,23 +4,21 @@ The paper's correlation-aware design keeps each query cheap; this module
 makes the *system* scale the way partitioned learned indexes (Flood,
 Tsunami) do in production: the table is split into ``n_shards`` horizontal
 partitions, each backed by its own :class:`~repro.core.coax.COAXIndex`
-over a shard-local table, behind the same
+holding that partition's rows, behind the same
 :class:`~repro.indexes.base.MultidimensionalIndex` API — every bench,
 example and test that speaks that API runs unchanged against the engine.
 
 Design pillars
 --------------
 
-* **Global-id mapping.**  Each shard keeps the library-wide invariant
-  *row id == table position* locally, and one strictly ascending array
-  per shard, ``_global_of[s]``, maps its local ids to global ids.  The
-  reverse lookup is derived, not stored: a global id's local id is its
-  ``searchsorted`` position in some shard's array (see ``_locate``), and
-  an id no shard holds — never issued, or dropped by a re-layout —
-  resolves to nothing.  COAX never renumbers local ids and global ids
-  are issued in increasing order, so the arrays only ever append and a
-  global id resolves to the same (shard, local) pair for the lifetime
-  of the record.
+* **Global ids, held by the shards.**  The engine issues every row id
+  and each shard's rows carry their global id in its primary and
+  outlier index (or, until compaction, its delta store), so a shard
+  answers in global ids and the engine keeps no id mapping at all.  A
+  lookup by id asks each shard through its own sub-indexes
+  (``rows_live``): every live id is held by exactly one shard, and an id
+  no shard holds — never issued, deleted, or dropped by a re-layout —
+  is found nowhere.
 * **Partitioning.**  ``range`` partitioning splits on quantile boundaries
   of one attribute — by default the predictor of the largest FD group,
   the attribute query translation concentrates constraints on, so
@@ -129,8 +127,8 @@ class ShardedCOAX(MultidimensionalIndex):
     Implements the :class:`MultidimensionalIndex` API (queries return
     *global* row ids, bit-identical to an unsharded ``COAXIndex`` over the
     same data) plus the full COAX CRUD surface — ``insert_batch`` /
-    ``delete_batch`` / ``update_batch`` / ``compact`` — routed per shard
-    through the global-id mapping.
+    ``delete_batch`` / ``update_batch`` / ``compact`` — routed to the
+    shard that holds each id.
     """
 
     def __init__(
@@ -143,13 +141,7 @@ class ShardedCOAX(MultidimensionalIndex):
     ) -> None:
         config = config if config is not None else EngineConfig()
         self._config = config
-        self._table = table
-        self._dimensions = tuple(dimensions) if dimensions else tuple(table.schema)
-        for dim in self._dimensions:
-            if dim not in table.schema:
-                raise IndexBuildError(f"dimension {dim!r} is not in the table schema")
-        self.stats = QueryStats()
-        self._write_lock = threading.RLock()
+        self._init_state(table.schema, self._checked_dimensions(table, dimensions))
         self._stats_lock = threading.Lock()
         self._closed = False
         self._executor: Optional[ThreadPoolExecutor] = None
@@ -216,37 +208,31 @@ class ShardedCOAX(MultidimensionalIndex):
         if config.layout.enabled and config.partitioning == "range":
             self._layout = LayoutMonitor(config.layout, config.n_shards)
 
-        # Scatter the build rows and construct one COAX index per shard —
-        # in parallel when workers > 1 (each build is independent NumPy
-        # work over its own partition).
+        # Route the build rows and construct one COAX index per shard — in
+        # parallel when workers > 1.  A row's global id is its table
+        # position, so each shard gathers its own rows straight from the
+        # table under their global ids.
         n_rows = table.n_rows
         assignment = self._route(table.columns(), np.arange(n_rows, dtype=np.int64))
-        shard_global_ids = [
-            np.flatnonzero(assignment == shard_no).astype(np.int64)
-            for shard_no in range(config.n_shards)
-        ]
 
-        def build_shard(global_ids: np.ndarray) -> COAXIndex:
+        def build_shard(shard_no: int) -> COAXIndex:
             return COAXIndex(
-                table.take(global_ids),
+                table,
                 config=self._shard_config,
                 groups=self._groups,
+                row_ids=np.flatnonzero(assignment == shard_no),
                 dimensions=self._dimensions,
             )
 
-        self._shards: List[COAXIndex] = self._map_shards(build_shard, shard_global_ids)
+        self._shards: List[COAXIndex] = self._map_shards(
+            build_shard, range(config.n_shards)
+        )
         if config.coax.maintenance.enabled and self._groups:
             self._maintenance = MaintenanceManager(
                 self._groups,
                 config.coax.maintenance,
                 self._aggregate_inlier_fractions(),
             )
-
-        # Local → global id mapping.  ``_global_of[s]`` is indexed by
-        # shard-local row id (== local table position, the per-shard
-        # invariant), strictly ascending, and only ever appends, because
-        # local ids are never renumbered or reused.
-        self._global_of: List[np.ndarray] = shard_global_ids
         self._next_global_id = int(n_rows)
 
     # ------------------------------------------------------------------
@@ -271,7 +257,7 @@ class ShardedCOAX(MultidimensionalIndex):
         if self._config.partitioning == "range" and self._config.n_shards > 1:
             values = np.asarray(columns[self._partition_dim], dtype=np.float64)
             return np.searchsorted(self._boundaries, values, side="right").astype(
-                np.int64
+                np.int64, copy=False
             )
         if self._config.n_shards == 1:
             return np.zeros(len(global_ids), dtype=np.int64)
@@ -322,21 +308,19 @@ class ShardedCOAX(MultidimensionalIndex):
         return [fn(item) for item in items]
 
     def _run_on_shard(
-        self, shard_no: int, fn: Callable[[COAXIndex, np.ndarray], _R]
+        self, shard_no: int, fn: Callable[[COAXIndex], _R]
     ) -> Tuple[_R, QueryStats]:
-        """``fn(shard, global_of)`` under the shard lock, plus the shard's
-        counter advance.
+        """``fn(shard)`` under the shard lock, plus the shard's counter
+        advance.
 
-        ``global_of`` is the shard's local→global id map, read under the
-        same lock that extends it on insert, so every local id ``fn`` sees
-        resolves.  Snapshot and delta are both taken inside the lock: a
-        concurrent reader advancing the same shard's counters must not be
+        Snapshot and delta are both taken inside the lock: a concurrent
+        reader advancing the same shard's counters must not be
         double-counted into this call's delta.
         """
         shard = self._shards[shard_no]
         with shard.write_lock:
             before = shard.stats.snapshot()
-            result = fn(shard, self._global_of[shard_no])
+            result = fn(shard)
             return result, shard.stats.delta(before)
 
     def _check_open(self) -> None:
@@ -453,20 +437,9 @@ class ShardedCOAX(MultidimensionalIndex):
         return int(sum(shard.n_rows for shard in self._shards))
 
     @property
-    def n_live(self) -> int:
-        """Covered records that are not tombstoned."""
-        return int(sum(shard.n_live for shard in self._shards))
-
-    @property
     def n_tombstoned(self) -> int:
         """Covered records marked deleted but not yet reclaimed."""
         return int(sum(shard.n_tombstoned for shard in self._shards))
-
-    @property
-    def tombstone_fraction(self) -> float:
-        """Tombstoned share of the covered rows across all shards."""
-        n_rows = self.n_rows
-        return self.n_tombstoned / n_rows if n_rows else 0.0
 
     @property
     def tombstone_mask(self) -> Optional[np.ndarray]:
@@ -496,68 +469,31 @@ class ShardedCOAX(MultidimensionalIndex):
     @property
     def row_ids(self) -> np.ndarray:
         """Global row ids covered by the main structures (sorted)."""
-        parts = [
-            self._global_of[shard_no][shard.row_ids]
-            for shard_no, shard in enumerate(self._shards)
-            if shard.n_rows
-        ]
-        if not parts:
-            return np.empty(0, dtype=np.int64)
-        return np.sort(np.concatenate(parts))
+        return np.sort(np.concatenate([shard.row_ids for shard in self._shards]))
 
     def live_row_ids(self) -> np.ndarray:
         """Global row ids of covered records that are still live (sorted)."""
-        parts = [
-            self._global_of[shard_no][shard.live_row_ids()]
-            for shard_no, shard in enumerate(self._shards)
-            if shard.n_live
-        ]
-        if not parts:
-            return np.empty(0, dtype=np.int64)
-        return np.sort(np.concatenate(parts))
-
-    def _locate(self, row_ids: np.ndarray) -> List[Tuple[int, np.ndarray, np.ndarray]]:
-        """Resolve global ids to ``(shard_no, selector, local_ids)`` per shard.
-
-        ``selector`` is a boolean mask over ``row_ids`` of the ids shard
-        ``shard_no`` holds, and ``local_ids`` their local ids in order.
-        Every ``_global_of[s]`` is strictly ascending, so one clipped
-        ``searchsorted`` plus an equality check per shard finds them; ids
-        no shard holds (never issued, or dropped by a re-layout) appear
-        in no selector.
-        """
-        located = []
-        for shard_no, global_of in enumerate(self._global_of):
-            if len(global_of) == 0:
-                continue
-            local = np.searchsorted(global_of, row_ids)
-            np.minimum(local, len(global_of) - 1, out=local)
-            selector = global_of[local] == row_ids
-            if selector.any():
-                located.append((shard_no, selector, local[selector]))
-        return located
+        return np.sort(np.concatenate([shard.live_row_ids() for shard in self._shards]))
 
     def rows_live(self, row_ids: np.ndarray) -> np.ndarray:
-        """Which of ``row_ids`` are covered and not tombstoned (per shard)."""
+        """Which of ``row_ids`` are covered and not tombstoned (each shard
+        answers for the ids it holds)."""
         row_ids = np.asarray(row_ids, dtype=np.int64)
         mask = np.zeros(len(row_ids), dtype=bool)
-        for shard_no, selector, local in self._locate(row_ids):
-            mask[selector] = self._shards[shard_no].rows_live(local)
+        for shard in self._shards:
+            mask |= shard.rows_live(row_ids)
         return mask
 
     def positions_of(self, row_ids: np.ndarray) -> np.ndarray:
         """Covered ids pass through: global row id == global table position."""
         row_ids = np.asarray(row_ids, dtype=np.int64)
-        covered = np.zeros(len(row_ids), dtype=bool)
-        for shard_no, selector, local in self._locate(row_ids):
-            covered[selector] = np.isin(local, self._shards[shard_no].row_ids)
-        return row_ids[covered]
+        return row_ids[np.isin(row_ids, self.row_ids)]
 
     def column(self, name: str) -> np.ndarray:
-        """Not provided: record data lives in the shard-local tables."""
+        """Not provided: record data lives in the shards' sub-indexes."""
         raise NotImplementedError(
-            "ShardedCOAX keeps no global column copies; read shard.column() "
-            "through the global-id mapping instead"
+            "ShardedCOAX keeps no column copies; each shard's live_rows() "
+            "returns its records with their global ids"
         )
 
     # ------------------------------------------------------------------
@@ -570,8 +506,8 @@ class ShardedCOAX(MultidimensionalIndex):
         models *and* re-partition every shard; a query translating with
         one generation of groups while shards execute another would lose
         rows.  The same hazard exists with adaptive *layout*: a re-layout
-        replaces the shard list, the boundaries and the id mapping in one
-        step.  Readers therefore serialise against the engine lock in
+        replaces the shard list and the boundaries in one step.  Readers
+        therefore serialise against the engine lock in
         either adaptive configuration; the default (frozen) engine keeps
         its lock-free read path, because neither groups nor layout ever
         change.
@@ -752,6 +688,7 @@ class ShardedCOAX(MultidimensionalIndex):
         Per task (positionally aligned with ``plan.tasks``) it returns the
         shard's output — ``(global ids, batch slots)`` of its matches, or
         its :class:`AggregatePartial` — and the shard's counter advance.
+        Shards answer in global ids, so nothing is translated here.
         """
 
         n_queries = len(queries)
@@ -766,11 +703,11 @@ class ShardedCOAX(MultidimensionalIndex):
                 }
             args = (queries, slots, bounds, translated, use_primary, use_outlier, len(slots))
 
-            def scan(shard: COAXIndex, global_of: np.ndarray):
+            def scan(shard: COAXIndex):
                 if spec is not None:
                     return shard.batch_scatter_aggregate(*args, spec)
-                local_ids, sub_qids = shard.batch_scatter_flat(*args)
-                return global_of[local_ids], slots[sub_qids]
+                ids, sub_qids = shard.batch_scatter_flat(*args)
+                return ids, slots[sub_qids]
 
             return self._run_on_shard(shard_no, scan)
 
@@ -932,14 +869,9 @@ class ShardedCOAX(MultidimensionalIndex):
         """``(keys, global ids)`` of ``partial`` on every listed shard,
         fanned out over the worker pool, plus the summed counter advance."""
 
-        def run(shard_no: int) -> Tuple[Tuple[np.ndarray, np.ndarray], QueryStats]:
-            def call(shard: COAXIndex, global_of: np.ndarray):
-                keys, local_ids = partial(shard)
-                return keys, global_of[local_ids]
-
-            return self._run_on_shard(shard_no, call)
-
-        scattered = self._map_shards(run, shard_nos)
+        scattered = self._map_shards(
+            lambda shard_no: self._run_on_shard(shard_no, partial), shard_nos
+        )
         gathered = QueryStats()
         for _, delta in scattered:
             gathered.merge(delta)
@@ -969,9 +901,8 @@ class ShardedCOAX(MultidimensionalIndex):
         # kNN has no rectangle to prune shards with — a distance bound
         # tight enough to skip a shard would need the very candidates the
         # shard is asked for — so every shard runs its ring search and the
-        # gather keeps the k best (global-id tie-break; local id order
-        # equals global id order within a shard, so per-shard truncation
-        # never drops a tie winner).
+        # gather keeps the k best (every shard breaks ties by global id
+        # too, so per-shard truncation never drops a tie winner).
         parts, gathered = self._keyed_fan_out(
             range(len(self._shards)),
             lambda shard: shard.knn_partial(point, k, metric=metric),
@@ -1046,18 +977,16 @@ class ShardedCOAX(MultidimensionalIndex):
     def insert_batch(self, batch: BatchLike) -> np.ndarray:
         """Insert a batch, routing every row to its shard; returns global ids.
 
-        Same accepted forms as :meth:`COAXIndex.insert_batch`.  The batch
-        is split by the partitioner and lands in each shard's delta store
-        with one call per touched shard; a shard whose auto-compaction
-        trigger fires compacts independently (local ids survive, so the
-        global mapping is untouched).  The new global ids exceed every
-        issued one, so appending them keeps each shard's ``_global_of``
-        ascending.  Mutation entry point: holds the engine lock, and each
-        shard's lock around the shard append plus its mapping extension.
+        Same accepted forms as :meth:`COAXIndex.insert_batch`.  The engine
+        issues the global ids, the partitioner splits the batch, and each
+        touched shard buffers its rows under their global ids with one
+        call; a shard whose auto-compaction trigger fires compacts
+        independently.  Mutation entry point: holds the engine lock, and
+        each shard's lock around the shard append plus its mask gather.
         """
         with self._write_lock:
             self._check_open()
-            columns = coerce_batch(batch, tuple(self._table.schema))
+            columns = coerce_batch(batch, self._schema)
             n_new = len(next(iter(columns.values()))) if columns else 0
             global_ids = self._next_global_id + np.arange(n_new, dtype=np.int64)
             if n_new == 0:
@@ -1068,16 +997,9 @@ class ShardedCOAX(MultidimensionalIndex):
                 routed = assignment == shard_no
                 shard = self._shards[shard_no]
                 sub_columns = {name: array[routed] for name, array in columns.items()}
-                # The shard append and the mapping extension must be one
-                # atomic step for concurrent readers holding this shard's
-                # lock: a pending row visible to a scatter worker always
-                # has its global id resolvable.
                 with shard.write_lock:
-                    shard.insert_batch(sub_columns)
+                    shard._append_pending(sub_columns, global_ids[routed])
                     self._gather_shard_masks(shard, routed, masks, sub_columns)
-                    self._global_of[shard_no] = np.concatenate(
-                        [self._global_of[shard_no], global_ids[routed]]
-                    )
             self._next_global_id += n_new
             self._observe_columns(columns, masks)
             return global_ids
@@ -1144,18 +1066,15 @@ class ShardedCOAX(MultidimensionalIndex):
     def delete_batch(self, row_ids: np.ndarray) -> int:
         """Delete records by global row id; returns how many were live.
 
-        Ids are grouped per shard through the mapping and each shard
-        receives one local batch delete (idempotent, unknown ids skipped,
-        per-shard auto-compaction may fire).  Mutation entry point: holds
-        the engine lock for the whole batch.
+        Every shard receives the batch and deletes the ids it holds
+        (idempotent, ids it does not hold skipped, per-shard
+        auto-compaction may fire).  Mutation entry point: holds the engine
+        lock for the whole batch.
         """
         with self._write_lock:
             self._check_open()
             row_ids = np.unique(np.asarray(row_ids, dtype=np.int64))
-            deleted = 0
-            for shard_no, _, local in self._locate(row_ids):
-                deleted += self._shards[shard_no].delete_batch(local)
-            return int(deleted)
+            return int(sum(shard.delete_batch(row_ids) for shard in self._shards))
 
     def delete_rows(self, row_ids: np.ndarray, *, assume_unique: bool = False) -> int:
         """Generic tombstone entry point; routes through the full engine
@@ -1188,7 +1107,7 @@ class ShardedCOAX(MultidimensionalIndex):
         """
         with self._write_lock:
             self._check_open()
-            columns = coerce_batch(batch, tuple(self._table.schema))
+            columns = coerce_batch(batch, self._schema)
             row_ids = np.asarray(row_ids, dtype=np.int64)
             n_new = len(next(iter(columns.values()))) if columns else 0
             if n_new != len(row_ids):
@@ -1199,20 +1118,21 @@ class ShardedCOAX(MultidimensionalIndex):
                 return row_ids
             if len(np.unique(row_ids)) != len(row_ids):
                 raise ValueError("update batch contains duplicate row ids")
-            located = self._locate(row_ids)
-            live = np.zeros(n_new, dtype=bool)
-            for shard_no, routed, local in located:
-                live[routed] = self._shards[shard_no]._live_ids_mask(local)
-            if not live.all():
-                missing = row_ids[~live]
+            # A live id is held by exactly one shard, main or pending.
+            owner = np.full(n_new, -1, dtype=np.int64)
+            for shard_no, shard in enumerate(self._shards):
+                owner[shard._live_ids_mask(row_ids)] = shard_no
+            if (owner < 0).any():
+                missing = row_ids[owner < 0]
                 raise KeyError(
                     f"cannot update unknown or deleted row ids: {missing.tolist()[:10]}"
                 )
             masks = self._new_mask_gather(n_new)
-            for shard_no, routed, local in located:
+            for shard_no in np.unique(owner):
+                routed = owner == shard_no
                 sub_columns = {name: array[routed] for name, array in columns.items()}
                 shard = self._shards[shard_no]
-                shard.update_batch(local, sub_columns)
+                shard.update_batch(row_ids[routed], sub_columns)
                 self._gather_shard_masks(shard, routed, masks, sub_columns)
             self._observe_columns(columns, masks)
             return row_ids
@@ -1223,94 +1143,62 @@ class ShardedCOAX(MultidimensionalIndex):
         few sketched queries, or the predicted win below the threshold."""
         if self._layout is None or self._partition_dim is None:
             return None
-        parts: List[np.ndarray] = []
-        for shard in self._shards:
-            local_live = shard.live_row_ids()
-            if len(local_live):
-                parts.append(shard.table.column(self._partition_dim)[local_live])
-            if shard.n_pending:
-                parts.append(shard.delta.column(self._partition_dim))
-        if not parts:
-            return None
-        return self._layout.propose(np.concatenate(parts), self._boundaries)
-
-    def _gather_live_rows(self) -> Tuple[Dict[str, np.ndarray], np.ndarray]:
-        """Every live record (main-structure plus pending) with its global
-        id, gathered across all shards (caller holds the engine lock).
-
-        Local row id == local table position, so main-structure values are
-        plain gathers from the shard tables; pending rows come straight
-        from the delta buffers.  A row updated in place is tombstoned in
-        the main structure and re-buffered under the same id, so the two
-        sources are disjoint and the union is exactly the live set.
-        """
-        schema = tuple(self._table.schema)
-        column_parts: Dict[str, List[np.ndarray]] = {name: [] for name in schema}
-        id_parts: List[np.ndarray] = []
-        for shard_no, shard in enumerate(self._shards):
-            local_live = shard.live_row_ids()
-            if len(local_live):
-                for name in schema:
-                    column_parts[name].append(shard.table.column(name)[local_live])
-                id_parts.append(self._global_of[shard_no][local_live])
-            if shard.n_pending:
-                pending_local = shard.delta.row_ids
-                for name in schema:
-                    column_parts[name].append(shard.delta.column(name))
-                id_parts.append(self._global_of[shard_no][pending_local])
-        if not id_parts:
-            return (
-                {name: np.empty(0, dtype=np.float64) for name in schema},
-                np.empty(0, dtype=np.int64),
-            )
-        return (
-            {name: np.concatenate(parts) for name, parts in column_parts.items()},
-            np.concatenate(id_parts),
+        values = np.concatenate(
+            [
+                shard.live_rows((self._partition_dim,))[0][self._partition_dim]
+                for shard in self._shards
+            ]
         )
+        if not len(values):
+            return None
+        return self._layout.propose(values, self._boundaries)
 
     def _rebuild_layout(self, proposal: LayoutProposal, groups: List[FDGroup]) -> None:
         """Adopt a layout proposal: gather, re-route, rebuild, swap.
 
         Caller holds the engine lock (readers are excluded through
         :meth:`_maintenance_guard`, which always guards when a layout
-        monitor exists).  Phase 1 is pure — live rows are gathered and
-        fresh shards built without mutating anything, so a build failure
-        leaves the engine on the old layout, fully consistent.  Phase 2
-        swaps shard list, boundaries and the global-id mapping; live
-        global ids survive verbatim, sorted ascending in each fresh
-        shard's ``_global_of``, and dead ids are in no shard's array, so
-        they resolve to nothing and results are bit-identical across the
-        re-layout.
+        monitor exists).  Phase 1 is pure — every shard's live rows are
+        gathered with their global ids (:meth:`COAXIndex.live_rows`) and
+        fresh shards built from them without mutating anything, so a
+        build failure leaves the engine on the old layout, fully
+        consistent.  Phase 2 swaps the shard list and the boundaries; live
+        rows keep their global ids and dead ids are in no shard, so
+        results are bit-identical across the re-layout.
         """
-        columns, global_ids = self._gather_live_rows()
+        parts = [shard.live_rows() for shard in self._shards]
+        table = Table(
+            {
+                name: np.concatenate([columns[name] for columns, _ in parts])
+                for name in self._schema
+            }
+        )
+        global_ids = np.concatenate([ids for _, ids in parts])
         boundaries = np.asarray(proposal.boundaries, dtype=np.float64)
         n_new = proposal.n_shards
-        values = columns[self._partition_dim]
-        assignment = np.searchsorted(boundaries, values, side="right")
-        member_rows: List[np.ndarray] = []
-        shard_globals: List[np.ndarray] = []
-        for shard_no in range(n_new):
-            members = np.flatnonzero(assignment == shard_no)
-            # Ascending global ids inside each shard: deterministic local
-            # numbering regardless of gather order.
-            members = members[np.argsort(global_ids[members], kind="stable")]
-            member_rows.append(members)
-            shard_globals.append(global_ids[members].astype(np.int64))
+        assignment = np.searchsorted(
+            boundaries, table.column(self._partition_dim), side="right"
+        )
 
-        def build(members: np.ndarray) -> COAXIndex:
+        def build(shard_no: int) -> COAXIndex:
+            members = np.flatnonzero(assignment == shard_no)
+            # Ascending global ids inside each shard: the same row order
+            # whatever order the gather produced.
+            members = members[np.argsort(global_ids[members], kind="stable")]
             return COAXIndex(
-                Table({name: array[members] for name, array in columns.items()}),
+                table,
                 config=self._shard_config,
                 groups=groups,
+                row_ids=members,
                 dimensions=self._dimensions,
+                ids=global_ids[members],
             )
 
-        fresh = self._map_shards(build, member_rows)
+        fresh = self._map_shards(build, range(n_new))
 
         # Phase 2: swaps and bookkeeping only, nothing below can fail.
         self._shards = fresh
         self._boundaries = boundaries
-        self._global_of = shard_globals
         if n_new != self._config.n_shards:
             self._config = replace(self._config, n_shards=n_new)
 
@@ -1412,26 +1300,27 @@ class ShardedCOAX(MultidimensionalIndex):
     # Memory accounting
     # ------------------------------------------------------------------
     def directory_bytes(self) -> int:
-        """Shard directories plus the global-id mapping arrays."""
+        """Shard directories (see :meth:`memory_breakdown`)."""
         return int(sum(self.memory_breakdown().values()))
 
     def data_bytes(self) -> int:
-        """Bytes of record data across the shard-local tables."""
+        """Bytes of record data across the shards' sub-indexes."""
         return int(sum(shard.data_bytes() for shard in self._shards))
 
     def memory_breakdown(self) -> Dict[str, int]:
         """Directory bytes per component: one entry per shard, plus
-        ``mapping`` — every id array the engine holds, which is the
-        per-shard ``_global_of`` arrays, 8 bytes per id a shard holds."""
+        ``mapping`` — every id array the engine itself holds.  That is
+        none: the rows carry their global ids in the shards, where the id
+        arrays count as record data."""
         breakdown = {
             f"shard{shard_no}": shard.directory_bytes()
             for shard_no, shard in enumerate(self._shards)
         }
-        breakdown["mapping"] = int(sum(array.nbytes for array in self._global_of))
+        breakdown["mapping"] = 0
         return breakdown
 
     # ------------------------------------------------------------------
-    # Persistence support (format v4; see repro.io.persistence)
+    # Persistence support (format v4+; see repro.io.persistence)
     # ------------------------------------------------------------------
     @classmethod
     def _from_shards(
@@ -1441,50 +1330,20 @@ class ShardedCOAX(MultidimensionalIndex):
         config: EngineConfig,
         groups: Sequence[FDGroup],
         dimensions: Sequence[str],
-        global_of: Sequence[np.ndarray],
         next_global_id: int,
         boundaries: np.ndarray,
         partition_dimension: Optional[str],
     ) -> "ShardedCOAX":
-        """Assemble an engine from restored shards plus their mapping.
-
-        Used by the v4 archive loader and by :meth:`from_index`; before
-        trusting the mapping it validates that every shard's ``_global_of``
-        covers its local ids, is strictly ascending inside
-        ``[0, next_global_id)``, and shares no id with another shard.  Ids
-        no shard holds are allowed: a re-layout drops the dead ones.
-        """
+        """Assemble an engine from restored shards whose rows already
+        carry their global ids (the archive loader and :meth:`from_index`)."""
         shards = list(shards)
         if len(shards) != config.n_shards:
             raise ValueError(
                 f"engine config expects {config.n_shards} shards, got {len(shards)}"
             )
-        global_of = [np.asarray(ids, dtype=np.int64) for ids in global_of]
-        seen = np.zeros(next_global_id, dtype=bool)
-        for shard_no, (shard, ids) in enumerate(zip(shards, global_of)):
-            if len(ids) != shard.next_row_id:
-                raise ValueError(
-                    f"shard {shard_no} mapping has {len(ids)} ids for "
-                    f"{shard.next_row_id} local ids"
-                )
-            if len(ids) == 0:
-                continue
-            if ids[0] < 0 or ids[-1] >= next_global_id or np.any(ids[1:] <= ids[:-1]):
-                raise ValueError(
-                    f"shard {shard_no} mapping is not strictly ascending "
-                    f"inside [0, {next_global_id})"
-                )
-            if seen[ids].any():
-                raise ValueError("shard mapping assigns some global id twice")
-            seen[ids] = True
         self = cls.__new__(cls)
         self._config = config
-        # The facade table only carries the schema for insert coercion;
-        # record data lives in the shard-local tables.
-        self._table = shards[0].table if shards else None
-        self._dimensions = tuple(dimensions)
-        self.stats = QueryStats()
-        self._write_lock = threading.RLock()
+        self._init_state(shards[0].schema, dimensions)
         self._stats_lock = threading.Lock()
         self._closed = False
         self._executor = None
@@ -1517,7 +1376,6 @@ class ShardedCOAX(MultidimensionalIndex):
                     config.coax.maintenance,
                     self._aggregate_inlier_fractions(),
                 )
-        self._global_of = global_of
         self._next_global_id = int(next_global_id)
         return self
 
@@ -1525,8 +1383,8 @@ class ShardedCOAX(MultidimensionalIndex):
     def from_index(cls, index: COAXIndex, *, workers: int = 1) -> "ShardedCOAX":
         """Wrap an existing (e.g. legacy-archive) COAX index as one shard.
 
-        The shard's local ids are the global ids, so the mapping is the
-        identity; this is how format v1–v3 archives load into the engine.
+        The index's row ids become the global ids; this is how flat
+        archives load into the engine.
         """
         config = EngineConfig(
             n_shards=1,
@@ -1539,7 +1397,6 @@ class ShardedCOAX(MultidimensionalIndex):
             config=config,
             groups=list(index.groups),
             dimensions=index.dimensions,
-            global_of=[np.arange(index.next_row_id, dtype=np.int64)],
             next_global_id=index.next_row_id,
             boundaries=np.empty(0, dtype=np.float64),
             partition_dimension=None,

@@ -9,7 +9,7 @@ indexes all attributes and therefore needs no dependency to hold.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -21,23 +21,27 @@ __all__ = ["PartitionResult", "partition_rows"]
 
 @dataclass(frozen=True)
 class PartitionResult:
-    """Outcome of the inlier/outlier split."""
+    """Outcome of the inlier/outlier split: sizes and per-model fractions.
 
-    inlier_ids: np.ndarray
-    outlier_ids: np.ndarray
+    The split itself keeps no id arrays: which rows are inliers is what
+    the primary index holds (its row ids), the rest is the outlier index.
+    """
+
+    n_inliers: int
+    n_outliers: int
     #: Per (predictor, dependent) pair: fraction of rows inside that model's margins.
     per_model_inlier_fraction: Dict[str, float]
 
     @property
     def n_rows(self) -> int:
         """Total number of partitioned rows."""
-        return len(self.inlier_ids) + len(self.outlier_ids)
+        return self.n_inliers + self.n_outliers
 
     @property
     def primary_ratio(self) -> float:
         """Fraction of rows retained by the primary index (Table 1's "Primary Index Ratio")."""
         total = self.n_rows
-        return len(self.inlier_ids) / total if total else 0.0
+        return self.n_inliers / total if total else 0.0
 
 
 def partition_rows(
@@ -45,33 +49,32 @@ def partition_rows(
     groups: Sequence[FDGroup],
     *,
     row_ids: np.ndarray | None = None,
-) -> PartitionResult:
+) -> Tuple[np.ndarray, PartitionResult]:
     """Split ``table`` rows into inliers and outliers with respect to ``groups``.
 
-    ``row_ids`` restricts the partition to a subset of the table (used by the
-    incremental insert path); by default all rows are partitioned.  With no
-    groups at all, every row is an inlier (COAX degenerates into its primary
-    index over the full data).
+    ``row_ids`` restricts the partition to a subset of the table's
+    positions; by default all rows are partitioned.  Returns the inlier
+    mask over the partitioned rows (in ``row_ids`` order) and the split's
+    summary.  With no groups at all, every row is an inlier (COAX
+    degenerates into its primary index over the full data).
     """
-    if row_ids is None:
-        row_ids = np.arange(table.n_rows, dtype=np.int64)
-    else:
-        row_ids = np.asarray(row_ids, dtype=np.int64)
-    if len(row_ids) == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return PartitionResult(empty, empty, {})
-
-    needed = {attr for group in groups for attr in group.attributes}
-    columns = {name: table.column(name)[row_ids] for name in needed}
-    inlier_mask = np.ones(len(row_ids), dtype=bool)
+    n_rows = table.n_rows if row_ids is None else len(row_ids)
+    inlier_mask = np.ones(n_rows, dtype=bool)
+    if n_rows == 0:
+        return inlier_mask, PartitionResult(0, 0, {})
     per_model: Dict[str, float] = {}
-    for name, within in per_model_inlier_masks(groups, columns).items():
-        per_model[name] = float(np.mean(within))
-        inlier_mask &= within
-    inlier_ids = row_ids[inlier_mask]
-    outlier_ids = row_ids[~inlier_mask]
-    return PartitionResult(
-        inlier_ids=inlier_ids,
-        outlier_ids=outlier_ids,
+    for group in groups:
+        # One group's columns at a time: a subset gathers only those.
+        columns = {
+            name: table.column(name) if row_ids is None else table.column(name)[row_ids]
+            for name in group.attributes
+        }
+        for name, within in per_model_inlier_masks([group], columns).items():
+            per_model[name] = float(np.mean(within))
+            inlier_mask &= within
+    n_inliers = int(np.count_nonzero(inlier_mask))
+    return inlier_mask, PartitionResult(
+        n_inliers=n_inliers,
+        n_outliers=n_rows - n_inliers,
         per_model_inlier_fraction=per_model,
     )

@@ -15,12 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.data.predicates import Rectangle
-from repro.data.table import Table
 from repro.core.query_translation import (
     BoundsMap,
     translate_query,
@@ -34,7 +33,7 @@ __all__ = [
     "plan_query_flags",
     "batch_overlaps_box",
     "batch_overlaps_boxes",
-    "bounding_box_of_rows",
+    "bounding_box_of_columns",
     "merge_boxes",
 ]
 
@@ -53,16 +52,16 @@ class QueryPlan:
     skip_reasons: Dict[str, str]
 
 
-def bounding_box_of_rows(
-    table: Table, row_ids: np.ndarray
+def bounding_box_of_columns(
+    columns: Mapping[str, np.ndarray]
 ) -> Optional[Tuple[Dict[str, float], Dict[str, float]]]:
-    """(mins, maxs) per attribute over the given rows, or ``None`` if empty."""
-    if len(row_ids) == 0:
+    """(mins, maxs) per attribute over the rows of ``columns`` (one array
+    per attribute, all of one length), or ``None`` if there are no rows."""
+    if not columns or len(next(iter(columns.values()))) == 0:
         return None
     lows: Dict[str, float] = {}
     highs: Dict[str, float] = {}
-    for name in table.schema:
-        values = table.column(name)[row_ids]
+    for name, values in columns.items():
         lows[name] = float(values.min())
         highs[name] = float(values.max())
     return lows, highs

@@ -1,8 +1,10 @@
 """Common interface of every multidimensional index in the library.
 
 Indexes are constructed over a table (optionally restricted to a subset of
-rows); query results are always arrays of *original* row ids so COAX can
-merge primary- and outlier-index results with a plain union (Figure 1).
+rows) and keep their own copy of the rows they cover, each row carrying
+its id: its table position by default, or an id the builder passes in.
+Query results are always arrays of those ids, so COAX can merge primary-
+and outlier-index results with a plain union (Figure 1).
 Every index also accounts for its *directory* memory (the structure on top
 of the data: boundaries, cell offsets, tree nodes, model parameters)
 separately from the data itself, which is what Figure 8 plots on its x axis.
@@ -276,28 +278,34 @@ class MultidimensionalIndex(ABC):
         *,
         row_ids: Optional[np.ndarray] = None,
         dimensions: Optional[Sequence[str]] = None,
+        ids: Optional[np.ndarray] = None,
     ) -> None:
-        self._table = table
-        aligned = row_ids is None
+        self._init_state(table.schema, self._checked_dimensions(table, dimensions))
+        # ``row_ids`` selects the rows of ``table`` to index (default: all
+        # of them); ``ids`` are the ids those rows carry (default: their
+        # table positions).  Queries work on positional ids 0..n-1 and map
+        # back to the carried ids at the end.  An index over the whole
+        # table references the table arrays directly (zero-copy — in
+        # particular mmap-backed columns stay mapped); subset-scoped
+        # indexes gather their covered rows once.
         if row_ids is None:
-            row_ids = np.arange(table.n_rows, dtype=np.int64)
-        else:
-            row_ids = np.asarray(row_ids, dtype=np.int64)
-        self._row_ids = row_ids
-        self._dimensions = self._checked_dimensions(table, dimensions)
-        # Local view of the indexed subset: queries work on positional ids
-        # 0..len(row_ids)-1 and map back to original ids at the end.  An
-        # index over the whole table references the table arrays directly
-        # (zero-copy — in particular mmap-backed columns stay mapped);
-        # subset-scoped indexes gather their covered rows once.
-        if aligned:
             self._columns: Dict[str, np.ndarray] = {
                 name: table.column(name) for name in table.schema
             }
+            row_ids = np.arange(table.n_rows, dtype=np.int64)
         else:
+            row_ids = np.asarray(row_ids, dtype=np.int64)
             self._columns = {
                 name: table.column(name)[row_ids] for name in table.schema
             }
+        if ids is not None:
+            ids = np.asarray(ids, dtype=np.int64)
+            if len(ids) != len(row_ids):
+                raise IndexBuildError(
+                    f"{len(ids)} ids given for {len(row_ids)} indexed rows"
+                )
+            row_ids = ids
+        self._row_ids = row_ids
         # Lazily built row-id -> position lookup (see :meth:`positions_of`).
         self._row_id_order: Optional[np.ndarray] = None
         self._sorted_row_ids: Optional[np.ndarray] = None
@@ -305,6 +313,13 @@ class MultidimensionalIndex(ABC):
         # delete, so delete-free indexes pay nothing on the read path).
         self._tombstone: Optional[np.ndarray] = None
         self._n_tombstoned = 0
+
+    def _init_state(self, schema: Sequence[str], dimensions: Sequence[str]) -> None:
+        """The state every index has, whether or not it stores rows: the
+        schema (an index keeps no reference to the table it was built
+        from), the indexed attributes, the write lock and the counters."""
+        self._schema: Tuple[str, ...] = tuple(schema)
+        self._dimensions = tuple(dimensions)
         # Single-writer lock (see the module docstring's concurrency
         # contract).  Reentrant: mutation entry points nest (insert ->
         # auto-compact -> compact) without re-acquisition deadlocks.
@@ -326,7 +341,7 @@ class MultidimensionalIndex(ABC):
     def _key_columns(
         table: Table, row_ids: Optional[np.ndarray], names: Sequence[str]
     ) -> Tuple[np.ndarray, Dict[str, np.ndarray]]:
-        """Covered row ids and the named columns over them, in id order.
+        """Covered table positions and the named columns over them.
 
         What a clustered index lays its rows out from *before* calling the
         base constructor with its rows in layout order, so the base class
@@ -335,14 +350,13 @@ class MultidimensionalIndex(ABC):
         own arrays.
         """
         if row_ids is None:
-            ids = np.arange(table.n_rows, dtype=np.int64)
-            return ids, {name: table.column(name) for name in names}
-        ids = np.asarray(row_ids, dtype=np.int64)
-        return ids, {name: table.column(name)[ids] for name in names}
+            positions = np.arange(table.n_rows, dtype=np.int64)
+            return positions, {name: table.column(name) for name in names}
+        positions = np.asarray(row_ids, dtype=np.int64)
+        return positions, {name: table.column(name)[positions] for name in names}
 
     def _init_restored(
         self,
-        table: Table,
         *,
         row_ids: np.ndarray,
         columns: Dict[str, np.ndarray],
@@ -350,15 +364,13 @@ class MultidimensionalIndex(ABC):
     ) -> None:
         """Adopt base-class state directly from persisted arrays.
 
-        Structured (format v6) restore path: the caller supplies the
+        Structured (format v6+) restore path: the caller supplies the
         covered row ids and the per-structure column arrays (typically
-        memmap-backed) verbatim instead of re-gathering them from the
-        table, so attaching is O(metadata).  Tombstones are re-applied by
-        the caller afterwards via :meth:`delete_rows`.
+        memmap-backed) verbatim, so attaching is O(metadata).  Tombstones
+        are re-applied by the caller afterwards via :meth:`delete_rows`.
         """
-        self._table = table
+        self._init_state(tuple(columns), dimensions)
         self._row_ids = np.asarray(row_ids, dtype=np.int64)
-        self._dimensions = tuple(dimensions)
         # Plain-ndarray views of the (typically memmap) columns: same
         # mapped buffer, no copy, but gathers and comparisons on them skip
         # np.memmap's per-result Python hooks, which dominate on the few
@@ -368,20 +380,18 @@ class MultidimensionalIndex(ABC):
         self._sorted_row_ids = None
         self._tombstone = None
         self._n_tombstoned = 0
-        self._write_lock = threading.RLock()
-        self.stats = QueryStats()
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     @property
-    def table(self) -> Table:
-        """The table the index was built over."""
-        return self._table
+    def schema(self) -> Tuple[str, ...]:
+        """Attribute names of the indexed records, in table order."""
+        return self._schema
 
     @property
     def row_ids(self) -> np.ndarray:
-        """Original row ids covered by this index."""
+        """Ids of the records covered by this index."""
         return self._row_ids
 
     @property
@@ -397,12 +407,13 @@ class MultidimensionalIndex(ABC):
     @property
     def n_live(self) -> int:
         """Number of covered records that are not tombstoned."""
-        return len(self._row_ids) - self._n_tombstoned
+        return self.n_rows - self.n_tombstoned
 
     @property
     def tombstone_fraction(self) -> float:
         """Tombstoned share of the covered rows (compaction trigger metric)."""
-        return self._n_tombstoned / len(self._row_ids) if len(self._row_ids) else 0.0
+        n_rows = self.n_rows
+        return self.n_tombstoned / n_rows if n_rows else 0.0
 
     @property
     def tombstone_mask(self) -> Optional[np.ndarray]:
@@ -693,29 +704,18 @@ class MultidimensionalIndex(ABC):
     # ------------------------------------------------------------------
     # Helpers for subclasses
     # ------------------------------------------------------------------
-    def _append_rows(self, table: Table, new_row_ids: np.ndarray) -> None:
-        """Extend the covered row set with ``new_row_ids`` of ``table``.
+    def _append_rows(
+        self, new_columns: Mapping[str, np.ndarray], new_row_ids: np.ndarray
+    ) -> None:
+        """Extend the covered row set with rows given as columns plus ids.
 
-        ``table`` becomes the index's backing table (it must contain the old
-        rows under their old ids plus the new ones).  Only the flat row
-        bookkeeping is updated here — directory structures are the
-        subclass's responsibility.
+        Only the flat row bookkeeping is updated here — directory
+        structures are the subclass's responsibility.
         """
-        new_row_ids = np.asarray(new_row_ids, dtype=np.int64)
-        # Invalidate the row-id lookup *before* touching the row set: if
-        # the gather below or an insert raises, a stale cache must never
-        # survive to serve positions over partially updated arrays.
-        self._invalidate_row_lookup()
-        self._insert_rows(
-            table,
-            new_row_ids,
-            {name: table.column(name)[new_row_ids] for name in table.schema},
-            self.n_rows,
-        )
+        self._insert_rows(new_row_ids, new_columns, self.n_rows)
 
     def _insert_rows(
         self,
-        table: Table,
         new_row_ids: np.ndarray,
         new_columns: Mapping[str, np.ndarray],
         at,
@@ -726,17 +726,19 @@ class MultidimensionalIndex(ABC):
         append when it is ``n_rows``) or one position per new row, rows
         sharing a position keeping their batch order.  The row ids, every
         column and the tombstone bitmap (new rows live) move together, so
-        positions stay aligned across all of them; ``table`` becomes the
-        backing table (see :meth:`_append_rows`).
+        positions stay aligned across all of them.
         """
-        self._invalidate_row_lookup()  # before any mutation, as above
-        self._table = table
+        # Invalidate the row-id lookup *before* touching the row set: if
+        # an insert below raises, a stale cache must never survive to
+        # serve positions over partially updated arrays.
+        self._invalidate_row_lookup()
+        new_row_ids = np.asarray(new_row_ids, dtype=np.int64)
         self._row_ids = np.insert(self._row_ids, at, new_row_ids)
         if self._tombstone is not None:
             self._tombstone = np.insert(
                 self._tombstone, at, np.zeros(len(new_row_ids), dtype=bool)
             )
-        for name in table.schema:
+        for name in self._schema:
             self._columns[name] = np.insert(self._columns[name], at, new_columns[name])
 
     def _invalidate_row_lookup(self) -> None:

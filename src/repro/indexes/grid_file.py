@@ -29,7 +29,7 @@ The same structure doubles as the Column Files baseline (see
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -71,6 +71,7 @@ class SortedCellGridIndex(MultidimensionalIndex):
         sort_dimension: Optional[str] = None,
         row_ids: Optional[np.ndarray] = None,
         dimensions: Optional[Sequence[str]] = None,
+        ids: Optional[np.ndarray] = None,
     ) -> None:
         dimensions = self._checked_dimensions(table, dimensions)
         if cells_per_dim < 1:
@@ -84,13 +85,13 @@ class SortedCellGridIndex(MultidimensionalIndex):
         )
         # Lay the rows out from their key columns alone; the base class then
         # gathers every column once, straight into (cell, sort-key) order.
-        ids, keys = self._key_columns(
+        positions, keys = self._key_columns(
             table, row_ids, (*self._grid_dimensions, self._sort_dimension)
         )
         n_grid_dims = len(self._grid_dimensions)
         # Same directory-size discipline as the uniform grid: by default the
         # total cell count may not exceed the number of indexed records.
-        budget = max_cells if max_cells is not None else max(16, len(ids))
+        budget = max_cells if max_cells is not None else max(16, len(positions))
         budget = min(budget, MAX_TOTAL_CELLS)
         self._cells_per_dim = _capped_cells_per_dim(cells_per_dim, n_grid_dims, budget)
         self._shape: Tuple[int, ...] = tuple([self._cells_per_dim] * n_grid_dims)
@@ -100,9 +101,17 @@ class SortedCellGridIndex(MultidimensionalIndex):
             for dim in self._grid_dimensions
         ]
         order, cells, rank_keys, distinct = self._cluster_order(keys)
-        super().__init__(table, row_ids=ids[order], dimensions=dimensions)
-        self._compute_axis_spans()
         self._index_cells(cells, rank_keys, distinct)
+        # The key copies and cell ids are spent: drop them before the
+        # columns are gathered, so that gather can reuse their memory.
+        del keys, cells
+        super().__init__(
+            table,
+            row_ids=positions[order],
+            dimensions=dimensions,
+            ids=None if ids is None else np.asarray(ids, dtype=np.int64)[order],
+        )
+        self._compute_axis_spans()
 
     # ------------------------------------------------------------------
     # Structured restore (format v8)
@@ -110,7 +119,6 @@ class SortedCellGridIndex(MultidimensionalIndex):
     @classmethod
     def _restore(
         cls,
-        table: Table,
         *,
         row_ids: np.ndarray,
         columns: Dict[str, np.ndarray],
@@ -134,9 +142,7 @@ class SortedCellGridIndex(MultidimensionalIndex):
         they are memmaps).  Memmap-backed arrays stay mapped.
         """
         index = cls.__new__(cls)
-        index._init_restored(
-            table, row_ids=row_ids, columns=columns, dimensions=dimensions
-        )
+        index._init_restored(row_ids=row_ids, columns=columns, dimensions=dimensions)
         index._sort_dimension = sort_dimension
         index._grid_dimensions = tuple(
             dim for dim in index._dimensions if dim != sort_dimension
@@ -232,8 +238,10 @@ class SortedCellGridIndex(MultidimensionalIndex):
     # ------------------------------------------------------------------
     # Incremental maintenance
     # ------------------------------------------------------------------
-    def absorb_rows(self, table: Table, new_row_ids: np.ndarray) -> None:
-        """Merge new rows of ``table`` into the existing grid in place.
+    def absorb_rows(
+        self, new_columns: Mapping[str, np.ndarray], new_row_ids: np.ndarray
+    ) -> None:
+        """Merge new rows, given as columns plus their ids, in place.
 
         This is the incremental half of COAX compaction: the quantile
         boundaries learned at build time are kept (no re-quantiling), the
@@ -248,30 +256,28 @@ class SortedCellGridIndex(MultidimensionalIndex):
         a rebuild is avoiding the full ``O((n + k) log (n + k))`` re-sort
         and the re-quantiling, not the linear copy.
 
-        ``table`` must contain the previously covered rows under their old
-        ids plus the new rows under ``new_row_ids``.
+        ``new_columns`` holds every schema column of the new rows,
+        positionally aligned with ``new_row_ids``.
         """
         new_row_ids = np.asarray(new_row_ids, dtype=np.int64)
         if len(new_row_ids) == 0:
-            self._table = table
             return
         if self.n_rows == 0:
             # The grid was built over no data, so its boundaries carry no
             # information; learn them from the first absorbed batch, which
             # is laid out exactly like a build.
-            _, keys = self._key_columns(
-                table, new_row_ids, (*self._grid_dimensions, self._sort_dimension)
-            )
             self._boundaries = [
-                quantile_boundaries(keys[dim], self._cells_per_dim)
+                quantile_boundaries(new_columns[dim], self._cells_per_dim)
                 for dim in self._grid_dimensions
             ]
-            order, cells, rank_keys, distinct = self._cluster_order(keys)
-            self._append_rows(table, new_row_ids[order])
+            order, cells, rank_keys, distinct = self._cluster_order(new_columns)
+            self._append_rows(
+                {name: new_columns[name][order] for name in self._schema},
+                new_row_ids[order],
+            )
             self._compute_axis_spans()
             self._index_cells(cells, rank_keys, distinct)
             return
-        new_columns = {name: table.column(name)[new_row_ids] for name in table.schema}
         for axis, dim in enumerate(self._grid_dimensions):
             new_values = new_columns[dim]
             self._axis_lows[axis] = min(self._axis_lows[axis], float(new_values.min()))
@@ -306,9 +312,8 @@ class SortedCellGridIndex(MultidimensionalIndex):
         new_rank_keys = new_rank_keys[order]
         insert_at = rank_keys.searchsorted(new_rank_keys, side="right")
         self._insert_rows(
-            table,
             new_row_ids[order],
-            {name: column[order] for name, column in new_columns.items()},
+            {name: new_columns[name][order] for name in self._schema},
             insert_at,
         )
         self._rank_keys = np.insert(rank_keys, insert_at, new_rank_keys)

@@ -79,8 +79,9 @@ class RTreeIndex(MultidimensionalIndex):
         node_capacity: int = 10,
         row_ids: Optional[np.ndarray] = None,
         dimensions: Optional[Sequence[str]] = None,
+        ids: Optional[np.ndarray] = None,
     ) -> None:
-        super().__init__(table, row_ids=row_ids, dimensions=dimensions)
+        super().__init__(table, row_ids=row_ids, dimensions=dimensions, ids=ids)
         if node_capacity < 2:
             raise IndexBuildError("node_capacity must be at least 2")
         self._capacity = int(node_capacity)

@@ -66,19 +66,20 @@ class UniformGridIndex(MultidimensionalIndex):
         max_cells: Optional[int] = None,
         row_ids: Optional[np.ndarray] = None,
         dimensions: Optional[Sequence[str]] = None,
+        ids: Optional[np.ndarray] = None,
     ) -> None:
         dimensions = self._checked_dimensions(table, dimensions)
         if cells_per_dim < 1:
             raise IndexBuildError("cells_per_dim must be at least 1")
         # Cluster the rows per cell from their key columns alone; the base
         # class then gathers every column once, straight into cell order.
-        ids, keys = self._key_columns(table, row_ids, dimensions)
+        positions, keys = self._key_columns(table, row_ids, dimensions)
         n_dims = len(dimensions)
         # The paper limits every index to a directory no larger than the data
         # it covers (Section 8.2.1); by default the cell budget is therefore
         # one cell per indexed record, which caps the per-dimension cell
         # count for high-dimensional tables.
-        budget = max_cells if max_cells is not None else max(16, len(ids))
+        budget = max_cells if max_cells is not None else max(16, len(positions))
         budget = min(budget, MAX_TOTAL_CELLS)
         self._cells_per_dim = _capped_cells_per_dim(cells_per_dim, n_dims, budget)
         self._shape: Tuple[int, ...] = tuple([self._cells_per_dim] * n_dims)
@@ -92,10 +93,15 @@ class UniformGridIndex(MultidimensionalIndex):
                 self._shape,
             )
             if self._shape
-            else np.zeros(len(ids), dtype=np.int64)
+            else np.zeros(len(positions), dtype=np.int64)
         )
         order = np.argsort(flat, kind="stable")
-        super().__init__(table, row_ids=ids[order], dimensions=dimensions)
+        super().__init__(
+            table,
+            row_ids=positions[order],
+            dimensions=dimensions,
+            ids=None if ids is None else np.asarray(ids, dtype=np.int64)[order],
+        )
         # Observed [min, max] per axis: the edge cells are clipped
         # catch-alls, so filter pruning needs the real data span to prove a
         # query interval covers everything a visited edge cell can hold.

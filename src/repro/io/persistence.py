@@ -35,7 +35,11 @@ verbatim instead of replaying the build — no FD model is evaluated,
 nothing is re-sorted.  Indexes whose state cannot be reattached
 (subset-scoped after a reclaiming compaction, or non-grid outlier
 indexes) simply omit the section and are rebuilt deterministically from
-the stored groups, exactly like pre-v6 archives.  v6/v7 archives carry
+the stored groups, exactly like pre-v6 archives.  An index keeps its
+records only in its grids, so the writer derives the table section, the
+tombstone bitmap, the partition arrays and a shard's ``__global_of__``
+from them, and the loader gives a shard's rows their global ids back
+with one gather per id array (see :func:`_index_payload`).  v6/v7 archives carry
 the older permutation grid section, which is ignored: they rebuild the
 same way.
 
@@ -62,7 +66,7 @@ import re
 import shutil
 from dataclasses import asdict
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -74,7 +78,6 @@ from repro.core.config import (
     MaintenanceConfig,
 )
 from repro.core.engine import ShardedCOAX
-from repro.core.partitioner import PartitionResult
 from repro.data.table import Table
 from repro.fd.detection import DetectionConfig
 from repro.fd.bucketing import BucketingConfig
@@ -252,33 +255,21 @@ def _box_from_json(payload) -> Optional[Tuple[Dict[str, float], Dict[str, float]
     )
 
 
-def _structured_eligible(index: COAXIndex) -> bool:
-    """Whether the index's derived state can be reattached verbatim.
-
-    Requires row id == table position (subset-scoped indexes left behind
-    by a reclaiming compaction re-run the deterministic rebuild instead)
-    and grid-file structures on both sides (the r-tree / uniform-grid
-    outlier variants carry no stable persisted form).
-    """
-    return (
-        index.rows_aligned
-        and type(index._primary) is SortedCellGridIndex
-        and type(index._outlier) is SortedCellGridIndex
-    )
-
-
 def _grid_payload(
-    grid: SortedCellGridIndex, prefix: str, arrays: Dict[str, np.ndarray]
+    grid: SortedCellGridIndex,
+    prefix: str,
+    arrays: Dict[str, np.ndarray],
+    local: Callable[[np.ndarray], np.ndarray],
 ) -> Dict:
     """Store one grid's derived state under ``prefix::`` keys; return its meta."""
     for axis, boundary in enumerate(grid._boundaries):
         arrays[f"{prefix}::boundary{axis}"] = np.asarray(boundary, dtype=np.float64)
-    arrays[f"{prefix}::row_ids"] = grid.row_ids
+    arrays[f"{prefix}::row_ids"] = local(grid.row_ids)
     arrays[f"{prefix}::offsets"] = grid._offsets
     arrays[f"{prefix}::rank_keys"] = grid._rank_keys
     arrays[f"{prefix}::distinct"] = grid._distinct
-    for name in grid.table.schema:
-        arrays[f"{prefix}::column::{name}"] = grid._columns[name]
+    for name in grid.schema:
+        arrays[f"{prefix}::column::{name}"] = grid.column(name)
     return {
         "dimensions": list(grid.dimensions),
         "sort_dimension": grid.sort_dimension,
@@ -289,45 +280,54 @@ def _grid_payload(
     }
 
 
-def _structured_payload(index: COAXIndex, arrays: Dict[str, np.ndarray]) -> Dict:
-    """Meta + arrays of the O(metadata) restore state of an aligned index."""
-    partition = index._partition
-    arrays["partition::inlier_ids"] = np.asarray(partition.inlier_ids, dtype=np.int64)
-    arrays["partition::outlier_ids"] = np.asarray(partition.outlier_ids, dtype=np.int64)
+def _structured_payload(
+    index: COAXIndex,
+    arrays: Dict[str, np.ndarray],
+    local: Callable[[np.ndarray], np.ndarray],
+) -> Dict:
+    """Meta + arrays of the O(metadata) restore state of an aligned index.
+
+    The partition arrays are derived from the grids: the inliers are the
+    primary's rows, the outliers the outlier index's, each ascending.
+    """
+    primary, outlier = index.primary_index, index.outlier_index
+    arrays["partition::inlier_ids"] = local(np.sort(primary.row_ids))
+    arrays["partition::outlier_ids"] = local(np.sort(outlier.row_ids))
     return {
         "indexed_dims": list(index._indexed_dims),
         "predicted_dims": list(index._predicted_dims),
         "sort_dim": index._sort_dim,
         "per_model_inlier_fraction": {
             name: float(value)
-            for name, value in partition.per_model_inlier_fraction.items()
+            for name, value in index.partition.per_model_inlier_fraction.items()
         },
-        "primary_box": _box_to_json(index._primary_box),
-        "outlier_box": _box_to_json(index._outlier_box),
-        "primary": _grid_payload(index._primary, "primary", arrays),
-        "outlier": _grid_payload(index._outlier, "outlier", arrays),
-        "warnings": list(index._report.warnings),
+        "primary_box": _box_to_json(index.primary_box),
+        "outlier_box": _box_to_json(index.outlier_box),
+        "primary": _grid_payload(primary, "primary", arrays, local),
+        "outlier": _grid_payload(outlier, "outlier", arrays, local),
+        "warnings": list(index.build_report.warnings),
     }
 
 
 def _restore_grid(
-    table: Table,
+    schema: List[str],
     grid_meta: Dict,
     prefix: str,
     arrays: Mapping[str, np.ndarray],
+    global_of: Optional[np.ndarray],
 ) -> SortedCellGridIndex:
     """Reattach one grid from its ``prefix::`` arrays (inverse of
-    :func:`_grid_payload`)."""
-    columns = {
-        name: arrays[f"{prefix}::column::{name}"] for name in table.schema
-    }
+    :func:`_grid_payload`); a shard's saved local ids become global ids
+    with one gather through ``global_of``."""
+    row_ids = arrays[f"{prefix}::row_ids"]
+    if global_of is not None:
+        row_ids = global_of[row_ids]
     boundaries = [
         arrays[f"{prefix}::boundary{axis}"] for axis in range(int(grid_meta["n_axes"]))
     ]
     return SortedCellGridIndex._restore(
-        table,
-        row_ids=arrays[f"{prefix}::row_ids"],
-        columns=columns,
+        row_ids=row_ids,
+        columns={name: arrays[f"{prefix}::column::{name}"] for name in schema},
         dimensions=grid_meta["dimensions"],
         sort_dimension=grid_meta["sort_dimension"],
         cells_per_dim=int(grid_meta["cells_per_dim"]),
@@ -340,98 +340,124 @@ def _restore_grid(
     )
 
 
-def _index_payload(index: COAXIndex) -> Tuple[Dict, Dict[str, np.ndarray]]:
+def _tombstones(index) -> np.ndarray:
+    """A sub-index's per-position deleted bitmap (all live when ``None``)."""
+    mask = index.tombstone_mask
+    return np.zeros(index.n_rows, dtype=bool) if mask is None else mask
+
+
+def _index_payload(
+    index: COAXIndex, held: Optional[np.ndarray] = None
+) -> Tuple[Dict, Dict[str, np.ndarray]]:
     """Flat-format ``(meta, arrays)`` of one COAX index (no file I/O).
 
     Shared by the flat save path and the per-shard sections of a sharded
-    archive.  Only the covered rows are stored (dead table slots a
-    reclaiming compaction left behind cost nothing on disk);
-    ``__row_ids__`` records their original ids so loading can scatter them
-    back to their table positions — row ids survive a round trip even for
-    subset-scoped indexes, which format v2 had to fold-and-renumber
-    instead.  Eligible indexes additionally store their derived
-    structures so loading reattaches instead of rebuilding.
+    archive.  The format numbers a section's rows by *local* id: a flat
+    index's ids as they are, a shard's by their rank in ``held`` — every
+    id the shard holds, ascending, saved as its ``__global_of__``.  The
+    table section, the tombstone bitmap and the partition arrays are
+    derived from the sub-indexes: the covered rows in ascending id order,
+    with ``__row_ids__`` recording their local ids unless those are
+    ``0..n-1`` (only the covered rows are stored; ids a reclaiming
+    compaction dropped cost nothing on disk).  Aligned indexes with grid
+    sub-indexes additionally store their derived structures, so loading
+    reattaches instead of rebuilding.
     """
-    aligned = index.rows_aligned
-    table = index.table if aligned else index.table.take(index.row_ids)
-    pending = index.n_pending > 0
-    next_row_id = int(index.next_row_id)
-    tombstone = index.tombstone_mask
-    if tombstone is not None and not tombstone.any():
-        tombstone = None
-    n_tombstoned = int(tombstone.sum()) if tombstone is not None else 0
+    if held is None:
+        local = np.asarray
+    else:
+        def local(ids: np.ndarray) -> np.ndarray:
+            return np.searchsorted(held, ids)
+    primary, outlier = index.primary_index, index.outlier_index
+    ids = np.concatenate([primary.row_ids, outlier.row_ids])
+    order = np.argsort(ids, kind="stable")
+    covered = local(ids[order])
+    n_rows = len(covered)
+    aligned = bool(np.array_equal(covered, np.arange(n_rows)))
+    tombstone = np.concatenate([_tombstones(primary), _tombstones(outlier)])[order]
+    n_tombstoned = int(np.count_nonzero(tombstone))
     meta = {
         "format_version": FORMAT_VERSION,
-        "schema": list(table.schema),
+        "schema": list(index.schema),
         "dimensions": list(index.dimensions),
         "config": _config_to_dict(index.config),
         "groups": [_group_to_dict(group) for group in index.groups],
-        "n_rows": table.n_rows,
+        "n_rows": n_rows,
         "n_pending": int(index.n_pending),
-        "next_row_id": next_row_id,
+        "next_row_id": int(index.next_row_id if held is None else len(held)),
         "n_tombstoned": n_tombstoned,
-        "n_live": table.n_rows - n_tombstoned + int(index.n_pending),
+        "n_live": n_rows - n_tombstoned + int(index.n_pending),
     }
-    arrays = {f"column::{name}": table.column(name) for name in table.schema}
+    arrays = {
+        f"column::{name}": np.concatenate([primary.column(name), outlier.column(name)])[order]
+        for name in index.schema
+    }
     if not aligned:
-        arrays["__row_ids__"] = np.asarray(index.row_ids, dtype=np.int64)
-    if pending:
+        arrays["__row_ids__"] = covered
+    if index.n_pending:
         for key, array in index.delta.state().items():
-            arrays[f"delta::{key}"] = array
-    if tombstone is not None:
-        arrays["__tombstone__"] = tombstone.copy()
+            arrays[f"delta::{key}"] = local(array) if key == "__row_ids__" else array
+    if n_tombstoned:
+        arrays["__tombstone__"] = tombstone
     if index.maintenance is not None:
         # The monitor sections are self-describing (one ``monitor::<name>``
         # array per monitored model); no header field is needed.
         for name, state in index.maintenance.state().items():
             arrays[f"monitor::{name}"] = state
-    if _structured_eligible(index):
-        meta["structured"] = _structured_payload(index, arrays)
+    # Grid-file structures on both sides are reattachable; the r-tree and
+    # uniform-grid outlier variants carry no stable persisted form.
+    if (
+        aligned
+        and type(primary) is SortedCellGridIndex
+        and type(outlier) is SortedCellGridIndex
+    ):
+        meta["structured"] = _structured_payload(index, arrays, local)
     return meta, arrays
 
 
 def _restore_structured_index(
-    meta: Dict, arrays: Mapping[str, np.ndarray]
+    meta: Dict, arrays: Mapping[str, np.ndarray], global_of: Optional[np.ndarray]
 ) -> COAXIndex:
-    """Reattach an aligned index from its structured (v8) state."""
+    """Reattach an aligned index from its structured (v8) state.
+
+    Only the grids' own arrays are attached; the table section and the
+    partition arrays are not read.
+    """
     state = meta["structured"]
-    columns = {name: arrays[f"column::{name}"] for name in meta["schema"]}
-    table = Table(columns)
-    groups = [_group_from_dict(item) for item in meta["groups"]]
-    config = _config_from_dict(meta["config"])
-    # repro-lint: allow[materialize] dtype-preserving view of the archived id arrays: zero-copy on v6 mmap (already int64), copies only for legacy archives
-    inlier_ids = np.asarray(arrays["partition::inlier_ids"], dtype=np.int64)
-    # repro-lint: allow[materialize] dtype-preserving view of the archived id arrays: zero-copy on v6 mmap (already int64), copies only for legacy archives
-    outlier_ids = np.asarray(arrays["partition::outlier_ids"], dtype=np.int64)
-    partition = PartitionResult(
-        inlier_ids=inlier_ids,
-        outlier_ids=outlier_ids,
+    schema = meta["schema"]
+    return COAXIndex._restore_structured(
+        config=_config_from_dict(meta["config"]),
+        groups=[_group_from_dict(item) for item in meta["groups"]],
+        dimensions=meta["dimensions"],
         per_model_inlier_fraction={
             name: float(value)
             for name, value in state["per_model_inlier_fraction"].items()
         },
-    )
-    primary = _restore_grid(table, state["primary"], "primary", arrays)
-    outlier = _restore_grid(table, state["outlier"], "outlier", arrays)
-    return COAXIndex._restore_structured(
-        table,
-        config=config,
-        groups=groups,
-        dimensions=meta["dimensions"],
-        partition=partition,
         indexed_dims=state["indexed_dims"],
         predicted_dims=state["predicted_dims"],
         sort_dim=state["sort_dim"],
-        primary=primary,
-        outlier=outlier,
+        primary=_restore_grid(schema, state["primary"], "primary", arrays, global_of),
+        outlier=_restore_grid(schema, state["outlier"], "outlier", arrays, global_of),
         primary_box=_box_from_json(state["primary_box"]),
         outlier_box=_box_from_json(state["outlier_box"]),
         report_warnings=state.get("warnings", ()),
     )
 
 
-def _restore_flat_index(meta: Dict, arrays: Mapping[str, np.ndarray]) -> COAXIndex:
-    """Rebuild one COAX index from a flat-format ``(meta, arrays)`` pair."""
+def _restore_flat_index(
+    meta: Dict,
+    arrays: Mapping[str, np.ndarray],
+    global_of: Optional[np.ndarray] = None,
+) -> COAXIndex:
+    """Restore one COAX index from a flat-format ``(meta, arrays)`` pair.
+
+    ``global_of`` is a shard section's ``__global_of__``: the section's
+    local ids index it, and the restored rows carry the global ids it
+    holds.
+    """
+    def relabel(local: np.ndarray) -> np.ndarray:
+        return local if global_of is None else global_of[local]
+
     delta_payload: Dict[str, np.ndarray] = {}
     if meta.get("n_pending"):
         prefix = "delta::"
@@ -446,59 +472,47 @@ def _restore_flat_index(meta: Dict, arrays: Mapping[str, np.ndarray]) -> COAXInd
         if "__tombstone__" in arrays
         else None
     )
+    covered: Optional[np.ndarray] = None
     if "structured" in meta and meta["format_version"] >= 8:
         # Structured state of a clustered (v8+) grid layout: reattach the
         # saved structures verbatim — no model evaluation, no re-sort,
         # O(metadata) plus the mapping.  The v6/v7 grid sections describe
         # the older permutation layout and are ignored: those archives
         # rebuild from their groups below.
-        index = _restore_structured_index(meta, arrays)
-        table = index.table
-        row_ids = None
+        index = _restore_structured_index(meta, arrays, global_of)
     else:
         columns = {name: arrays[f"column::{name}"] for name in meta["schema"]}
-        row_ids = (
+        table = Table(columns)
+        if "__row_ids__" in arrays:
+            # Subset-scoped section: the saved rows carry these local ids.
             # repro-lint: allow[materialize] dtype-preserving view of the archived id array: zero-copy on v6 mmap (already int64)
-            np.asarray(arrays["__row_ids__"], dtype=np.int64)
-            if "__row_ids__" in arrays
-            else None
+            covered = np.asarray(arrays["__row_ids__"], dtype=np.int64)
+        ids = None
+        if covered is not None or global_of is not None:
+            ids = relabel(
+                covered if covered is not None else np.arange(table.n_rows, dtype=np.int64)
+            )
+        index = COAXIndex(
+            table,
+            config=_config_from_dict(meta["config"]),
+            groups=[_group_from_dict(item) for item in meta["groups"]],
+            dimensions=meta["dimensions"],
+            ids=ids,
         )
-        groups: List[FDGroup] = [_group_from_dict(item) for item in meta["groups"]]
-        config = _config_from_dict(meta["config"])
-        if row_ids is None:
-            # Aligned archive: saved order is table order, ids are 0..n-1.
-            table = Table(columns)
-            index = COAXIndex(
-                table, config=config, groups=groups, dimensions=meta["dimensions"]
-            )
-        else:
-            # Subset-scoped archive: scatter the saved rows back to their
-            # original table positions (row id == position, the invariant the
-            # whole update path relies on); the gaps are dead slots no row-id
-            # set ever covers.
-            size = int(row_ids.max()) + 1 if len(row_ids) else 0
-            scattered = {}
-            for name in meta["schema"]:
-                column = np.full(size, np.nan)
-                column[row_ids] = columns[name]
-                scattered[name] = column
-            table = Table(scattered)
-            index = COAXIndex(
-                table,
-                config=config,
-                groups=groups,
-                row_ids=row_ids,
-                dimensions=meta["dimensions"],
-            )
     if tombstone is not None and tombstone.any():
         # The bitmap is positional over the saved coverage order; map it to
         # row ids and re-apply without triggering an auto-compaction
         # mid-load.
-        covered = row_ids if row_ids is not None else np.arange(table.n_rows, dtype=np.int64)
-        index._delete_main_rows(np.unique(covered[tombstone]))
+        dead = np.flatnonzero(tombstone) if covered is None else covered[tombstone]
+        index._delete_main_rows(np.unique(relabel(dead)))
     if delta_payload:
+        if global_of is not None:
+            delta_payload["__row_ids__"] = relabel(delta_payload["__row_ids__"])
         index.delta.load_state(delta_payload)
     next_row_id = meta.get("next_row_id")
+    if global_of is not None:
+        # The section counted local ids; its rows now carry global ones.
+        next_row_id = int(global_of.max(initial=-1)) + 1
     if next_row_id is not None:
         index._next_row_id = int(next_row_id)
     _load_monitor_state(index.maintenance, arrays)
@@ -653,14 +667,22 @@ def _build_archive(index: Union[COAXIndex, ShardedCOAX]) -> Tuple[Dict, Dict[str
             shard_metas = []
             arrays: Dict[str, np.ndarray] = {}
             for shard_no, shard in enumerate(index.shards):
-                shard_meta, shard_arrays = _index_payload(shard)
+                # Every id the shard holds, main or pending, ascending.
+                held = np.unique(
+                    np.concatenate(
+                        [
+                            shard.primary_index.row_ids,
+                            shard.outlier_index.row_ids,
+                            shard.delta.row_ids,
+                        ]
+                    )
+                )
+                shard_meta, shard_arrays = _index_payload(shard, held)
                 shard_metas.append(shard_meta)
                 prefix = f"shard{shard_no}::"
                 for key, array in shard_arrays.items():
                     arrays[prefix + key] = array
-                arrays[prefix + "__global_of__"] = np.asarray(
-                    index._global_of[shard_no], dtype=np.int64
-                )
+                arrays[prefix + "__global_of__"] = held
             meta = {
                 "format_version": FORMAT_VERSION,
                 "engine": {
@@ -716,10 +738,18 @@ def _restore_engine(
     *,
     workers: Optional[int] = None,
 ) -> ShardedCOAX:
-    """Rebuild a sharded engine from a sharded (format 4+) archive's contents."""
+    """Rebuild a sharded engine from a sharded (format 4+) archive's contents.
+
+    Each shard section's ``__global_of__`` is validated — it must cover the
+    section's local ids, be strictly ascending inside ``[0,
+    next_global_id)`` and share no id with another shard — and then
+    relabels the section's rows to the global ids they carry from now on.
+    Ids no shard holds are allowed: deletes and re-layouts drop them.
+    """
     engine_meta = meta["engine"]
+    next_global_id = int(engine_meta["next_global_id"])
+    seen = np.zeros(next_global_id, dtype=bool)
     shards: List[COAXIndex] = []
-    global_of: List[np.ndarray] = []
     for shard_no, shard_meta in enumerate(meta["shards"]):
         prefix = f"shard{shard_no}::"
         shard_arrays = {
@@ -728,8 +758,26 @@ def _restore_engine(
             if key.startswith(prefix)
         }
         # repro-lint: allow[materialize] dtype-preserving view of the archived id array: zero-copy on v6 mmap (already int64)
-        global_of.append(np.asarray(shard_arrays.pop("__global_of__"), dtype=np.int64))
-        shards.append(_restore_flat_index(shard_meta, shard_arrays))
+        global_of = np.asarray(shard_arrays.pop("__global_of__"), dtype=np.int64)
+        n_local = int(shard_meta.get("next_row_id", shard_meta["n_rows"]))
+        if len(global_of) != n_local:
+            raise ValueError(
+                f"shard {shard_no} mapping has {len(global_of)} ids for "
+                f"{n_local} local ids"
+            )
+        if len(global_of) and (
+            global_of[0] < 0
+            or global_of[-1] >= next_global_id
+            or np.any(global_of[1:] <= global_of[:-1])
+        ):
+            raise ValueError(
+                f"shard {shard_no} mapping is not strictly ascending "
+                f"inside [0, {next_global_id})"
+            )
+        if seen[global_of].any():
+            raise ValueError("shard mapping assigns some global id twice")
+        seen[global_of] = True
+        shards.append(_restore_flat_index(shard_meta, shard_arrays, global_of))
     config = EngineConfig(
         n_shards=int(engine_meta["n_shards"]),
         partitioning=engine_meta["partitioning"],
@@ -746,8 +794,7 @@ def _restore_engine(
         config=config,
         groups=groups,
         dimensions=engine_meta["dimensions"],
-        global_of=global_of,
-        next_global_id=int(engine_meta["next_global_id"]),
+        next_global_id=next_global_id,
         boundaries=np.asarray(engine_meta.get("boundaries", []), dtype=np.float64),
         partition_dimension=engine_meta.get("partition_dimension"),
     )

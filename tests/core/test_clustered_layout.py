@@ -48,8 +48,11 @@ def _rows(rng, n, x_low, x_high):
     return {"x": x, "y": y, "z": rng.uniform(0.0, 10.0, size=n)}
 
 
-def assert_clustered(grid: SortedCellGridIndex, covered: np.ndarray) -> None:
-    """The physical-layout invariants of one grid."""
+def assert_clustered(
+    grid: SortedCellGridIndex, covered: np.ndarray, by_id: Table
+) -> None:
+    """The physical-layout invariants of one grid; row ``i`` of ``by_id``
+    holds the values of the record with id ``i``."""
     rank_keys = grid._rank_keys
     assert np.all(np.diff(rank_keys) >= 0)
     sort_column = grid.column(grid.sort_dimension)
@@ -68,20 +71,24 @@ def assert_clustered(grid: SortedCellGridIndex, covered: np.ndarray) -> None:
     assert np.all(np.diff(grid.row_ids)[ties] > 0)
     for name in SCHEMA:
         assert np.array_equal(
-            grid.column(name), grid.table.column(name)[grid.row_ids], equal_nan=True
+            grid.column(name), by_id.column(name)[grid.row_ids], equal_nan=True
         )
 
 
 def assert_index_exact(index: COAXIndex, live: dict, queries) -> None:
-    """Both grids clustered; every answer equals the full scan of ``live``."""
-    partition = index.partition
-    assert_clustered(index.primary_index, partition.inlier_ids)
-    assert_clustered(index.outlier_index, partition.outlier_ids)
+    """Both grids clustered, inliers in the primary and outliers in the
+    outlier grid; every answer equals the full scan of ``live``."""
     ids = np.array(sorted(live), dtype=np.int64)
     values = {
         name: np.array([live[row_id][axis] for row_id in ids])
         for axis, name in enumerate(SCHEMA)
     }
+    by_id = {name: np.full(int(ids.max()) + 1, np.nan) for name in SCHEMA}
+    for name in SCHEMA:
+        by_id[name][ids] = values[name]
+    inlier = _groups()[0].model_for("y").within_margin(values["x"], values["y"])
+    assert_clustered(index.primary_index, ids[inlier], Table(by_id))
+    assert_clustered(index.outlier_index, ids[~inlier], Table(by_id))
     batch = index.batch_range_query(queries)
     for query, batch_result in zip(queries, batch):
         mask = np.ones(len(ids), dtype=bool)
@@ -174,8 +181,8 @@ class TestClusteredLayoutLifecycle:
         extra = Table(more)
         combined = table.concat(extra)
         new_ids = np.arange(table.n_rows, combined.n_rows, dtype=np.int64)
-        grid.absorb_rows(combined, new_ids)
-        assert_clustered(grid, np.arange(combined.n_rows))
+        grid.absorb_rows(extra.columns(), new_ids)
+        assert_clustered(grid, np.arange(combined.n_rows), combined)
         # The bitmap moved with its rows: exactly the deleted ids are dead.
         dead = np.sort(grid.row_ids[grid.tombstone_mask])
         assert np.array_equal(dead, np.sort(doomed))

@@ -42,7 +42,7 @@ WIDE = Rectangle({"x": Interval(-1e9, 1e9), "y": Interval(-1e9, 1e9)})
 class TestDelete:
     def test_delete_hides_row_immediately(self, index):
         target = 7
-        vx = float(index.table.column("x")[target])
+        vx = float(make_linear_table().column("x")[target])
         query = Rectangle({"x": Interval(vx - 1e-9, vx + 1e-9)})
         assert target in index.range_query(query)
         assert index.delete(target) is True
@@ -154,8 +154,9 @@ class TestUpdate:
         assert index.n_pending == 0 and index.n_tombstoned == 0
         hits = index.range_query(Rectangle({"x": Interval(41.9, 42.1)}))
         assert 9 in hits
-        # The updated value was written back to the table position == id.
-        assert float(index.table.column("x")[9]) == 42.0
+        # The compacted record carries the updated value under its old id.
+        columns, ids = index.live_rows(("x",))
+        assert float(columns["x"][np.searchsorted(ids, 9)]) == 42.0
 
 
 class TestReclaimCompaction:
@@ -174,7 +175,7 @@ class TestReclaimCompaction:
     def test_compact_rebuilds_partition_and_boxes_from_survivors(self, index):
         # Delete every outlier-ish row: the primary ratio must reach 1.0
         # and the outlier box must vanish once reclaimed.
-        outlier_ids = index.partition.outlier_ids
+        outlier_ids = index.outlier_index.row_ids
         index.insert({"x": 1.0, "y": 900.0})  # one pending outlier, deleted below
         pending_outlier = index.next_row_id - 1
         index.delete_batch(np.concatenate([outlier_ids, [pending_outlier]]))

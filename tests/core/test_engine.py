@@ -5,8 +5,9 @@ worker count and partitioning scheme, every query — scalar or batch,
 before or after arbitrary interleaved CRUD, across a format-v4 save/load
 round trip — must return exactly what one unsharded ``COAXIndex`` over
 the same data returns.  The property tests drive that oracle equivalence;
-dedicated tests pin the mapping invariants, the pruning counters, the
-concurrency contract and the persistence surface.
+dedicated tests pin id ownership (every live id held by exactly one
+shard), the pruning counters, the concurrency contract and the
+persistence surface.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import gc
 import os
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -29,7 +31,13 @@ from repro.data.predicates import Interval, Rectangle
 from repro.data.table import Table
 from repro.fd.groups import FDGroup
 from repro.fd.model import LinearFDModel
-from repro.io.persistence import load_engine, load_index, save_index
+from repro.io.persistence import (
+    _read_columnar,
+    _write_columnar,
+    load_engine,
+    load_index,
+    save_index,
+)
 
 #: Shard/worker grid the satellite property test runs (7 shards is prime
 #: on purpose: uneven partitions, some possibly empty after deletes).
@@ -123,18 +131,23 @@ class TestConstruction:
         engine = build_engine(table, 3, 1, partitioning="hash")
         assert engine.partition_dimension is None
         for global_id in (0, 1, 2, 5, 399):
-            [(shard_no, _, _)] = engine._locate(np.array([global_id], dtype=np.int64))
-            assert shard_no == global_id % 3
+            probe = np.array([global_id], dtype=np.int64)
+            holders = [no for no, shard in enumerate(engine.shards) if shard.rows_live(probe)[0]]
+            assert holders == [global_id % 3]
 
     def test_mapping_round_trips_every_global_id(self):
+        """Every global id of the build is held by exactly one shard, which
+        answers with that id."""
         table = linear_table(2)
         engine = build_engine(table, 7, 1)
-        for shard_no, shard in enumerate(engine.shards):
-            locals_ = np.arange(shard.n_rows, dtype=np.int64)
-            globals_ = engine._global_of[shard_no][locals_]
-            [(located_shard, selector, located_locals)] = engine._locate(globals_)
-            assert located_shard == shard_no and selector.all()
-            assert np.array_equal(located_locals, locals_)
+        every_id = np.arange(table.n_rows, dtype=np.int64)
+        holders = np.zeros(table.n_rows, dtype=np.int64)
+        for shard in engine.shards:
+            holders += shard.rows_live(every_id)
+            assert np.array_equal(
+                np.sort(shard.range_query(Rectangle())), shard.row_ids
+            )
+        assert np.all(holders == 1)
 
     def test_more_shards_than_rows_tolerated(self):
         table = linear_table(3, n=5)
@@ -156,6 +169,33 @@ class TestConstruction:
         engine = build_engine(linear_table(4), 3, 1)
         for shard in engine.shards:
             assert [g.predictor for g in shard.groups] == ["x"]
+
+
+class TestOneCopyPerRecord:
+    """The sub-indexes hold the only copy of every record: the data bytes
+    are 8 per value, and no index keeps its build table alive."""
+
+    def test_flat_index(self):
+        table = linear_table(31, n=2_000)
+        n_values = table.n_rows * len(table.schema)
+        probe = weakref.ref(table.column("x"))
+        index = COAXIndex(table, groups=linear_groups())
+        assert index.data_bytes() == 8 * n_values
+        del table
+        gc.collect()
+        assert probe() is None
+        assert index.count(Rectangle()) == 2_000
+
+    def test_four_shard_engine(self):
+        table = linear_table(32, n=2_000)
+        n_values = table.n_rows * len(table.schema)
+        probe = weakref.ref(table.column("x"))
+        engine = build_engine(table, 4, 1)
+        assert sum(shard.data_bytes() for shard in engine.shards) == 8 * n_values
+        del table
+        gc.collect()
+        assert probe() is None
+        assert engine.count(Rectangle()) == 2_000
 
 
 class TestPruning:
@@ -238,16 +278,11 @@ class TestPruning:
         table = linear_table(21)
         engine = build_engine(table, 4, 1)
         shard = engine.shards[3]
-        local_id = shard.next_row_id
+        global_id = engine._next_global_id
         shard.delta.append_batch(
             {"x": np.array([1_000.0]), "y": np.array([np.nan])},
-            np.array([local_id], dtype=np.int64),
+            np.array([global_id], dtype=np.int64),
         )
-        shard._next_row_id = local_id + 1
-        engine._global_of[3] = np.concatenate(
-            [engine._global_of[3], [engine.next_row_id]]
-        )
-        global_id = engine._next_global_id
         engine._next_global_id += 1
         hits = engine.range_query(Rectangle({"x": Interval(900.0, 1_100.0)}))
         assert hits.tolist() == [global_id]
@@ -457,74 +492,71 @@ class TestReLayoutEquivalenceProperty:
                 engine.close()
 
 
-#: Steps the mapping-invariant property draws its sequences from.
-MAPPING_STEPS = ("insert", "delete", "update", "compact_shard", "compact", "relayout", "reload")
+#: Steps the id-ownership property draws its sequences from.
+OWNERSHIP_STEPS = ("insert", "delete", "update", "compact_shard", "compact", "relayout", "reload")
 
 
-def assert_mapping_invariant(engine: ShardedCOAX, live_ids) -> None:
-    """Every ``_global_of[s]`` covers its shard's local ids, is strictly
-    ascending and disjoint from the others, and ``_locate`` agrees with a
-    brute-force dict built from the arrays — including for ids that no
-    shard holds, which must resolve to nothing."""
-    expected = {}
-    for shard_no, (shard, global_of) in enumerate(zip(engine.shards, engine._global_of)):
-        assert len(global_of) == shard.next_row_id, shard_no
-        assert np.all(np.diff(global_of) > 0), shard_no
-        for local_id, global_id in enumerate(global_of.tolist()):
-            assert global_id not in expected, global_id  # disjoint shards
-            expected[global_id] = (shard_no, local_id)
-    assert set(live_ids) <= set(expected)
+def assert_id_ownership(engine: ShardedCOAX, live) -> None:
+    """Every live global id is held by exactly one shard — live in one of
+    its grids or pending in its delta store, never both — and no shard
+    holds a dead or never-issued id."""
     probe = np.arange(-2, engine.next_row_id + 3, dtype=np.int64)
-    located = {}
-    for shard_no, selector, local in engine._locate(probe):
-        for global_id, local_id in zip(probe[selector].tolist(), local.tolist()):
-            assert global_id not in located, global_id
-            located[global_id] = (shard_no, local_id)
-    assert located == expected
-    # rows_live reports covered rows only (pending ones are not yet
-    # covered), but a dead or never-issued id must never read as live.
-    dead = np.isin(probe, np.fromiter(live_ids, dtype=np.int64), invert=True)
-    assert not engine.rows_live(probe[dead]).any()
+    holders = np.zeros(len(probe), dtype=np.int64)
+    for shard in engine.shards:
+        in_grids = shard.primary_index.rows_live(probe).astype(np.int64)
+        in_grids += shard.outlier_index.rows_live(probe)
+        places = in_grids + np.isin(probe, shard.delta.row_ids)
+        assert np.all(places <= 1)
+        holders += places
+    assert np.array_equal(holders, np.isin(probe, list(live)).astype(np.int64))
+    assert engine.memory_breakdown()["mapping"] == 0
 
 
-class TestMappingInvariantProperty:
-    """The derived id lookup is only correct while every shard's
-    ``_global_of`` stays strictly ascending and the shards stay disjoint.
+class TestIdOwnershipProperty:
+    """The engine keeps no id mapping: a lookup by id asks the shards, so
+    it is only correct while every live id sits in exactly one shard.
     Any sequence of writes, per-shard and full compactions, forced
     re-layouts and save/load round trips, under range and hash
-    partitioning, must keep that invariant after every step."""
+    partitioning, must keep that after every step, with answers equal to
+    an unsharded COAX index given the same writes."""
 
     @given(
         seed=st.integers(min_value=0, max_value=10_000),
         partitioning=st.sampled_from(["range", "hash"]),
-        steps=st.lists(st.sampled_from(MAPPING_STEPS), min_size=1, max_size=8),
+        steps=st.lists(st.sampled_from(OWNERSHIP_STEPS), min_size=1, max_size=8),
     )
     @settings(
         max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow]
     )
-    def test_global_of_stays_ascending_disjoint_and_locatable(
+    def test_every_live_id_is_held_by_exactly_one_shard(
         self, seed, partitioning, steps, tmp_path_factory
     ):
         rng = np.random.default_rng(seed)
         table = linear_table(seed, n=200)
+        oracle = COAXIndex(table, groups=linear_groups())
         engine = build_engine(table, 3, 1, partitioning=partitioning)
         live = set(range(table.n_rows))
-        assert_mapping_invariant(engine, live)
+        assert_id_ownership(engine, live)
         try:
             for step_no, step in enumerate(steps):
                 if step == "insert":
                     x = rng.uniform(0.0, 100.0, size=int(rng.integers(1, 30)))
                     ids = engine.insert_batch({"x": x, "y": 2.0 * x})
+                    assert np.array_equal(ids, oracle.insert_batch({"x": x, "y": 2.0 * x}))
                     live.update(ids.tolist())
                 elif step == "delete":
                     doomed = rng.integers(-1, engine.next_row_id + 2, size=20)
-                    engine.delete_batch(doomed)
+                    assert engine.delete_batch(doomed) == oracle.delete_batch(doomed)
                     live.difference_update(doomed.tolist())
                 elif step == "update" and live:
                     pool = np.array(sorted(live), dtype=np.int64)
                     targets = rng.choice(pool, size=min(len(pool), 10), replace=False)
+                    # Pending rows too: their owner is known only to its delta store.
+                    pending = np.concatenate([shard.delta.row_ids for shard in engine.shards])
+                    targets = np.union1d(targets, pending[:5])
                     x = rng.uniform(0.0, 100.0, size=len(targets))
                     engine.update_batch(targets, {"x": x, "y": 2.0 * x})
+                    oracle.update_batch(targets, {"x": x, "y": 2.0 * x})
                 elif step == "compact_shard":
                     engine.compact(shard=int(rng.integers(0, engine.n_shards)))
                 elif step == "relayout" and partitioning == "range":
@@ -540,7 +572,7 @@ class TestMappingInvariantProperty:
                     with engine.write_lock:
                         engine._rebuild_layout(proposal, list(engine.groups))
                 elif step == "reload":
-                    path = tmp_path_factory.mktemp("mapping") / f"step{step_no}"
+                    path = tmp_path_factory.mktemp("ownership") / f"step{step_no}"
                     save_index(engine, path)
                     reloaded = load_engine(path)
                     engine.close()
@@ -550,7 +582,9 @@ class TestMappingInvariantProperty:
                     # re-layout under hash partitioning, an update with
                     # no live row left.
                     engine.compact()
-                assert_mapping_invariant(engine, live)
+                    oracle.compact()
+                assert_id_ownership(engine, live)
+                assert_engine_matches_oracle(engine, oracle, PROBES)
         finally:
             engine.close()
 
@@ -1013,7 +1047,7 @@ class TestEnginePersistence:
         engine.compact()
         oracle.compact()
         assert engine.layout.epoch == 1
-        assert sum(len(ids) for ids in engine._global_of) == 360
+        assert engine.n_rows == 360
         path = save_index(engine, tmp_path / "engine")
         loaded = load_engine(path)
         assert_engine_matches_oracle(loaded, oracle, PROBES + hot)
@@ -1032,19 +1066,20 @@ class TestEnginePersistence:
         ],
         ids=["overlapping", "descending", "past-next-id", "negative", "short"],
     )
-    def test_corrupt_mapping_is_rejected(self, corrupt):
+    def test_corrupt_mapping_is_rejected(self, corrupt, tmp_path):
+        """A sharded archive whose ``__global_of__`` arrays overlap, are
+        not strictly ascending inside ``[0, next_global_id)`` or miss a
+        local id fails to load with ``ValueError``."""
         engine = build_engine(linear_table(23), 2, 1)
+        path = save_index(engine, tmp_path / "engine")
+        meta, arrays = _read_columnar(path)
+        arrays = {key: np.array(array) for key, array in arrays.items()}
+        keys = ["shard0::__global_of__", "shard1::__global_of__"]
+        for key, ids in zip(keys, corrupt([arrays[key] for key in keys])):
+            arrays[key] = ids
+        _write_columnar(meta, arrays, path)
         with pytest.raises(ValueError):
-            ShardedCOAX._from_shards(
-                engine.shards,
-                config=engine.config,
-                groups=engine.groups,
-                dimensions=engine.dimensions,
-                global_of=corrupt(engine._global_of),
-                next_global_id=engine.next_row_id,
-                boundaries=engine.shard_boundaries,
-                partition_dimension=engine.partition_dimension,
-            )
+            load_engine(path)
 
     def test_load_engine_wraps_flat_archives(self, tmp_path):
         table = linear_table(13)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.partitioner import partition_rows
-from repro.core.planner import bounding_box_of_rows, plan_query
+from repro.core.planner import bounding_box_of_columns, plan_query
 from repro.data.predicates import Interval, Rectangle
 from repro.data.table import Table
 from repro.fd.groups import FDGroup
@@ -24,6 +24,17 @@ def fd_table() -> Table:
     return Table({"x": x, "y": y})
 
 
+def split(table, groups, row_ids=None):
+    """``(inlier ids, outlier ids, result)`` of :func:`partition_rows`."""
+    inliers, result = partition_rows(table, groups, row_ids=row_ids)
+    ids = np.arange(table.n_rows) if row_ids is None else row_ids
+    return ids[inliers], ids[~inliers], result
+
+
+def bounding_box_of_rows(table, row_ids):
+    return bounding_box_of_columns(table.take(row_ids).columns())
+
+
 @pytest.fixture(scope="module")
 def group() -> FDGroup:
     return FDGroup(
@@ -35,46 +46,47 @@ def group() -> FDGroup:
 
 class TestPartition:
     def test_partition_is_exhaustive_and_disjoint(self, fd_table, group):
-        result = partition_rows(fd_table, [group])
-        combined = np.sort(np.concatenate([result.inlier_ids, result.outlier_ids]))
+        inlier_ids, outlier_ids, result = split(fd_table, [group])
+        combined = np.sort(np.concatenate([inlier_ids, outlier_ids]))
         assert np.array_equal(combined, np.arange(fd_table.n_rows))
-        assert len(np.intersect1d(result.inlier_ids, result.outlier_ids)) == 0
+        assert len(np.intersect1d(inlier_ids, outlier_ids)) == 0
+        assert (result.n_inliers, result.n_outliers) == (len(inlier_ids), len(outlier_ids))
 
     def test_hard_outliers_are_caught(self, fd_table, group):
-        result = partition_rows(fd_table, [group])
-        assert set(range(fd_table.n_rows - 200, fd_table.n_rows)) <= set(result.outlier_ids)
+        _, outlier_ids, _ = split(fd_table, [group])
+        assert set(range(fd_table.n_rows - 200, fd_table.n_rows)) <= set(outlier_ids)
 
     def test_primary_ratio(self, fd_table, group):
-        result = partition_rows(fd_table, [group])
-        assert result.primary_ratio == pytest.approx(len(result.inlier_ids) / fd_table.n_rows)
+        inlier_ids, _, result = split(fd_table, [group])
+        assert result.primary_ratio == pytest.approx(len(inlier_ids) / fd_table.n_rows)
         assert 0.85 <= result.primary_ratio <= 0.92
 
     def test_per_model_fractions_recorded(self, fd_table, group):
-        result = partition_rows(fd_table, [group])
+        _, result = partition_rows(fd_table, [group])
         assert "x->y" in result.per_model_inlier_fraction
         assert 0.0 <= result.per_model_inlier_fraction["x->y"] <= 1.0
 
     def test_no_groups_means_all_inliers(self, fd_table):
-        result = partition_rows(fd_table, [])
-        assert len(result.outlier_ids) == 0
+        _, outlier_ids, result = split(fd_table, [])
+        assert len(outlier_ids) == 0
         assert result.primary_ratio == 1.0
 
     def test_row_subset(self, fd_table, group):
         subset = np.arange(100, dtype=np.int64)
-        result = partition_rows(fd_table, [group], row_ids=subset)
+        inlier_ids, outlier_ids, result = split(fd_table, [group], row_ids=subset)
         assert result.n_rows == 100
-        assert set(result.inlier_ids) | set(result.outlier_ids) == set(subset)
+        assert set(inlier_ids) | set(outlier_ids) == set(subset)
 
     def test_empty_subset(self, fd_table, group):
-        result = partition_rows(fd_table, [group], row_ids=np.empty(0, dtype=np.int64))
+        _, result = partition_rows(fd_table, [group], row_ids=np.empty(0, dtype=np.int64))
         assert result.n_rows == 0
         assert result.primary_ratio == 0.0
 
     def test_inliers_respect_every_margin(self, fd_table, group):
-        result = partition_rows(fd_table, [group])
+        inlier_ids, _, _ = split(fd_table, [group])
         model = group.model_for("y")
-        x = fd_table.column("x")[result.inlier_ids]
-        y = fd_table.column("y")[result.inlier_ids]
+        x = fd_table.column("x")[inlier_ids]
+        y = fd_table.column("y")[inlier_ids]
         assert bool(np.all(model.within_margin(x, y)))
 
 
@@ -91,25 +103,25 @@ class TestBoundingBox:
 
 class TestPlanner:
     def test_both_indexes_used_for_ordinary_query(self, fd_table, group):
-        result = partition_rows(fd_table, [group])
+        inlier_ids, outlier_ids, _ = split(fd_table, [group])
         plan = plan_query(
             Rectangle({"x": Interval(10.0, 20.0)}),
             [group],
-            primary_box=bounding_box_of_rows(fd_table, result.inlier_ids),
-            outlier_box=bounding_box_of_rows(fd_table, result.outlier_ids),
+            primary_box=bounding_box_of_rows(fd_table, inlier_ids),
+            outlier_box=bounding_box_of_rows(fd_table, outlier_ids),
         )
         assert plan.use_primary and plan.use_outlier
 
     def test_primary_skipped_when_translation_is_empty(self, fd_table, group):
-        result = partition_rows(fd_table, [group])
+        inlier_ids, outlier_ids, _ = split(fd_table, [group])
         # x small forces y near 3x; asking for y in the outlier band cannot
         # match any inlier.
         query = Rectangle({"x": Interval(0.0, 10.0), "y": Interval(700.0, 800.0)})
         plan = plan_query(
             query,
             [group],
-            primary_box=bounding_box_of_rows(fd_table, result.inlier_ids),
-            outlier_box=bounding_box_of_rows(fd_table, result.outlier_ids),
+            primary_box=bounding_box_of_rows(fd_table, inlier_ids),
+            outlier_box=bounding_box_of_rows(fd_table, outlier_ids),
         )
         assert not plan.use_primary
         assert plan.use_outlier

@@ -44,7 +44,7 @@ def updatable_index() -> COAXIndex:
 class TestInsert:
     def test_inlier_insert_routes_to_primary_buffer(self, updatable_index):
         row_id = updatable_index.insert({"x": 10.0, "y": 20.5})
-        assert row_id == updatable_index.table.n_rows
+        assert row_id == make_linear_table().n_rows
         assert updatable_index.n_pending == 1
         assert updatable_index.n_pending_primary == 1
         assert updatable_index.n_pending_outlier == 0

@@ -280,7 +280,7 @@ class TestAbsorbRows:
     def test_absorb_matches_rebuild(self, table, queries):
         combined, new_ids = self._combined(table, seed=5, k=1_500)
         incremental = SortedCellGridIndex(table, cells_per_dim=5, sort_dimension="a")
-        incremental.absorb_rows(combined, new_ids)
+        incremental.absorb_rows(combined.take(new_ids).columns(), new_ids)
         rebuilt = SortedCellGridIndex(combined, cells_per_dim=5, sort_dimension="a")
         assert incremental.n_rows == combined.n_rows
         for query in queries:
@@ -295,7 +295,7 @@ class TestAbsorbRows:
     def test_absorb_keeps_cells_sorted(self, table):
         combined, new_ids = self._combined(table, seed=6, k=800)
         index = SortedCellGridIndex(table, cells_per_dim=4, sort_dimension="b")
-        index.absorb_rows(combined, new_ids)
+        index.absorb_rows(combined.take(new_ids).columns(), new_ids)
         keys = index.column("b")
         offsets = index._offsets
         for cell in range(index.n_cells):
@@ -305,7 +305,8 @@ class TestAbsorbRows:
 
     def test_absorb_empty_batch(self, table):
         index = SortedCellGridIndex(table, cells_per_dim=4)
-        index.absorb_rows(table, np.empty(0, dtype=np.int64))
+        no_rows = np.empty(0, dtype=np.int64)
+        index.absorb_rows(table.take(no_rows).columns(), no_rows)
         assert index.n_rows == table.n_rows
 
     def test_absorb_into_empty_index(self, table):
@@ -313,7 +314,7 @@ class TestAbsorbRows:
             table, cells_per_dim=4, row_ids=np.empty(0, dtype=np.int64)
         )
         all_ids = np.arange(table.n_rows, dtype=np.int64)
-        empty.absorb_rows(table, all_ids)
+        empty.absorb_rows(table.columns(), all_ids)
         assert empty.n_rows == table.n_rows
         query = Rectangle({"a": Interval(10.0, 60.0)})
         assert np.array_equal(np.sort(empty.range_query(query)), table.select(query))
@@ -323,7 +324,7 @@ class TestAbsorbRows:
         current = table
         for seed in (7, 8, 9):
             combined, new_ids = self._combined(current, seed=seed, k=400)
-            index.absorb_rows(combined, new_ids)
+            index.absorb_rows(combined.take(new_ids).columns(), new_ids)
             current = combined
         rebuilt = SortedCellGridIndex(current, cells_per_dim=5, sort_dimension="a")
         for query in queries:

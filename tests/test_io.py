@@ -12,11 +12,13 @@ import pytest
 from repro.core.coax import COAXIndex
 from repro.core.config import COAXConfig, EngineConfig, LayoutConfig, MaintenanceConfig
 from repro.core.engine import ShardedCOAX
+from repro.data.executors import Aggregate
 from repro.data.predicates import Interval, Rectangle
 from repro.data.queries import WorkloadConfig, generate_knn_queries
 from repro.data.table import Table
 from repro.fd.groups import FDGroup
 from repro.fd.model import LinearFDModel, SplineFDModel
+from repro.indexes.full_scan import FullScanIndex
 from repro.indexes.grid_file import SortedCellGridIndex
 from repro.io.datasets import encode_categories, load_csv, save_csv
 from repro.io.persistence import (
@@ -569,12 +571,9 @@ class TestFormatVersionMatrix:
         assert converted_path.is_dir()
         assert _manifest(converted_path)["meta"]["format_version"] == FORMAT_VERSION
         converted = load_index(converted_path)
-        table = (
-            converted.table
-            if isinstance(converted, COAXIndex)
-            else converted.shards[0].table
-        )
-        assert all(_mmap_backed(table.column(name)) for name in table.schema)
+        coax = converted if isinstance(converted, COAXIndex) else converted.shards[0]
+        for grid in (coax.primary_index, coax.outlier_index):
+            assert all(_mmap_backed(grid.column(name)) for name in grid.schema)
         for query in self.PROBES:
             assert np.array_equal(
                 np.sort(converted.range_query(query)),
@@ -688,14 +687,18 @@ class TestLayoutStatePersistence:
 class TestColumnarZeroCopy:
     """The v6 read path attaches columns instead of materialising them."""
 
-    @pytest.fixture()
-    def saved_index(self, tmp_path):
+    @staticmethod
+    def _table():
         rng = np.random.default_rng(31)
         n = 20_000
         x = rng.uniform(0.0, 100.0, size=n)
         y = 2.0 * x + rng.uniform(-1, 1, size=n)
         y[::19] += 40.0  # outliers, so the outlier grid is non-trivial
-        table = Table({"x": x, "y": y, "z": rng.uniform(0.0, 10.0, size=n)})
+        return Table({"x": x, "y": y, "z": rng.uniform(0.0, 10.0, size=n)})
+
+    @pytest.fixture()
+    def saved_index(self, tmp_path):
+        table = self._table()
         groups = [
             FDGroup(
                 predictor="x",
@@ -708,11 +711,9 @@ class TestColumnarZeroCopy:
 
     def test_loaded_columns_are_mapped(self, saved_index):
         loaded = load_index(saved_index)
-        for name in loaded.table.schema:
-            assert _mmap_backed(loaded.table.column(name))
-        # The structured restore also reattaches the sub-index state
-        # (clustered columns, grid row ids, run-search keys, distinct sort
-        # keys) from the map.
+        # The structured restore reattaches the sub-index state (clustered
+        # columns, grid row ids, run-search keys, distinct sort keys) from
+        # the map; the grids hold the only copy of the records.
         for grid in (loaded._primary, loaded._outlier):
             assert _mmap_backed(grid.row_ids)
             assert _mmap_backed(grid._rank_keys)
@@ -734,9 +735,9 @@ class TestColumnarZeroCopy:
             Rectangle({"x": Interval(float(lo), float(lo) + 15.0)})
             for lo in range(0, 90, 9)
         ] + [Rectangle({"y": Interval(0.0, 120.0), "z": Interval(2.0, 8.0)})]
-        expected = [loaded.table.select(query) for query in queries]
+        expected = [self._table().select(query) for query in queries]
 
-        guarded = {id(loaded.table.column(name)) for name in loaded.table.schema}
+        guarded = set()
         for grid in (loaded._primary, loaded._outlier):
             guarded |= {id(column) for column in grid._columns.values()}
             guarded |= {id(grid.row_ids), id(grid._rank_keys), id(grid._distinct)}
@@ -942,6 +943,118 @@ class TestAdaptiveMonitorPersistence:
         assert loaded.maintenance is not None
         assert loaded.maintenance.monitor("x->y").n_streamed == 0
         assert loaded.n_pending == index.n_pending
+
+
+def v8_fixture_table() -> Table:
+    """The build table of the committed v8 archives (``archives/README.md``)."""
+    rng = np.random.default_rng(61)
+    n = 600
+    x = rng.uniform(0.0, 100.0, size=n)
+    y = 2.0 * x + rng.uniform(-1.0, 1.0, size=n)
+    y[rng.random(n) < 0.12] += 60.0  # outliers
+    return Table({"x": x, "y": y, "z": rng.uniform(0.0, 10.0, size=n)})
+
+
+def v8_fixture_groups():
+    return [
+        FDGroup(
+            predictor="x",
+            dependents=("y",),
+            models={"y": LinearFDModel(2.0, 0.0, 1.5, 1.5)},
+        )
+    ]
+
+
+def v8_fixture_writes(index, reclaim) -> None:
+    """The writes behind the committed v8 archives, on a flat index or an
+    engine alike: deletes, then ``reclaim(index)`` (a reclaiming
+    compaction of the flat index, of one shard of the engine), then more
+    deletes (tombstones), inserts and updates (pending rows)."""
+    rng = np.random.default_rng(67)
+    updated = np.arange(5, 600, 37, dtype=np.int64)
+    pool = np.setdiff1d(np.arange(600, dtype=np.int64), updated)
+    index.delete_batch(rng.choice(pool, size=80, replace=False))
+    reclaim(index)
+    x = rng.uniform(0.0, 100.0, size=40)
+    index.insert_batch({"x": x, "y": 2.0 * x, "z": rng.uniform(0.0, 10.0, size=40)})
+    index.delete_batch(rng.choice(pool, size=40, replace=False))
+    x = rng.uniform(0.0, 100.0, size=len(updated))
+    y = 2.0 * x + np.where(rng.random(len(updated)) < 0.3, 60.0, 0.0)
+    index.update_batch(updated, {"x": x, "y": y, "z": np.full(len(updated), 5.0)})
+
+
+#: Format-v8 archive directories written by the writer of the commit
+#: before the grids became the only copy of the records, from
+#: ``v8_fixture_writes`` (see ``archives/README.md``).
+V8_FLAT = V5_ARCHIVES / "flat_v8.coax"
+V8_ENGINE = V5_ARCHIVES / "engine_v8.coax"
+
+
+class TestEarlierV8Writer:
+    """Archives from the earlier v8 writer — tombstones, pending rows and
+    a reclaimed (subset-scoped) section included — load with the current
+    reader and answer like a full scan of the same live rows.  Round
+    trips cannot catch a writer and a reader that change together."""
+
+    QUERIES = [
+        Rectangle(),
+        Rectangle({"x": Interval(10.0, 40.0)}),
+        Rectangle({"y": Interval(50.0, 150.0)}),
+        Rectangle({"x": Interval(20.0, 90.0), "z": Interval(2.0, 6.0)}),
+        Rectangle({"y": Interval(100.0, 300.0)}),
+        Rectangle({"z": Interval(5.0, 5.0)}),
+    ]
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        index = COAXIndex(v8_fixture_table(), groups=v8_fixture_groups())
+        v8_fixture_writes(index, lambda flat: flat.compact())
+        return index
+
+    def _assert_answers_like_full_scan(self, loaded, reference):
+        columns, ids = reference.live_rows()
+        oracle = FullScanIndex(Table(columns), ids=ids)
+        for query in self.QUERIES:
+            assert np.array_equal(
+                np.sort(loaded.range_query(query)), np.sort(oracle.range_query(query))
+            )
+        assert np.array_equal(
+            loaded.batch_aggregate(self.QUERIES, Aggregate("count")),
+            oracle.batch_aggregate(self.QUERIES, Aggregate("count")),
+        )
+        assert np.allclose(
+            loaded.batch_aggregate(self.QUERIES, Aggregate("sum", "z")),
+            oracle.batch_aggregate(self.QUERIES, Aggregate("sum", "z")),
+        )
+        point = {"x": 50.0, "y": 100.0}
+        assert np.array_equal(loaded.knn(point, 15), oracle.knn(point, 15))
+
+    @pytest.mark.parametrize("path", [V8_FLAT, V8_ENGINE], ids=["flat", "engine"])
+    def test_loads_and_answers_like_full_scan(self, path, reference):
+        assert _manifest(path)["meta"]["format_version"] == 8
+        loaded = load_index(path)
+        assert isinstance(loaded, ShardedCOAX) == (path == V8_ENGINE)
+        assert loaded.n_pending == reference.n_pending > 0
+        assert loaded.n_live == reference.n_live
+        self._assert_answers_like_full_scan(loaded, reference)
+        loaded.compact()
+        assert loaded.n_tombstoned == 0 and loaded.n_pending == 0
+        self._assert_answers_like_full_scan(loaded, reference)
+        record = {"x": 1.0, "y": 2.0, "z": 3.0}
+        assert loaded.insert(record) == reference.next_row_id
+
+    def test_fixtures_carry_every_section_kind(self):
+        flat = _manifest(V8_FLAT)
+        assert flat["meta"]["n_tombstoned"] > 0 and flat["meta"]["n_pending"] > 0
+        assert "__row_ids__" in flat["arrays"]  # reclaimed: subset-scoped
+        engine = _manifest(V8_ENGINE)
+        shards = engine["meta"]["shards"]
+        assert len(shards) == 4
+        assert sum(shard["n_tombstoned"] > 0 for shard in shards) >= 2
+        assert sum(shard["n_pending"] > 0 for shard in shards) >= 2
+        scoped = [no for no in range(4) if f"shard{no}::__row_ids__" in engine["arrays"]]
+        assert scoped == [1]
+        assert all("structured" in shards[no] for no in (0, 2, 3))
 
 
 class TestCSV:
