@@ -40,7 +40,7 @@ def test_fig8_coax_sweep(
 ):
     table = _table_for(dataset, airline_table, osm_table)
     workload = _workload_for(dataset, airline_range_workload, osm_range_workload)
-    config = COAXConfig(primary_cells_per_dim=cells, outlier_cells_per_dim=max(2, cells // 2))
+    config = COAXConfig(primary_cells_per_dim=cells)
     index = COAXIndex(table, config=config)
     benchmark(execute_workload, index, workload)
     breakdown = index.memory_breakdown()
@@ -100,7 +100,7 @@ def test_fig8_coax_memory_orders_of_magnitude_below_rtree(dataset, airline_table
     coax_best = min(
         COAXIndex(
             table,
-            config=COAXConfig(primary_cells_per_dim=cells, outlier_cells_per_dim=max(2, cells // 2)),
+            config=COAXConfig(primary_cells_per_dim=cells),
         ).directory_bytes()
         for cells in (2, 4, 8)
     )

@@ -38,7 +38,7 @@ def _coax_rows(
 ) -> List[Dict[str, object]]:
     rows: List[Dict[str, object]] = []
     for cells in cell_sweep:
-        config = COAXConfig(primary_cells_per_dim=cells, outlier_cells_per_dim=max(2, cells // 2))
+        config = COAXConfig(primary_cells_per_dim=cells)
         index = COAXIndex(table, config=config)
         timing = time_workload(index, workload)
         breakdown = index.memory_breakdown()

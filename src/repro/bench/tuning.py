@@ -154,7 +154,6 @@ def tune_coax(
             primary_cells_per_dim=int(params["cells_per_dim"]),
             primary_sort_dimension=base.primary_sort_dimension,
             outlier_index=str(params["outlier_index"]),
-            outlier_cells_per_dim=max(2, int(params["cells_per_dim"]) // 2),
             outlier_node_capacity=base.outlier_node_capacity,
             max_groups=base.max_groups,
             min_primary_fraction=base.min_primary_fraction,
@@ -173,7 +172,6 @@ def tune_coax(
         primary_cells_per_dim=int(best["cells_per_dim"]),
         primary_sort_dimension=base.primary_sort_dimension,
         outlier_index=str(best["outlier_index"]),
-        outlier_cells_per_dim=max(2, int(best["cells_per_dim"]) // 2),
         outlier_node_capacity=base.outlier_node_capacity,
         max_groups=base.max_groups,
         min_primary_fraction=base.min_primary_fraction,

@@ -70,12 +70,24 @@ from repro.fd.detection import DetectionConfig, FDCandidate, detect_soft_fds, ev
 from repro.fd.groups import FDGroup, build_groups
 from repro.fd.maintenance import REFIT, REUSE, MaintenanceManager
 from repro.indexes.base import IndexBuildError, MultidimensionalIndex, QueryStats
-from repro.indexes.grid_file import SortedCellGridIndex
+from repro.indexes.grid_file import SortedCellGridIndex, fitted_shape
 from repro.indexes.rtree import RTreeIndex
 from repro.indexes.uniform_grid import UniformGridIndex
 from repro.indexes.full_scan import FullScanIndex
 
 __all__ = ["COAXIndex", "COAXBuildReport", "learn_groups"]
+
+#: Rows per cell the outlier grid's derived shape aims at.
+OUTLIER_ROWS_PER_CELL = 24
+#: The outlier grid never has more cells than this many per axis would
+#: give (the fixed count the derived shape replaced).
+OUTLIER_CELLS_PER_AXIS_CAP = 4
+#: Rows sampled to fit the outlier grid's shape.
+OUTLIER_SHAPE_SAMPLE = 2048
+#: Compaction re-fits the outlier grid instead of absorbing into it once
+#: its rows would allow this many times its cells: rows per cell stay
+#: within this factor of the aim, and rebuilds are amortised over growth.
+OUTLIER_REFIT_GROWTH = 4
 
 
 def learn_groups(
@@ -366,13 +378,30 @@ class COAXIndex(MultidimensionalIndex):
     ) -> MultidimensionalIndex:
         """Instantiate the configured outlier index over all dimensions,
         holding the rows of ``table`` at ``positions`` (default: all) under
-        ``ids`` (default: their positions)."""
+        ``ids`` (default: their positions).
+
+        A grid is sized from its rows: about ``OUTLIER_ROWS_PER_CELL`` rows
+        per cell, never more cells than ``OUTLIER_CELLS_PER_AXIS_CAP`` per
+        axis would give.  The sorted-cell grid spends that budget per axis
+        (:func:`repro.indexes.grid_file.fitted_shape` over a sample of the
+        rows); the uniform grid takes the largest equal count within it.
+        """
         kind = self._config.outlier_index
+        n_rows = table.n_rows if positions is None else len(positions)
         if kind == "sorted_cell_grid":
+            sort_dim = self._sort_dim if self._sort_dim in self._dimensions else self._dimensions[-1]
+            grid_dims = [dim for dim in self._dimensions if dim != sort_dim]
+            picked = np.linspace(0, n_rows - 1, min(n_rows, OUTLIER_SHAPE_SAMPLE)).astype(np.int64)
+            if positions is not None:
+                picked = np.asarray(positions, dtype=np.int64)[picked]
+            shape = fitted_shape(
+                [table.column(dim)[picked] for dim in grid_dims],
+                self._outlier_cell_budget(n_rows, len(grid_dims)),
+            )
             return SortedCellGridIndex(
                 table,
-                cells_per_dim=self._config.outlier_cells_per_dim,
-                sort_dimension=self._sort_dim if self._sort_dim in self._dimensions else None,
+                cells_per_dim=shape,
+                sort_dimension=sort_dim,
                 row_ids=positions,
                 dimensions=self._dimensions,
                 ids=ids,
@@ -380,7 +409,8 @@ class COAXIndex(MultidimensionalIndex):
         if kind == "uniform_grid":
             return UniformGridIndex(
                 table,
-                cells_per_dim=self._config.outlier_cells_per_dim,
+                cells_per_dim=OUTLIER_CELLS_PER_AXIS_CAP,
+                max_cells=self._outlier_cell_budget(n_rows, len(self._dimensions)),
                 row_ids=positions,
                 dimensions=self._dimensions,
                 ids=ids,
@@ -398,6 +428,12 @@ class COAXIndex(MultidimensionalIndex):
                 table, row_ids=positions, dimensions=self._dimensions, ids=ids
             )
         raise IndexBuildError(f"unknown outlier index type {kind!r}")
+
+    @staticmethod
+    def _outlier_cell_budget(n_rows: int, n_axes: int) -> int:
+        """Most cells an outlier grid over ``n_rows`` rows and ``n_axes``
+        grid axes may have."""
+        return max(1, min(OUTLIER_CELLS_PER_AXIS_CAP**n_axes, n_rows // OUTLIER_ROWS_PER_CELL))
 
     def _box_of(
         self, index: MultidimensionalIndex
@@ -1031,7 +1067,12 @@ class COAXIndex(MultidimensionalIndex):
         batch (see the concurrency contract in :mod:`repro.indexes.base`).
         """
         with self._write_lock:
-            row_ids = np.unique(np.asarray(row_ids, dtype=np.int64))
+            return self._delete_unique(np.unique(np.asarray(row_ids, dtype=np.int64)))
+
+    def _delete_unique(self, row_ids: np.ndarray) -> int:
+        """:meth:`delete_batch` of ids already sorted and de-duplicated
+        (the engine de-duplicates a batch once for all its shards)."""
+        with self._write_lock:
             if len(row_ids) == 0:
                 return 0
             deleted = self._delta.delete_rows(row_ids)
@@ -1239,9 +1280,16 @@ class COAXIndex(MultidimensionalIndex):
         new_outliers = {name: values[~inliers] for name, values in pending.items()}
         # Primary grid: absorb into the existing quantile layout.
         self._primary.absorb_rows(new_inliers, pending_ids[inliers])
-        # Outlier index: absorb when the structure supports it, else rebuild
-        # (over the outlier minority only).
-        if isinstance(self._outlier, SortedCellGridIndex):
+        # Outlier index: absorb when the structure supports it and its
+        # shape still fits its rows, else rebuild (over the outlier
+        # minority only).
+        if isinstance(self._outlier, SortedCellGridIndex) and (
+            self._outlier.n_cells * OUTLIER_REFIT_GROWTH
+            > self._outlier_cell_budget(
+                self._outlier.n_rows + len(pending_ids) - int(np.count_nonzero(inliers)),
+                len(self._outlier.grid_dimensions),
+            )
+        ):
             self._outlier.absorb_rows(new_outliers, pending_ids[~inliers])
         else:
             columns, ids = _concat_by_id(

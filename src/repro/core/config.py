@@ -160,8 +160,6 @@ class COAXConfig:
     primary_sort_dimension: Optional[str] = None
     #: Which structure holds the outliers (all dimensions are indexed there).
     outlier_index: str = "sorted_cell_grid"
-    #: Grid lines per dimension for grid-based outlier indexes.
-    outlier_cells_per_dim: int = 4
     #: Node capacity when the outlier index is an R-Tree.
     outlier_node_capacity: int = 10
     #: Keep at most this many FD groups (the highest scoring ones); ``None``
@@ -185,8 +183,6 @@ class COAXConfig:
     def __post_init__(self) -> None:
         if self.primary_cells_per_dim < 1:
             raise ValueError("primary_cells_per_dim must be at least 1")
-        if self.outlier_cells_per_dim < 1:
-            raise ValueError("outlier_cells_per_dim must be at least 1")
         if self.outlier_index not in OUTLIER_INDEX_CHOICES:
             raise ValueError(
                 f"outlier_index must be one of {OUTLIER_INDEX_CHOICES}, got {self.outlier_index!r}"

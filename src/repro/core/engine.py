@@ -1074,7 +1074,7 @@ class ShardedCOAX(MultidimensionalIndex):
         with self._write_lock:
             self._check_open()
             row_ids = np.unique(np.asarray(row_ids, dtype=np.int64))
-            return int(sum(shard.delete_batch(row_ids) for shard in self._shards))
+            return int(sum(shard._delete_unique(row_ids) for shard in self._shards))
 
     def delete_rows(self, row_ids: np.ndarray, *, assume_unique: bool = False) -> int:
         """Generic tombstone entry point; routes through the full engine

@@ -4,8 +4,8 @@ This is the index layout COAX builds its primary index on: a Grid File
 variant where
 
 * cell boundaries along every grid dimension are chosen from quantiles of
-  the data (equal-depth, not equal-width), using the same number of grid
-  lines for every attribute;
+  the data (equal-depth, not equal-width); the number of cells may differ
+  per dimension (a mixed-radix ``shape``), and a dimension may keep one;
 * cell addresses are laid out in the original attribute order;
 * each cell stores its records contiguously, sorted by one designated
   attribute, so that attribute needs no grid lines at all — lookups on it
@@ -29,7 +29,7 @@ The same structure doubles as the Column Files baseline (see
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -56,7 +56,53 @@ from repro.indexes.kernels import (
 from repro.indexes.uniform_grid import MAX_TOTAL_CELLS, _capped_cells_per_dim
 from repro.stats.quantiles import quantile_boundaries
 
-__all__ = ["SortedCellGridIndex"]
+__all__ = ["SortedCellGridIndex", "fitted_shape"]
+
+#: Most cells :func:`fitted_shape` gives one axis; bounds its greedy loop
+#: at 15 steps per axis.
+MAX_FITTED_AXIS_CELLS = 16
+
+
+def fitted_shape(samples: Sequence[np.ndarray], max_cells: int) -> Tuple[int, ...]:
+    """Per-axis cell counts, at most ``max_cells`` in total, for a quantile
+    grid over rows whose grid-axis values are sampled in ``samples`` (one
+    equal-length array per axis).
+
+    Greedy, from one cell per axis: each step adds one cell to the axis
+    whose equal-depth split leaves the fewest sampled row pairs sharing a
+    cell, so the axes that separate rows most are split first and in turn
+    (independent axes end up balanced).  An axis whose split separates no
+    pair (one value, or ties the split cannot break) keeps its cells.  A
+    row's cell on an axis is its rank among the sampled values, lowest of
+    its ties, scaled to the count: equal values share a cell, as they do
+    under the grid's quantile boundaries.
+    """
+    n_axes = len(samples)
+    shape = [1] * n_axes
+    if not n_axes or not len(samples[0]):
+        return tuple(shape)
+    n_sampled = len(samples[0])
+    ranks = [np.sort(values).searchsorted(values) for values in samples]
+    coords = [np.zeros(n_sampled, dtype=np.int64) for _ in range(n_axes)]
+    shared = n_sampled * n_sampled
+    while True:
+        total = int(np.prod(shape))
+        best = None
+        for axis in range(n_axes):
+            count = shape[axis] + 1
+            if count > MAX_FITTED_AXIS_CELLS or total // shape[axis] * count > max_cells:
+                continue
+            trial = list(coords)
+            trial[axis] = ranks[axis] * count // n_sampled
+            cells = np.ravel_multi_index(trial, (*shape[:axis], count, *shape[axis + 1 :]))
+            counts = np.bincount(cells)
+            pairs = int(counts @ counts)
+            if pairs < shared and (best is None or pairs < best[0]):
+                best = (pairs, axis, trial[axis])
+        if best is None:
+            return tuple(shape)
+        shared, axis, coords[axis] = best
+        shape[axis] += 1
 
 
 class SortedCellGridIndex(MultidimensionalIndex):
@@ -66,15 +112,19 @@ class SortedCellGridIndex(MultidimensionalIndex):
         self,
         table: Table,
         *,
-        cells_per_dim: int = 8,
+        cells_per_dim: Union[int, Sequence[int]] = 8,
         max_cells: Optional[int] = None,
         sort_dimension: Optional[str] = None,
         row_ids: Optional[np.ndarray] = None,
         dimensions: Optional[Sequence[str]] = None,
         ids: Optional[np.ndarray] = None,
     ) -> None:
+        """``cells_per_dim`` is either one count for every grid dimension,
+        capped so the total stays within the cell budget, or the per-axis
+        shape itself (one count per grid dimension, in order), used as
+        given."""
         dimensions = self._checked_dimensions(table, dimensions)
-        if cells_per_dim < 1:
+        if np.any(np.asarray(cells_per_dim) < 1):
             raise IndexBuildError("cells_per_dim must be at least 1")
         self._sort_dimension = sort_dimension or dimensions[-1]
         if self._sort_dimension not in table.schema:
@@ -89,16 +139,23 @@ class SortedCellGridIndex(MultidimensionalIndex):
             table, row_ids, (*self._grid_dimensions, self._sort_dimension)
         )
         n_grid_dims = len(self._grid_dimensions)
-        # Same directory-size discipline as the uniform grid: by default the
-        # total cell count may not exceed the number of indexed records.
-        budget = max_cells if max_cells is not None else max(16, len(positions))
-        budget = min(budget, MAX_TOTAL_CELLS)
-        self._cells_per_dim = _capped_cells_per_dim(cells_per_dim, n_grid_dims, budget)
-        self._shape: Tuple[int, ...] = tuple([self._cells_per_dim] * n_grid_dims)
-        self._cell_strides: Tuple[int, ...] = row_major_strides(self._shape)
+        if np.ndim(cells_per_dim):
+            shape = tuple(int(count) for count in cells_per_dim)
+            if len(shape) != n_grid_dims:
+                raise IndexBuildError(
+                    f"shape {shape} does not match {n_grid_dims} grid dimensions"
+                )
+        else:
+            # Same directory-size discipline as the uniform grid: by default
+            # the total cell count may not exceed the number of indexed
+            # records.
+            budget = max_cells if max_cells is not None else max(16, len(positions))
+            budget = min(budget, MAX_TOTAL_CELLS)
+            shape = (_capped_cells_per_dim(cells_per_dim, n_grid_dims, budget),) * n_grid_dims
+        self._set_shape(shape)
         self._boundaries: List[np.ndarray] = [
-            quantile_boundaries(keys[dim], self._cells_per_dim)
-            for dim in self._grid_dimensions
+            quantile_boundaries(keys[dim], count)
+            for dim, count in zip(self._grid_dimensions, self._shape)
         ]
         order, cells, rank_keys, distinct = self._cluster_order(keys)
         self._index_cells(cells, rank_keys, distinct)
@@ -124,7 +181,6 @@ class SortedCellGridIndex(MultidimensionalIndex):
         columns: Dict[str, np.ndarray],
         dimensions: Sequence[str],
         sort_dimension: str,
-        cells_per_dim: int,
         boundaries: Sequence[np.ndarray],
         axis_lows: Sequence[float],
         axis_highs: Sequence[float],
@@ -135,8 +191,9 @@ class SortedCellGridIndex(MultidimensionalIndex):
         """Reattach a grid from persisted derived state — no rebuild.
 
         ``row_ids``, ``columns`` and ``rank_keys`` are in the saved
-        (cell, sort-key) order; they, the quantile boundaries, the per-cell
-        offsets and the distinct sort keys are adopted verbatim, so the
+        (cell, sort-key) order; they, the quantile boundaries (whose lengths
+        give the shape: ``len(b) - 1`` cells per axis), the per-cell offsets
+        and the distinct sort keys are adopted verbatim, so the
         restored grid is bit-identical to the saved one by construction and
         attaching costs O(metadata) plus mapping the arrays (nothing when
         they are memmaps).  Memmap-backed arrays stay mapped.
@@ -147,10 +204,8 @@ class SortedCellGridIndex(MultidimensionalIndex):
         index._grid_dimensions = tuple(
             dim for dim in index._dimensions if dim != sort_dimension
         )
-        index._cells_per_dim = int(cells_per_dim)
-        index._shape = tuple([index._cells_per_dim] * len(index._grid_dimensions))
-        index._cell_strides = row_major_strides(index._shape)
         index._boundaries = [np.asarray(b, dtype=np.float64) for b in boundaries]
+        index._set_shape(tuple(len(b) - 1 for b in index._boundaries))
         index._axis_lows = [float(v) for v in axis_lows]
         index._axis_highs = [float(v) for v in axis_highs]
         index._refresh_edges()
@@ -164,6 +219,13 @@ class SortedCellGridIndex(MultidimensionalIndex):
     # ------------------------------------------------------------------
     # Build
     # ------------------------------------------------------------------
+    def _set_shape(self, shape: Tuple[int, ...]) -> None:
+        """Adopt the per-axis cell counts, their row-major strides and each
+        axis's last cell (the clip bound of every boundary bisection)."""
+        self._shape: Tuple[int, ...] = shape
+        self._cell_strides: Tuple[int, ...] = row_major_strides(shape)
+        self._last_cell: Tuple[int, ...] = tuple(count - 1 for count in shape)
+
     def _cluster_order(
         self, keys: Dict[str, np.ndarray]
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -210,7 +272,7 @@ class SortedCellGridIndex(MultidimensionalIndex):
     def _cell_of(self, values: np.ndarray, axis: int) -> np.ndarray:
         boundaries = self._boundaries[axis]
         return np.clip(
-            np.searchsorted(boundaries, values, side="right") - 1, 0, self._cells_per_dim - 1
+            np.searchsorted(boundaries, values, side="right") - 1, 0, self._last_cell[axis]
         )
 
     def _compute_axis_spans(self) -> None:
@@ -223,16 +285,17 @@ class SortedCellGridIndex(MultidimensionalIndex):
 
     def _refresh_edges(self) -> None:
         """Value bounds of every cell run per grid axis, ``(n_axes,
-        cells_per_dim + 1)``: cells ``lo..hi`` of an axis hold values in
+        max(shape) + 1)``: cells ``lo..hi`` of an axis hold values in
         ``[edges[lo], edges[hi + 1]]``.  These are the boundaries with the
-        clipped catch-all ends replaced by the observed axis span; the batch
-        filter-pruning check reads them, so every change of boundaries or
-        spans refreshes them."""
-        edges = np.empty((len(self._boundaries), self._cells_per_dim + 1))
+        clipped catch-all ends replaced by the observed axis span (an axis
+        with fewer cells leaves its tail unused); the batch filter-pruning
+        check reads them, so every change of boundaries or spans refreshes
+        them."""
+        edges = np.full((len(self._boundaries), max(self._shape, default=0) + 1), np.nan)
         for axis, boundaries in enumerate(self._boundaries):
-            edges[axis] = boundaries
+            edges[axis, : len(boundaries)] = boundaries
             edges[axis, 0] = self._axis_lows[axis]
-            edges[axis, -1] = self._axis_highs[axis]
+            edges[axis, len(boundaries) - 1] = self._axis_highs[axis]
         self._edges = edges
 
     # ------------------------------------------------------------------
@@ -267,8 +330,8 @@ class SortedCellGridIndex(MultidimensionalIndex):
             # information; learn them from the first absorbed batch, which
             # is laid out exactly like a build.
             self._boundaries = [
-                quantile_boundaries(new_columns[dim], self._cells_per_dim)
-                for dim in self._grid_dimensions
+                quantile_boundaries(new_columns[dim], count)
+                for dim, count in zip(self._grid_dimensions, self._shape)
             ]
             order, cells, rank_keys, distinct = self._cluster_order(new_columns)
             self._append_rows(
@@ -327,8 +390,9 @@ class SortedCellGridIndex(MultidimensionalIndex):
     # ------------------------------------------------------------------
     def _cell_range(self, axis: int, low: float, high: float) -> Tuple[int, int]:
         boundaries = self._boundaries[axis]
-        lo_cell = int(np.clip(np.searchsorted(boundaries, low, side="right") - 1, 0, self._cells_per_dim - 1))
-        hi_cell = int(np.clip(np.searchsorted(boundaries, high, side="right") - 1, 0, self._cells_per_dim - 1))
+        last = self._last_cell[axis]
+        lo_cell = int(np.clip(np.searchsorted(boundaries, low, side="right") - 1, 0, last))
+        hi_cell = int(np.clip(np.searchsorted(boundaries, high, side="right") - 1, 0, last))
         return lo_cell, hi_cell
 
     def _axis_filter_needed(self, axis: int, low: float, high: float, lo_cell: int, hi_cell: int) -> bool:
@@ -340,7 +404,7 @@ class SortedCellGridIndex(MultidimensionalIndex):
             lo_cell,
             hi_cell,
             self._boundaries[axis],
-            self._cells_per_dim,
+            self._shape[axis],
             self._axis_lows[axis],
             self._axis_highs[axis],
         )
@@ -539,7 +603,7 @@ class SortedCellGridIndex(MultidimensionalIndex):
                 spans[1, axis] = np.inf
         axis_lows, axis_highs = spans
         axis_lo, axis_hi = axis_cell_ranges(
-            self._boundaries, axis_lows, axis_highs, self._cells_per_dim
+            self._boundaries, axis_lows, axis_highs, self._shape
         )
         filter_needed = np.zeros((n_axes, n_queries), dtype=bool)
         if n_axes:
@@ -723,7 +787,7 @@ class SortedCellGridIndex(MultidimensionalIndex):
                 eligible &= np.isinf(lows) & np.isinf(highs) & (lows < 0) & (highs > 0)
         covered_run = eligible[cell_qid]
         for axis in range(len(axis_lo)):
-            coords = (cells // self._cell_strides[axis]) % self._cells_per_dim
+            coords = (cells // self._cell_strides[axis]) % self._shape[axis]
             interior = (coords > axis_lo[axis][cell_qid]) & (coords < axis_hi[axis][cell_qid])
             covered_run &= interior | ~filter_needed[axis][cell_qid]
 
@@ -831,8 +895,9 @@ class SortedCellGridIndex(MultidimensionalIndex):
                 targets.append(tuple(float(v) for v in aux[axis]))
             else:
                 targets.append(None)
+        last_cell = self._last_cell
         lo = np.zeros(max(n_axes, 1), dtype=np.int64)
-        hi = np.full(max(n_axes, 1), self._cells_per_dim - 1, dtype=np.int64)
+        hi = np.array(last_cell or (0,), dtype=np.int64)
         for axis in range(n_axes):
             target = targets[axis]
             if target is not None:
@@ -840,7 +905,7 @@ class SortedCellGridIndex(MultidimensionalIndex):
                     np.clip(
                         np.searchsorted(self._boundaries[axis], target[0], side="right") - 1,
                         0,
-                        self._cells_per_dim - 1,
+                        last_cell[axis],
                     )
                 )
                 lo[axis] = hi[axis] = cell
@@ -891,7 +956,7 @@ class SortedCellGridIndex(MultidimensionalIndex):
                 )
                 right_gap = (
                     max(0.0, float(boundaries[hi[axis] + 1]) - value)
-                    if hi[axis] < self._cells_per_dim - 1
+                    if hi[axis] < last_cell[axis]
                     else np.inf
                 )
                 axis_gap = min(
@@ -899,7 +964,7 @@ class SortedCellGridIndex(MultidimensionalIndex):
                     max(0.0, scale * right_gap - slack) if np.isfinite(right_gap) else np.inf,
                 )
                 d_min = min(d_min, axis_gap)
-                if lo[axis] > 0 or hi[axis] < self._cells_per_dim - 1:
+                if lo[axis] > 0 or hi[axis] < last_cell[axis]:
                     growable.append((axis, left_gap <= right_gap and lo[axis] > 0))
             d_min_key = d_min * d_min if (metric == "l2" and np.isfinite(d_min)) else d_min
             if len(best_ids) >= k and float(best_keys[k - 1]) < d_min_key:
@@ -910,7 +975,7 @@ class SortedCellGridIndex(MultidimensionalIndex):
             for axis, grow_left in growable:
                 if grow_left:
                     lo[axis] -= 1
-                elif hi[axis] < self._cells_per_dim - 1:
+                elif hi[axis] < last_cell[axis]:
                     hi[axis] += 1
                 else:
                     lo[axis] -= 1

@@ -187,10 +187,11 @@ def enumerate_cells_batch(
 
     The whole batch is enumerated without a per-query Python step: one
     global arange is decomposed into per-query mixed-radix digits — one
-    floor-divide/mod pair per axis — and re-composed into flat ids with the
-    grid strides.  When no query covers more than one cell (point
-    lookups), each id is just the dot product of its range starts with the
-    strides.
+    floor-divide/mod pair per axis — and each digit, times the grid
+    stride, is added to the flat id of the query's first cell.  An axis on
+    which no query covers more than one cell adds nothing (every digit is
+    0), so it costs nothing per cell; when no query covers more than one
+    cell at all (point lookups), each id is just that first cell.
     """
     lo_cells = np.asarray(lo_cells, dtype=np.int64)
     hi_cells = np.asarray(hi_cells, dtype=np.int64)
@@ -202,25 +203,26 @@ def enumerate_cells_batch(
     lengths += 1
     np.maximum(lengths, 0, out=lengths)
     counts = np.multiply.reduce(lengths, axis=0)
+    strides = row_major_strides(shape)
+    first = np.dot(strides, lo_cells)
     if n_queries == 0 or counts.max() <= 1:
-        cells = np.dot(row_major_strides(shape), lo_cells)
-        return cells[counts > 0], counts
+        return first[counts > 0], counts
     total = int(counts.sum())
     ends = np.cumsum(counts)
     # Rank of every output cell within its own query's enumeration.
     rank = np.arange(total, dtype=np.int64) - np.repeat(ends - counts, counts)
+    # A query with no cells owns no rank, so every owner's lengths are >= 1.
     qid = np.repeat(np.arange(n_queries, dtype=np.int64), counts)
+    cells = first[qid]
     # Row-major decomposition: axis 0 varies slowest, so its digit is the
     # rank divided by the product of all later axis lengths.
     below = np.ones(n_queries, dtype=np.int64)
-    strides_below = np.empty((n_axes, n_queries), dtype=np.int64)
     for axis in range(n_axes - 1, -1, -1):
-        strides_below[axis] = below
-        below = below * lengths[axis]
-    cells = np.zeros(total, dtype=np.int64)
-    for axis in range(n_axes):
-        digit = (rank // strides_below[axis][qid]) % np.maximum(lengths[axis][qid], 1)
-        cells = cells * shape[axis] + (lo_cells[axis][qid] + digit)
+        axis_lengths = lengths[axis]
+        if axis_lengths.max() > 1:
+            digit = rank // below[qid] if axis < n_axes - 1 else rank
+            cells += digit % axis_lengths[qid] * strides[axis]
+        below = below * axis_lengths
     return cells, counts
 
 
@@ -368,7 +370,7 @@ def axis_cell_ranges(
     boundaries: Union[np.ndarray, Sequence[np.ndarray]],
     lows: np.ndarray,
     highs: np.ndarray,
-    n_cells: int,
+    n_cells: Union[int, Sequence[int]],
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Inclusive cell ranges for a whole batch of intervals.
 
@@ -378,7 +380,8 @@ def axis_cell_ranges(
     per-axis boundary arrays and ``lows``/``highs`` are ``(n_axes,
     n_queries)`` matrices.  Each axis costs one ``np.searchsorted`` over
     its lows and highs together, and the results are clamped in place for
-    all axes at once.  Returns ``(lo_cells, hi_cells)`` shaped like
+    all axes at once.  ``n_cells`` is one count for every axis or one per
+    axis (a grid's shape).  Returns ``(lo_cells, hi_cells)`` shaped like
     ``lows``, clipped into ``[0, n_cells - 1]``; an empty query interval
     (``low > high``) simply yields ``lo_cell > hi_cell`` and enumerates no
     cells.
@@ -398,7 +401,8 @@ def axis_cell_ranges(
         )
     cells -= 1
     np.maximum(cells, 0, out=cells)
-    np.minimum(cells, n_cells - 1, out=cells)
+    last = np.asarray(n_cells, dtype=np.int64) - 1
+    np.minimum(cells, last[:, None] if last.ndim else last, out=cells)
     lo_cells = cells[:, :n_queries]
     hi_cells = cells[:, n_queries:]
     # Preserve emptiness: a query with low > high must visit no cells.

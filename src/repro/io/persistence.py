@@ -39,7 +39,9 @@ the stored groups, exactly like pre-v6 archives.  An index keeps its
 records only in its grids, so the writer derives the table section, the
 tombstone bitmap, the partition arrays and a shard's ``__global_of__``
 from them, and the loader gives a shard's rows their global ids back
-with one gather per id array (see :func:`_index_payload`).  v6/v7 archives carry
+with one gather per id array (see :func:`_index_payload`); a load does
+not attach the table section or partition arrays of a structured section,
+only checks that their files are there and long enough.  v6/v7 archives carry
 the older permutation grid section, which is ignored: they rebuild the
 same way.
 
@@ -64,7 +66,7 @@ import json
 import os
 import re
 import shutil
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
@@ -229,11 +231,10 @@ def _config_from_dict(payload: Dict) -> COAXConfig:
     # Archives written before format v5 carry no maintenance section; the
     # default (disabled) configuration is exactly their behaviour.
     maintenance = MaintenanceConfig(**dict(payload.get("maintenance", {})))
-    remaining = {
-        key: value
-        for key, value in payload.items()
-        if key not in ("detection", "maintenance")
-    }
+    # Options retired since the archive was written (such as the outlier
+    # grid's cell count, now derived from its rows at build) are dropped.
+    known = {field.name for field in fields(COAXConfig)} - {"detection", "maintenance"}
+    remaining = {key: value for key, value in payload.items() if key in known}
     return COAXConfig(detection=detection, maintenance=maintenance, **remaining)
 
 
@@ -273,7 +274,6 @@ def _grid_payload(
     return {
         "dimensions": list(grid.dimensions),
         "sort_dimension": grid.sort_dimension,
-        "cells_per_dim": int(grid._cells_per_dim),
         "n_axes": len(grid._boundaries),
         "axis_lows": [float(value) for value in grid._axis_lows],
         "axis_highs": [float(value) for value in grid._axis_highs],
@@ -330,7 +330,6 @@ def _restore_grid(
         columns={name: arrays[f"{prefix}::column::{name}"] for name in schema},
         dimensions=grid_meta["dimensions"],
         sort_dimension=grid_meta["sort_dimension"],
-        cells_per_dim=int(grid_meta["cells_per_dim"]),
         boundaries=boundaries,
         axis_lows=grid_meta["axis_lows"],
         axis_highs=grid_meta["axis_highs"],
@@ -620,6 +619,24 @@ def _write_columnar(meta: Dict, arrays: Dict[str, np.ndarray], path: Path) -> Pa
     return path
 
 
+def _unread_prefixes(meta: Dict) -> Tuple[str, ...]:
+    """Key prefixes of the arrays a load never reads: the table section
+    and the partition arrays of every structured (v8+) section, whose
+    grids carry both."""
+    if meta.get("format_version", 0) < 8:
+        return ()
+    if "engine" in meta:
+        sections = [(f"shard{number}::", shard) for number, shard in enumerate(meta["shards"])]
+    else:
+        sections = [("", meta)]
+    return tuple(
+        prefix + kind
+        for prefix, section in sections
+        if "structured" in section
+        for kind in ("column::", "partition::")
+    )
+
+
 def _read_columnar(path: Path) -> Tuple[Dict, Dict[str, np.ndarray]]:
     """Attach a v6 columnar archive: parse the manifest, map the arrays."""
     manifest_path = path / MANIFEST_NAME
@@ -634,12 +651,19 @@ def _read_columnar(path: Path) -> Tuple[Dict, Dict[str, np.ndarray]]:
     version = meta.get("format_version")
     if version not in SUPPORTED_VERSIONS:
         raise UnsupportedFormatError(version)
+    unread = _unread_prefixes(meta)
     arrays: Dict[str, np.ndarray] = {}
     for key, entry in manifest["arrays"].items():
         file = path / entry["file"]
         dtype = np.dtype(entry["dtype"])
         shape = tuple(int(dim) for dim in entry["shape"])
         n_items = int(np.prod(shape)) if shape else 1
+        if key.startswith(unread):
+            # Not attached, but a missing or short file still fails the
+            # load, with the error attaching it would raise.
+            if os.stat(file).st_size < n_items * dtype.itemsize:
+                raise ValueError(f"{file} is shorter than its {shape} {dtype} array")
+            continue
         if n_items == 0:
             arrays[key] = np.empty(shape, dtype=dtype)
         elif dtype.kind in "fiu" and n_items * dtype.itemsize >= MMAP_MIN_BYTES:

@@ -18,10 +18,6 @@ class TestCOAXConfig:
         with pytest.raises(ValueError):
             COAXConfig(primary_cells_per_dim=0)
 
-    def test_invalid_outlier_cells(self):
-        with pytest.raises(ValueError):
-            COAXConfig(outlier_cells_per_dim=0)
-
     def test_invalid_outlier_index(self):
         with pytest.raises(ValueError):
             COAXConfig(outlier_index="btree")

@@ -27,6 +27,7 @@ from repro.io.persistence import (
     MMAP_MIN_BYTES,
     SUPPORTED_VERSIONS,
     UnsupportedFormatError,
+    _read_columnar,
     load_engine,
     load_index,
     save_index,
@@ -554,6 +555,7 @@ class TestFormatVersionMatrix:
         monkeypatch.setattr(SortedCellGridIndex, "_restore", classmethod(spy))
         loaded = load_index(paths[version])
         assert len(restored) == (2 if version == 8 else 0)
+        _assert_shapes_match_boundaries(loaded)
         for query in self.PROBES:
             assert np.array_equal(
                 np.sort(loaded.range_query(query)), np.sort(index.range_query(query))
@@ -760,6 +762,58 @@ class TestColumnarZeroCopy:
         assert sum(len(r) for r in results) > 0
         for want, result in zip(expected, results):
             assert np.array_equal(np.sort(result), want)
+
+
+class TestAttachOnlyReadArrays:
+    """A structured section's table and partition arrays are never read,
+    so a load does not attach them, yet a missing or short file among
+    them still fails the load with the error attaching it would raise."""
+
+    @pytest.fixture()
+    def saved_engine(self, tmp_path):
+        table = TestColumnarZeroCopy._table()
+        groups = [
+            FDGroup(predictor="x", dependents=("y",), models={"y": LinearFDModel(2.0, 0.0, 1.5, 1.5)})
+        ]
+        engine = ShardedCOAX(table, config=EngineConfig(n_shards=2, workers=1), groups=groups)
+        yield save_index(engine, tmp_path / "engine.coax"), engine
+        engine.shutdown()
+
+    @staticmethod
+    def _skipped(path):
+        return [
+            (key, entry["file"])
+            for key, entry in _manifest(path)["arrays"].items()
+            if "::column::" in key and key.count("::") == 2 or "partition::" in key
+        ]
+
+    def test_skipped_arrays_are_not_attached(self, saved_engine):
+        path, engine = saved_engine
+        skipped = self._skipped(path)
+        assert len(skipped) == 2 * (3 + 2)  # per shard: 3 columns, 2 partition arrays
+        _, arrays = _read_columnar(path)
+        assert not set(arrays) & {key for key, _ in skipped}
+        assert "shard0::primary::column::x" in arrays
+        loaded = load_engine(path)
+        query = Rectangle({"x": Interval(10.0, 40.0)})
+        assert np.array_equal(np.sort(loaded.range_query(query)), np.sort(engine.range_query(query)))
+
+    def test_missing_skipped_file_fails_the_load(self, saved_engine):
+        path, _ = saved_engine
+        (path / self._skipped(path)[0][1]).unlink()
+        with pytest.raises(FileNotFoundError):
+            load_engine(path)
+
+    def test_short_skipped_file_fails_the_load(self, saved_engine):
+        path, _ = saved_engine
+        file = path / self._skipped(path)[-1][1]
+        file.write_bytes(file.read_bytes()[:-8])
+        with pytest.raises(ValueError):
+            load_engine(path)
+
+    def test_unstructured_section_still_reads_its_table(self):
+        _, arrays = _read_columnar(V8_FLAT)
+        assert "column::x" in arrays and "__row_ids__" in arrays
 
 
 class TestEngineExecutorPersistence:
@@ -983,6 +1037,17 @@ def v8_fixture_writes(index, reclaim) -> None:
     index.update_batch(updated, {"x": x, "y": y, "z": np.full(len(updated), 5.0)})
 
 
+def _assert_shapes_match_boundaries(loaded) -> None:
+    """Every grid of a loaded index or engine has ``len(b) - 1`` cells on
+    each axis with boundaries ``b``."""
+    shards = loaded.shards if isinstance(loaded, ShardedCOAX) else [loaded]
+    for shard in shards:
+        for grid in (shard.primary_index, shard.outlier_index):
+            if isinstance(grid, SortedCellGridIndex):
+                assert grid._shape == tuple(len(b) - 1 for b in grid._boundaries)
+                assert grid.n_cells == len(grid._offsets) - 1
+
+
 #: Format-v8 archive directories written by the writer of the commit
 #: before the grids became the only copy of the records, from
 #: ``v8_fixture_writes`` (see ``archives/README.md``).
@@ -1033,6 +1098,7 @@ class TestEarlierV8Writer:
     def test_loads_and_answers_like_full_scan(self, path, reference):
         assert _manifest(path)["meta"]["format_version"] == 8
         loaded = load_index(path)
+        _assert_shapes_match_boundaries(loaded)
         assert isinstance(loaded, ShardedCOAX) == (path == V8_ENGINE)
         assert loaded.n_pending == reference.n_pending > 0
         assert loaded.n_live == reference.n_live
