@@ -235,6 +235,8 @@ class AnalysisConfig:
     #: roots.  A root that no longer resolves is itself a finding, so the
     #: list can never silently rot on a rename.
     materialize_entry_points: Tuple[str, ...] = (
+        "repro.core.coax:COAXIndex.range_query",
+        "repro.core.coax:COAXIndex.topk_partial",
         "repro.core.coax:COAXIndex.batch_range_query",
         "repro.core.coax:COAXIndex.batch_scatter_flat",
         "repro.core.coax:COAXIndex.batch_scatter_aggregate",

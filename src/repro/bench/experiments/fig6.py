@@ -20,6 +20,7 @@ from repro.core.coax import COAXIndex
 from repro.core.config import COAXConfig
 from repro.data.queries import QueryWorkload
 from repro.data.table import Table
+from repro.indexes.grid_file import SortedCellGridIndex
 
 __all__ = ["run", "coax_component_timing"]
 
@@ -27,18 +28,31 @@ __all__ = ["run", "coax_component_timing"]
 def coax_component_timing(
     index: COAXIndex, workload: QueryWorkload
 ) -> Dict[str, float]:
-    """Mean per-query time split into COAX's primary and outlier components."""
+    """Mean per-query time split into COAX's primary and outlier components.
+
+    Each query is planned as ``range_query`` plans it (a batch of one), and
+    the sub-index calls ``range_query`` then makes are timed: the grids'
+    ``batch_flat_from_bounds`` on the planned bounds (a non-grid outlier
+    index takes its rectangle batch entry point).
+    """
     primary_seconds = 0.0
     outlier_seconds = 0.0
+    outlier = index.outlier_index
     for query in workload:
-        plan = index.plan(query)
-        if plan.use_primary:
+        plan = index._plan_batch([query])
+        if plan is None:
+            continue
+        _, bounds, translated, use_primary, use_outlier, _ = plan
+        if use_primary[0]:
             start = time.perf_counter()
-            index.primary_index.range_query(plan.primary_query.intersect(query))
+            index.primary_index.batch_flat_from_bounds(translated, 1, use_primary, 1)
             primary_seconds += time.perf_counter() - start
-        if plan.use_outlier:
+        if use_outlier[0]:
             start = time.perf_counter()
-            index.outlier_index.range_query(plan.outlier_query)
+            if isinstance(outlier, SortedCellGridIndex):
+                outlier.batch_flat_from_bounds(bounds, 1, use_outlier, 1)
+            else:
+                outlier.batch_range_query_flat([query])
             outlier_seconds += time.perf_counter() - start
     n = max(len(workload), 1)
     return {

@@ -16,10 +16,8 @@ from repro.core.query_translation import (
     translate_bounds_batch,
     translate_query,
     translate_query_batch,
-    translated_predictor_interval,
 )
 from repro.core.partitioner import PartitionResult, partition_rows
-from repro.core.planner import QueryPlan, plan_query, plan_query_flags
 from repro.core.results import (
     QueryResult,
     merge_flat_row_ids,
@@ -37,12 +35,8 @@ __all__ = [
     "translate_query",
     "translate_query_batch",
     "translate_bounds_batch",
-    "translated_predictor_interval",
     "PartitionResult",
     "partition_rows",
-    "QueryPlan",
-    "plan_query",
-    "plan_query_flags",
     "QueryResult",
     "merge_row_ids",
     "merge_flat_row_ids",

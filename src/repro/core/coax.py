@@ -50,21 +50,16 @@ import numpy as np
 from repro.core.config import COAXConfig
 from repro.core.delta import BatchLike, DeltaStore, coerce_batch
 from repro.core.partitioner import PartitionResult, partition_rows
-from repro.core.planner import (
-    QueryPlan,
-    bounding_box_of_columns,
-    merge_boxes,
-    plan_query,
-    plan_query_flags,
-)
+from repro.core.planner import bounding_box_of_columns, box_overlaps, merge_boxes
 from repro.core.query_translation import (
     dependent_attributes,
+    rewritten_queries_from_bounds,
     translate_bounds_batch,
     translate_query,
 )
 from repro.core.results import QueryResult, merge_flat_row_ids, merge_row_ids
 from repro.data.executors import Aggregate, AggregatePartial, TopK, merge_topk
-from repro.data.predicates import Rectangle, batch_bounds, batch_live
+from repro.data.predicates import Rectangle, batch_bounds
 from repro.data.table import Table
 from repro.fd.detection import DetectionConfig, FDCandidate, detect_soft_fds, evaluate_pair
 from repro.fd.groups import FDGroup, build_groups
@@ -88,6 +83,9 @@ OUTLIER_SHAPE_SAMPLE = 2048
 #: its rows would allow this many times its cells: rows per cell stay
 #: within this factor of the aim, and rebuilds are amortised over growth.
 OUTLIER_REFIT_GROWTH = 4
+
+#: The flat ``(row ids, query ids)`` part of a store no query routes to.
+_NO_MATCHES = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
 
 
 def learn_groups(
@@ -250,8 +248,7 @@ class COAXIndex(MultidimensionalIndex):
         self._outlier = self._build_outlier_index(
             table, positions[~inliers], None if ids is None else labels[~inliers]
         )
-        self._primary_box = self._box_of(self._primary)
-        self._outlier_box = self._box_of(self._outlier)
+        self._set_boxes(self._box_of(self._primary), self._box_of(self._outlier))
 
         # ------------------------------------------------------------------
         # 5. Columnar delta store for inserted records (update support).
@@ -327,8 +324,7 @@ class COAXIndex(MultidimensionalIndex):
         index._sort_dim = sort_dim
         index._primary = primary
         index._outlier = outlier
-        index._primary_box = primary_box
-        index._outlier_box = outlier_box
+        index._set_boxes(primary_box, outlier_box)
         index._delta = DeltaStore(index._schema, index._groups)
         index._next_row_id = index.n_rows
         index._maintenance = None
@@ -440,6 +436,33 @@ class COAXIndex(MultidimensionalIndex):
     ) -> Optional[Tuple[Dict[str, float], Dict[str, float]]]:
         """Bounding box of a sub-index's rows, read from its own columns."""
         return bounding_box_of_columns({name: index.column(name) for name in self._schema})
+
+    def _set_boxes(
+        self,
+        primary_box: Optional[Tuple[Dict[str, float], Dict[str, float]]],
+        outlier_box: Optional[Tuple[Dict[str, float], Dict[str, float]]],
+    ) -> None:
+        """Adopt the sub-indexes' bounding boxes, together with the array
+        form :meth:`_plan_batch` compares against.
+
+        ``_box_bounds`` is ``(outlier, primary) x (low, high) x (schema
+        attributes + 1)``; the last column spans ``(-inf, inf)`` and stands
+        for every queried attribute a box does not carry.  A ``None`` box
+        (an empty row set) is left to the planner.
+        """
+        self._primary_box = primary_box
+        self._outlier_box = outlier_box
+        self._box_column = {name: i for i, name in enumerate(self._schema)}
+        sides = []
+        for box in (outlier_box, primary_box):
+            lows, highs = box if box is not None else ({}, {})
+            sides.append(
+                (
+                    [lows.get(name, -np.inf) for name in self._schema] + [-np.inf],
+                    [highs.get(name, np.inf) for name in self._schema] + [np.inf],
+                )
+            )
+        self._box_bounds = np.array(sides, dtype=np.float64)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -602,66 +625,43 @@ class COAXIndex(MultidimensionalIndex):
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def plan(self, query: Rectangle) -> QueryPlan:
-        """Planning decision for ``query`` (exposed for tests and benchmarks)."""
-        return plan_query(
-            query,
-            self._groups,
-            primary_box=self._primary_box,
-            outlier_box=self._outlier_box,
-        )
-
     def query(self, query: Rectangle) -> QueryResult:
-        """Full query execution returning per-sub-index attribution."""
-        plan = self.plan(query)
-        before = self._sub_index_stats()
-        primary_ids = (
-            self._primary.range_query(plan.primary_query.intersect(query))
-            if plan.use_primary
-            else np.empty(0, dtype=np.int64)
-        )
-        outlier_ids = (
-            self._outlier.range_query(plan.outlier_query)
-            if plan.use_outlier
-            else np.empty(0, dtype=np.int64)
-        )
-        pending_ids = self._scan_pending(query)
-        merged = merge_row_ids([primary_ids, outlier_ids, pending_ids])
-        work = self._sub_index_stats().delta(before)
-        # The delta scan examines every pending row (a vectorised rectangle
-        # check over the whole buffer), so those rows count as examined too
-        # — otherwise benchmarks under-report the work of un-compacted
-        # inserts.  An empty rectangle scans nothing, mirroring scan().
-        pending_examined = 0 if query.is_empty else self._delta.n_pending
-        self.stats.record(
-            rows_examined=work.rows_examined + pending_examined,
-            rows_matched=len(merged),
-            cells_visited=work.cells_visited,
+        """Full query execution returning per-sub-index attribution: a
+        batch of one, with each store's part of the flat stream kept apart."""
+        queries = [query]
+        plan = self._plan_batch(queries)
+        if plan is None:
+            self.stats.record()
+            return QueryResult(
+                row_ids=np.empty(0, dtype=np.int64),
+                indexes_used={"primary": False, "outlier": False},
+            )
+        _, _, _, use_primary, use_outlier, _ = plan
+        primary_ids, outlier_ids, pending_ids = (
+            np.sort(ids) for ids, _ in self._scatter_parts(queries, *plan)
         )
         return QueryResult(
-            row_ids=merged,
+            row_ids=merge_row_ids([primary_ids, outlier_ids, pending_ids]),
             primary_row_ids=primary_ids,
             outlier_row_ids=outlier_ids,
             pending_row_ids=pending_ids,
-            indexes_used={"primary": plan.use_primary, "outlier": plan.use_outlier},
+            indexes_used={"primary": bool(use_primary[0]), "outlier": bool(use_outlier[0])},
         )
 
     def range_query(self, query: Rectangle) -> np.ndarray:
-        """Original row ids of records matching ``query`` exactly."""
-        if query.is_empty:
-            return np.empty(0, dtype=np.int64)
-        return self.query(query).row_ids
+        """Original row ids of records matching ``query`` exactly (a batch
+        of one)."""
+        return self.batch_range_query([query])[0]
 
     def batch_range_query(self, queries: Sequence[Rectangle]) -> List[np.ndarray]:
         """Original row ids for every query of a batch, sharing work batch-wide.
 
         True batch execution across every layer: the whole batch is planned
         and translated in one vectorized pass over its columnar bound
-        matrices (:func:`translate_bounds_batch` + :func:`plan_query_flags`),
-        each sub-index receives *one* batched call covering every query
-        routed to it (the grid family executes those with its own vectorized
-        batch kernels), and the delta store is matched once on the same
-        bound matrices.
+        matrices (:meth:`_plan_batch`), each sub-index receives *one*
+        batched call covering every query routed to it (the grid family
+        executes those with its own vectorized batch kernels), and the
+        delta store is matched once on the same bound matrices.
         Results are positionally aligned and identical to
         ``[range_query(q) for q in queries]``.
         """
@@ -676,31 +676,48 @@ class COAXIndex(MultidimensionalIndex):
         """Plan a whole batch against this index (``None`` when no query
         is live).
 
-        Returns the leading arguments of :meth:`batch_scatter_flat` /
-        :meth:`batch_scatter_aggregate` for the full batch: ``(slots,
-        bounds, translated_bounds, use_primary, use_outlier, n_live)``.
-        Translation is Equation 2 as array arithmetic over the columnar
-        bound matrices, and planning (empty / no-inlier / bounding-box
-        pruning) runs as masks.
+        COAX's one planner: every read of one index, a single rectangle
+        included, starts here.  Returns the leading arguments of
+        :meth:`batch_scatter_flat` / :meth:`batch_scatter_aggregate` for
+        the full batch: ``(slots, bounds, translated_bounds, use_primary,
+        use_outlier, n_live)``.  Translation is Equation 2 as array
+        arithmetic over the columnar bound matrices.  The original and the
+        translated bounds are stacked into one array, which gives the live
+        mask and, in one broadcast against the two stacked sub-index
+        boxes, both routing masks: the outlier index sees the live queries
+        that meet its box, the primary the live ones whose translated
+        rectangle meets its box and leaves some inlier possible.
         """
         n_queries = len(queries)
         bounds = batch_bounds(queries)
-        n_live = int(batch_live(bounds, n_queries).sum())
+        translated, no_inlier = translate_bounds_batch(bounds, n_queries, self._groups)
+        # The queried attributes, then any group predictor none constrains.
+        dims = list(translated)
+        free = (
+            (np.full(n_queries, -np.inf), np.full(n_queries, np.inf))
+            if len(dims) > len(bounds)
+            else None
+        )
+        # (original, translated) x dims x (low, high) x queries
+        stacked = np.array(
+            [side for dim in dims for side in bounds.get(dim, free)]
+            + [side for dim in dims for side in translated[dim]]
+        ).reshape(2, len(dims), 2, n_queries)
+        live = ~np.logical_or.reduce(stacked[0, :, 0] > stacked[0, :, 1], axis=0)
+        n_live = int(np.count_nonzero(live))
         if n_live == 0:
             return None
-        translated_bounds, no_inlier = translate_bounds_batch(
-            bounds, n_queries, self._groups
-        )
-        use_primary, use_outlier = plan_query_flags(
-            bounds,
-            translated_bounds,
-            no_inlier,
-            n_queries,
-            primary_box=self._primary_box,
-            outlier_box=self._outlier_box,
-        )
+        columns = [self._box_column.get(dim, -1) for dim in dims]
+        flags = box_overlaps(stacked, self._box_bounds[:, :, columns])
+        flags &= live
+        use_outlier, use_primary = flags
+        use_primary &= ~no_inlier
+        if self._outlier_box is None:
+            use_outlier[:] = False
+        if self._primary_box is None:
+            use_primary[:] = False
         slots = np.arange(n_queries, dtype=np.int64)
-        return slots, bounds, translated_bounds, use_primary, use_outlier, n_live
+        return slots, bounds, translated, use_primary, use_outlier, n_live
 
     def batch_scatter_flat(
         self,
@@ -723,13 +740,34 @@ class COAXIndex(MultidimensionalIndex):
         ``(row_ids, sub_qids)`` where ``sub_qids[j]`` indexes into
         ``slots``; the caller owns the fused-key merge, so a scatter over
         many shards merges once globally instead of once per shard.
+        """
+        parts = self._scatter_parts(
+            queries, slots, bounds, translated_bounds, use_primary, use_outlier, n_live
+        )
+        return (
+            np.concatenate([ids for ids, _ in parts]),
+            np.concatenate([qids for _, qids in parts]),
+        )
 
-        Statistics are recorded exactly like :meth:`batch_range_query`;
-        ``rows_matched`` uses the flat stream length, which equals the
-        merged count because the primary, outlier and pending result sets
-        are disjoint by construction (disjoint row-id coverage, and a
-        pending id that also exists in the main structures is tombstoned
-        there).
+    def _scatter_parts(
+        self,
+        queries: Sequence[Rectangle],
+        slots: np.ndarray,
+        bounds,
+        translated_bounds,
+        use_primary: np.ndarray,
+        use_outlier: np.ndarray,
+        n_live: int,
+    ) -> List[Tuple[np.ndarray, np.ndarray]]:
+        """The ``(row ids, sub_qids)`` part of each store — primary,
+        outlier, pending, in that order — of :meth:`batch_scatter_flat`.
+
+        :meth:`query` reads its attribution from the parts.  Statistics
+        are recorded once for the sub-batch; ``rows_matched`` is the total
+        part length, which equals the merged count because the primary,
+        outlier and pending result sets are disjoint by construction
+        (disjoint row-id coverage, and a pending id that also exists in the
+        main structures is tombstoned there).
         """
         n_sub = len(slots)
         before = self._sub_index_stats()
@@ -740,51 +778,42 @@ class COAXIndex(MultidimensionalIndex):
         # structures fall back to their rectangle-level batch entry point.
         # A sub-index no query routes to is not called: it would record an
         # empty batch, which changes no counter.
-        id_parts: List[np.ndarray] = []
-        qid_parts: List[np.ndarray] = []
+        parts = [_NO_MATCHES, _NO_MATCHES, _NO_MATCHES]
         all_qids = np.arange(n_sub, dtype=np.int64)
         n_primary = int(np.count_nonzero(use_primary))
         if n_primary:
             ids, counts = self._primary.batch_flat_from_bounds(
                 translated_bounds, n_sub, use_primary, n_primary
             )
-            id_parts.append(ids)
-            qid_parts.append(all_qids.repeat(counts))
+            parts[0] = ids, all_qids.repeat(counts)
         n_outlier = int(np.count_nonzero(use_outlier))
         if n_outlier and isinstance(self._outlier, SortedCellGridIndex):
             ids, counts = self._outlier.batch_flat_from_bounds(
                 bounds, n_sub, use_outlier, n_outlier
             )
-            id_parts.append(ids)
-            qid_parts.append(all_qids.repeat(counts))
+            parts[1] = ids, all_qids.repeat(counts)
         elif n_outlier:
             outlier_slots = np.flatnonzero(use_outlier)
             batch = [queries[slots[i]] for i in outlier_slots]
             ids, counts = self._outlier.batch_range_query_flat(batch)
-            id_parts.append(ids)
-            qid_parts.append(outlier_slots.repeat(counts))
+            parts[1] = ids, outlier_slots.repeat(counts)
 
         # One delta-store pass for the whole sub-batch.
         if self._delta.n_pending:
-            ids, qids = self._delta.scan_batch(bounds, n_sub)
-            id_parts.append(ids)
-            qid_parts.append(qids)
+            parts[2] = self._delta.scan_batch(bounds, n_sub)
 
-        if id_parts:
-            flat_ids, flat_qids = np.concatenate(id_parts), np.concatenate(qid_parts)
-        else:
-            flat_ids = flat_qids = np.empty(0, dtype=np.int64)
         work = self._sub_index_stats().delta(before)
         # Every live (non-empty) query of the batch examines the whole
-        # pending buffer, exactly like the scalar path records per query —
-        # batch and sequential execution must leave identical statistics.
+        # pending buffer (a vectorised rectangle check over all of it), so
+        # those rows count as examined: otherwise benchmarks under-report
+        # the work of un-compacted inserts.
         self.stats.record_batch(
             n_live,
             rows_examined=work.rows_examined + self._delta.n_pending * n_live,
-            rows_matched=int(len(flat_ids)),
+            rows_matched=sum(len(ids) for ids, _ in parts),
             cells_visited=work.cells_visited,
         )
-        return flat_ids, flat_qids
+        return parts
 
     # ------------------------------------------------------------------
     # Executors: aggregate pushdown and top-k/kNN across all three stores
@@ -921,20 +950,24 @@ class COAXIndex(MultidimensionalIndex):
     def topk_partial(
         self, query: Rectangle, spec: TopK
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """By-column top-k candidates merged across primary/outlier/delta."""
-        if query.is_empty:
+        """By-column top-k candidates merged across primary/outlier/delta,
+        planned as a batch of one."""
+        plan = self._plan_batch([query])
+        if plan is None:
             self.stats.record(knn_queries=1)
             return np.empty(0, dtype=np.float64), np.empty(0, dtype=np.int64)
-        plan = self.plan(query)
+        _, bounds, translated_bounds, use_primary, use_outlier, _ = plan
         before = self._sub_index_stats()
         parts = []
-        if plan.use_primary:
-            parts.append(
-                self._primary.topk_partial(plan.primary_query.intersect(query), spec)
+        if use_primary[0]:
+            (translated,) = rewritten_queries_from_bounds(
+                [query], translated_bounds, self._groups
             )
-        if plan.use_outlier:
-            parts.append(self._outlier.topk_partial(plan.outlier_query, spec))
-        parts.append(self._delta.topk_candidates(query, spec))
+            parts.append(self._primary.topk_partial(translated, spec))
+        if use_outlier[0]:
+            parts.append(self._outlier.topk_partial(query, spec))
+        if self._delta.n_pending:
+            parts.append(self._delta.topk_candidates(bounds, spec))
         keys, ids = merge_topk(parts, spec.k, largest=spec.largest)
         work = self._sub_index_stats().delta(before)
         self.stats.record(
@@ -951,10 +984,6 @@ class COAXIndex(MultidimensionalIndex):
     def _range_query_positions(self, query: Rectangle) -> np.ndarray:
         """Positional ids; only needed to satisfy the base-class contract."""
         return self.positions_of(self.range_query(query))
-
-    def _scan_pending(self, query: Rectangle) -> np.ndarray:
-        """Vectorised rectangle scan of the delta store."""
-        return self._delta.scan(query)
 
     def _sub_index_stats(self) -> QueryStats:
         """Primary plus outlier counters, summed into a snapshot.
@@ -1318,11 +1347,9 @@ class COAXIndex(MultidimensionalIndex):
             per_model_inlier_fraction=per_model,
         )
         # Bounding boxes only ever grow: hull of the old box and the batch box.
-        self._primary_box = merge_boxes(
-            self._primary_box, bounding_box_of_columns(new_inliers)
-        )
-        self._outlier_box = merge_boxes(
-            self._outlier_box, bounding_box_of_columns(new_outliers)
+        self._set_boxes(
+            merge_boxes(self._primary_box, bounding_box_of_columns(new_inliers)),
+            merge_boxes(self._outlier_box, bounding_box_of_columns(new_outliers)),
         )
         self._report = replace(
             self._report,

@@ -37,7 +37,7 @@ from repro.data.executors import (
     point_distances,
     select_topk,
 )
-from repro.data.predicates import Rectangle, batch_live
+from repro.data.predicates import Rectangle, batch_bounds, batch_live
 from repro.data.table import Table
 from repro.fd.groups import FDGroup, per_model_inlier_masks
 
@@ -414,16 +414,10 @@ class DeltaStore:
     # Reads
     # ------------------------------------------------------------------
     def scan(self, query: Rectangle) -> np.ndarray:
-        """Row ids of buffered records matching ``query`` (sorted).
-
-        One vectorised interval check per constrained attribute over the
-        active buffer prefix — the delta-side analogue of the full-scan
-        baseline, but only over the (small) pending set.
-        """
-        if self._size == 0 or query.is_empty:
-            return np.empty(0, dtype=np.int64)
-        mask = query.matches(self.columns())
-        return np.sort(self._row_ids[: self._size][mask])
+        """Row ids of buffered records matching ``query`` (sorted): a batch
+        of one through :meth:`_match_blocks`."""
+        _, positions = self._match_blocks(batch_bounds([query]), 1)
+        return np.sort(self._row_ids[positions])
 
     #: Queries checked per broadcast block in :meth:`_match_blocks`, bounding
     #: the (block x pending) mask matrix to a few MB however large the batch.
@@ -434,14 +428,17 @@ class DeltaStore:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Flat ``(query ids, buffer positions)`` of a columnar batch's matches.
 
-        ``bounds`` holds the batch's per-attribute ``(lows, highs)`` bound
-        matrices (:func:`repro.data.predicates.batch_bounds`).  The live
-        queries are matched in blocks of at most :attr:`SCAN_BATCH_BLOCK`:
-        per attribute the column prefix is compared against the block's
-        bound vectors by broadcasting.  (Writing the comparisons into a
-        reused ``out=`` buffer measured no faster: the broadcast compares
-        dominate, not their temporaries.)  The stream is query-major, in
-        buffer order within a query.
+        The delta store's one rectangle match.  ``bounds`` holds the batch's
+        per-attribute ``(lows, highs)`` bound matrices
+        (:func:`repro.data.predicates.batch_bounds`).  The live queries are
+        matched in blocks of at most :attr:`SCAN_BATCH_BLOCK`: per attribute
+        the column prefix is compared against the block's bound vectors by
+        broadcasting.  (Writing the comparisons into a reused ``out=``
+        buffer, or stacking every attribute's bounds into one array first,
+        measured no faster: the broadcast compares dominate, at about one
+        fixed cost per query and attribute, not their temporaries or the
+        bound gathers.)  The stream is query-major, in buffer order within a
+        query.
         """
         size = self._size
         live = np.flatnonzero(batch_live(bounds, n_queries)) if size else ()
@@ -465,8 +462,8 @@ class DeltaStore:
 
         Takes the bound matrices the grids read and returns the stream they
         return (query-major, buffer order within a query);
-        :func:`repro.core.results.merge_flat_row_ids` turns it into the
-        sorted per-query results of :meth:`scan`.
+        :func:`repro.core.results.merge_flat_row_ids` turns it into sorted
+        per-query results.
         """
         qids, positions = self._match_blocks(bounds, n_queries)
         return self._row_ids[positions], qids
@@ -504,17 +501,15 @@ class DeltaStore:
         return select_topk(keys, self._row_ids[: self._size], k)
 
     def topk_candidates(
-        self, query: Rectangle, spec: TopK
+        self, bounds: Dict[str, Tuple[np.ndarray, np.ndarray]], spec: TopK
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """By-column top-k candidates among pending rows matching ``query``."""
-        if self._size == 0 or query.is_empty:
+        """By-column top-k candidates among pending rows matching the query
+        whose batch-of-one bound matrices are ``bounds``."""
+        _, positions = self._match_blocks(bounds, 1)
+        if len(positions) == 0:
             return np.empty(0, dtype=np.float64), np.empty(0, dtype=np.int64)
-        mask = query.matches(self.columns())
-        if not mask.any():
-            return np.empty(0, dtype=np.float64), np.empty(0, dtype=np.int64)
-        keys = self._buffers[spec.column][: self._size][mask].astype(np.float64)
-        ids = self._row_ids[: self._size][mask]
-        return select_topk(keys, ids, spec.k, largest=spec.largest)
+        keys = self._buffers[spec.column][positions].astype(np.float64)
+        return select_topk(keys, self._row_ids[positions], spec.k, largest=spec.largest)
 
     # ------------------------------------------------------------------
     # Persistence

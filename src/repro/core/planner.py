@@ -2,10 +2,12 @@
 
 Section 8.2.3: "We can check whether the query intersects with the primary,
 the outlier, or both indexes; and run it against the appropriate indexes."
-The planner performs exactly that pruning:
+The planner performs exactly that pruning, as masks over a columnar query
+batch (:meth:`repro.core.coax.COAXIndex._plan_batch` for one index, the
+sharded engine's ``_plan_batch`` for every shard at once):
 
 * the primary index can be skipped when the translated predictor constraint
-  of some FD group is empty (no inlier can match) or when the query
+  of some FD group is empty (no inlier can match) or when the translated
   rectangle misses the bounding box of the inlier set;
 * the outlier index can be skipped when it is empty or the query misses the
   bounding box of the outlier set.
@@ -13,43 +15,19 @@ The planner performs exactly that pruning:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.data.predicates import Rectangle
-from repro.core.query_translation import (
-    BoundsMap,
-    translate_query,
-    translated_predictor_interval,
-)
-from repro.fd.groups import FDGroup
+from repro.core.query_translation import BoundsMap
 
 __all__ = [
-    "QueryPlan",
-    "plan_query",
-    "plan_query_flags",
-    "batch_overlaps_box",
     "batch_overlaps_boxes",
     "bounding_box_of_columns",
+    "box_overlaps",
     "merge_boxes",
 ]
-
-
-@dataclass(frozen=True)
-class QueryPlan:
-    """Planning decision for one query."""
-
-    #: Query to run against the primary index (already translated).
-    primary_query: Rectangle
-    #: Query to run against the outlier index (the original query).
-    outlier_query: Rectangle
-    use_primary: bool
-    use_outlier: bool
-    #: Why each sub-index was skipped (empty when it is used).
-    skip_reasons: Dict[str, str]
 
 
 def bounding_box_of_columns(
@@ -86,60 +64,19 @@ def merge_boxes(
     return lows, highs
 
 
-def plan_query(
-    query: Rectangle,
-    groups: Sequence[FDGroup],
-    *,
-    primary_box: Optional[Tuple[Dict[str, float], Dict[str, float]]] = None,
-    outlier_box: Optional[Tuple[Dict[str, float], Dict[str, float]]] = None,
-) -> QueryPlan:
-    """Build the query plan for one rectangle.
+def box_overlaps(queries: np.ndarray, boxes: np.ndarray) -> np.ndarray:
+    """``(..., n_queries)`` mask: does each query's rectangle meet each box?
 
-    ``primary_box`` and ``outlier_box`` are the bounding boxes of the two row
-    sets (``None`` means the corresponding set is empty).
+    ``queries`` holds a batch's lows and highs stacked per dimension
+    (``(..., dims, 2, n_queries)``) and ``boxes`` box lows and highs over
+    the same dimensions (``(..., 2, dims)``); leading axes broadcast.  A box
+    side of ``-inf``/``inf`` never misses, and NaN compares as
+    overlapping, so pruning stays conservative.
     """
-    skip_reasons: Dict[str, str] = {}
-
-    translated = translate_query(query, groups)
-    use_primary = True
-    if primary_box is None:
-        use_primary = False
-        skip_reasons["primary"] = "primary index is empty"
-    elif translated.is_empty or any(
-        translated_predictor_interval(query, group).is_empty for group in groups
-    ):
-        use_primary = False
-        skip_reasons["primary"] = "translated constraint is empty (no inlier can match)"
-    elif not translated.overlaps_box(primary_box[0], primary_box[1]):
-        use_primary = False
-        skip_reasons["primary"] = "query misses the primary bounding box"
-
-    use_outlier = True
-    if outlier_box is None:
-        use_outlier = False
-        skip_reasons["outlier"] = "outlier index is empty"
-    elif query.is_empty:
-        use_outlier = False
-        skip_reasons["outlier"] = "query is empty"
-    elif not query.overlaps_box(outlier_box[0], outlier_box[1]):
-        use_outlier = False
-        skip_reasons["outlier"] = "query misses the outlier bounding box"
-
-    return QueryPlan(
-        primary_query=translated,
-        outlier_query=query,
-        use_primary=use_primary,
-        use_outlier=use_outlier,
-        skip_reasons=skip_reasons,
+    misses = (queries[..., 1, :] < boxes[..., 0, :, None]) | (
+        queries[..., 0, :] > boxes[..., 1, :, None]
     )
-
-
-def _batch_empty(bounds: BoundsMap, n_queries: int) -> np.ndarray:
-    """Mask of queries with some empty constraint in a columnar batch."""
-    empty = np.zeros(n_queries, dtype=bool)
-    for lows, highs in bounds.values():
-        empty |= lows > highs
-    return empty
+    return ~np.logical_or.reduce(misses, axis=-2)
 
 
 def batch_overlaps_boxes(
@@ -188,46 +125,7 @@ def batch_overlaps_boxes(
             ],
             dtype=np.float64,
         )
-    stacked = stacked.reshape(len(boxes), 2, len(dims), 1)
-    queries = np.array([side for dim in dims for side in bounds[dim]]).reshape(
-        len(dims), 2, n_queries
+    queries = np.array([side for dim in dims for side in bounds[dim]])
+    return box_overlaps(
+        queries.reshape(len(dims), 2, n_queries), stacked.reshape(len(boxes), 2, len(dims))
     )
-    misses = (queries[:, 1] < stacked[:, 0]) | (queries[:, 0] > stacked[:, 1])
-    return ~np.logical_or.reduce(misses, axis=1)
-
-
-def batch_overlaps_box(
-    bounds: BoundsMap,
-    n_queries: int,
-    box: Optional[Tuple[Dict[str, float], Dict[str, float]]],
-) -> np.ndarray:
-    """Mask of queries whose rectangle intersects one axis-aligned box
-    (the single-box form of :func:`batch_overlaps_boxes`)."""
-    return batch_overlaps_boxes(bounds, n_queries, [box])[0]
-
-
-def plan_query_flags(
-    bounds: BoundsMap,
-    translated_bounds: BoundsMap,
-    no_inlier: np.ndarray,
-    n_queries: int,
-    *,
-    primary_box: Optional[Tuple[Dict[str, float], Dict[str, float]]] = None,
-    outlier_box: Optional[Tuple[Dict[str, float], Dict[str, float]]] = None,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Vectorized sub-index routing for a columnar query batch.
-
-    ``bounds`` / ``translated_bounds`` are the original and translated
-    per-attribute bound matrices (see
-    :func:`repro.core.query_translation.translate_bounds_batch`, which also
-    produces ``no_inlier``).  Returns ``(use_primary, use_outlier)`` masks,
-    decision-identical to :func:`plan_query` per query — the same empty /
-    no-inlier / bounding-box pruning evaluated as whole-batch array ops.
-    """
-    use_primary = batch_overlaps_box(translated_bounds, n_queries, primary_box)
-    use_primary &= ~(
-        _batch_empty(translated_bounds, n_queries) | np.asarray(no_inlier, dtype=bool)
-    )
-    use_outlier = batch_overlaps_box(bounds, n_queries, outlier_box)
-    use_outlier &= ~_batch_empty(bounds, n_queries)
-    return use_primary, use_outlier

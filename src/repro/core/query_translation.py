@@ -21,7 +21,6 @@ from repro.data.predicates import Interval, Rectangle, batch_bounds
 from repro.fd.groups import FDGroup
 
 __all__ = [
-    "translated_predictor_interval",
     "translate_query",
     "translate_bounds_batch",
     "translate_query_batch",
@@ -33,27 +32,9 @@ __all__ = [
 BoundsMap = Mapping[str, Tuple[np.ndarray, np.ndarray]]
 
 
-def translated_predictor_interval(query: Rectangle, group: FDGroup) -> Interval:
-    """The effective constraint on the group's predictor implied by ``query``.
-
-    Combines the direct constraint on the predictor (if any) with the
-    translation of every constrained dependent attribute of the group,
-    exactly the ``max``/``min`` intersection of Equation 2.  The result may
-    be empty, which means no *inlier* record can satisfy the query (outliers
-    may still match and are handled by the outlier index).
-    """
-    effective = query.interval(group.predictor)
-    for dependent in group.dependents:
-        if not query.constrains(dependent):
-            continue
-        model = group.model_for(dependent)
-        translated = model.predictor_interval(query.interval(dependent))
-        effective = effective.intersect(translated)
-    return effective
-
-
 def translate_query(query: Rectangle, groups: Sequence[FDGroup]) -> Rectangle:
-    """Rewrite ``query`` for the primary index.
+    """Rewrite ``query`` for the primary index (a batch of one through
+    :func:`translate_query_batch`).
 
     For every FD group, constraints on dependent attributes are translated
     into (tightened) constraints on the group predictor; constraints on
@@ -62,11 +43,7 @@ def translate_query(query: Rectangle, groups: Sequence[FDGroup]) -> Rectangle:
     the primary index uses them only in its exact post-filtering step, which
     keeps results exact without requiring the dependents to be indexed.
     """
-    rewritten = query
-    for group in groups:
-        effective = translated_predictor_interval(query, group)
-        rewritten = rewritten.with_interval(group.predictor, effective)
-    return rewritten
+    return translate_query_batch([query], groups)[0][0]
 
 
 def _group_effective_bounds(
@@ -95,9 +72,9 @@ def _group_effective_bounds(
         if hasattr(model, "predictor_intervals"):
             translated_lows, translated_highs = model.predictor_intervals(dep_lows, dep_highs)
         else:
-            # Models without a batch kernel (e.g. splines) fall back to the
-            # scalar translation for the queries that constrain the
-            # dependent; the rest stay unbounded (a no-op in the fold).
+            # Models without a batch kernel (e.g. splines) translate the
+            # queries that constrain the dependent one at a time; the rest
+            # stay unbounded (a no-op in the fold).
             translated_lows = np.full(n_queries, -np.inf)
             translated_highs = np.full(n_queries, np.inf)
             constrained = np.flatnonzero((dep_lows > -np.inf) | (dep_highs < np.inf))
@@ -119,8 +96,7 @@ def translate_bounds_batch(
     which every group predictor carries its effective (translated)
     interval, plus a boolean mask of queries for which some group's
     effective constraint is empty — the planner's "no inlier can match"
-    condition.  Bound values are identical to running
-    :func:`translate_query` per query.
+    condition.
     """
     translated: Dict[str, Tuple[np.ndarray, np.ndarray]] = dict(bounds)
     no_inlier = np.zeros(n_queries, dtype=bool)
@@ -159,10 +135,8 @@ def translate_query_batch(
 
     Returns the rewritten rectangles (positionally aligned with
     ``queries``) plus the "no inlier can match" mask of
-    :func:`translate_bounds_batch`.  Results are identical to calling
-    :func:`translate_query` / :func:`translated_predictor_interval` per
-    query; the batch form exists so margin evaluation is vectorized across
-    the batch instead of re-dispatched per query.
+    :func:`translate_bounds_batch`, so margin evaluation is vectorized
+    across the batch instead of re-dispatched per query.
     """
     queries = list(queries)
     translated_bounds, no_inlier = translate_bounds_batch(

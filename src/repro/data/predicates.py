@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -255,17 +255,22 @@ def batch_bounds(
     """
     queries = list(queries)
     n_queries = len(queries)
-    columns: Dict[str, Tuple[list, list]] = {}
+    # Row ``rows[name]`` of one (2 x attributes, queries) matrix holds the
+    # attribute's lows, the next row its highs: one array conversion for
+    # the whole batch, and each bound array is a view of it.
+    rows: Dict[str, int] = {}
+    values: List[List[float]] = []
     for i, query in enumerate(queries):
         for name, interval in query.items():
-            if name not in columns:
-                columns[name] = ([-math.inf] * n_queries, [math.inf] * n_queries)
-            columns[name][0][i] = interval.low
-            columns[name][1][i] = interval.high
-    return {
-        name: (np.array(lows, dtype=np.float64), np.array(highs, dtype=np.float64))
-        for name, (lows, highs) in columns.items()
-    }
+            row = rows.get(name)
+            if row is None:
+                row = rows[name] = len(values)
+                values.append([-math.inf] * n_queries)
+                values.append([math.inf] * n_queries)
+            values[row][i] = interval.low
+            values[row + 1][i] = interval.high
+    matrix = np.array(values, dtype=np.float64)
+    return {name: (matrix[row], matrix[row + 1]) for name, row in rows.items()}
 
 
 def batch_live(

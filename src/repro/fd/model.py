@@ -156,10 +156,11 @@ class LinearFDModel:
             out_low = np.where(lows > highs, np.inf, -np.inf)
             out_high = np.where(lows > highs, -np.inf, np.inf)
             return out_low, out_high
-        lo_target = np.where(lows == -np.inf, -np.inf, lows - self.eps_ub)
-        hi_target = np.where(highs == np.inf, np.inf, highs + self.eps_lb)
+        # An infinite bound stays infinite through the margin shift and
         # (±inf - intercept) / slope keeps the sign bookkeeping of
-        # ``_invert_scalar`` for free under IEEE arithmetic.
+        # ``_invert_scalar``, both for free under IEEE arithmetic.
+        lo_target = lows - self.eps_ub
+        hi_target = highs + self.eps_lb
         x_at_lo = (lo_target - self.intercept) / self.slope
         x_at_hi = (hi_target - self.intercept) / self.slope
         out_low = np.minimum(x_at_lo, x_at_hi)

@@ -44,10 +44,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.data.executors import (
-    MATERIALIZE,
     Aggregate,
     AggregatePartial,
-    Executor,
     TopK,
     point_distances,
     select_topk,
@@ -572,24 +570,6 @@ class MultidimensionalIndex(ABC):
     # ------------------------------------------------------------------
     # Executors (aggregate / top-k consumers of the match set)
     # ------------------------------------------------------------------
-    def execute(self, query: Rectangle, executor: Executor = MATERIALIZE):
-        """Answer ``query`` through ``executor``.
-
-        The one dispatch point every caller-facing layer shares:
-        :class:`~repro.data.executors.MaterializeIds` returns the row-id
-        array (exactly :meth:`range_query`), ``Aggregate`` returns the
-        scalar, ``TopK`` returns the result row ids ordered by
-        ``(key, row_id)`` — kNN mode ignores the rectangle.
-        """
-        kind = getattr(executor, "kind", "materialize")
-        if kind == "aggregate":
-            return self.aggregate(query, executor)
-        if kind == "topk":
-            if executor.is_knn:
-                return self.knn(executor.point, executor.k, metric=executor.metric)
-            return self.topk(query, executor)
-        return self.range_query(query)
-
     def aggregate(self, query: Rectangle, spec: Aggregate):
         """Scalar aggregate of ``spec`` over the rows matching ``query``.
 

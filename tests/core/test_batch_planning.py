@@ -1,39 +1,33 @@
-"""Parity of the batch planning/translation/merge forms with their scalar twins.
+"""Parity of the batch planning/translation/merge forms with per-query rules.
 
 The array-level batch machinery (``translate_bounds_batch`` /
-``plan_query_flags`` / ``merge_flat_row_ids``) is exercised end to end by
-the batch equivalence suite through ``COAXIndex.batch_range_query``.  These
-tests pin each batch form to its scalar counterpart, query by query, so the
-two can never drift apart:
+``COAXIndex._plan_batch`` / ``merge_flat_row_ids``) is exercised end to end
+by the batch equivalence suite through ``COAXIndex.batch_range_query``.
+These tests pin each batch form to a per-query reference written here from
+``Rectangle`` primitives and the models' own Equation 2 inverse, so the
+batch code can never drift from the paper's rule:
 
-* ``plan_query_flags`` (fed by ``translate_bounds_batch``) == the
-  ``use_primary`` / ``use_outlier`` decisions of ``plan_query`` per query
-* ``translate_query_batch(qs)``   == ``[translate_query(q) for q in qs]``
-* ``translate_bounds_batch``'s predictor bounds == the scalar interval per query
+* ``COAXIndex._plan_batch``'s ``use_primary`` / ``use_outlier`` == the
+  planning rule evaluated per query
+* ``translate_query_batch(qs)``   == Equation 2 applied per query
+* ``translate_bounds_batch``'s predictor bounds == the per-query interval
 * ``merge_flat_row_ids``          == ``merge_row_ids`` per query
 * ``batch_overlaps_boxes``        == ``Rectangle.overlaps_box`` per (box, query)
-* the sharded engine's stacked shard pruning == ``plan_query_flags`` plus
-  the delta-box check, shard by shard
+* the sharded engine's stacked shard pruning == each shard's own
+  ``_plan_batch`` plus the delta-box check, shard by shard
 """
 from __future__ import annotations
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from functools import lru_cache
+
+from repro.core.coax import COAXIndex
 from repro.core.config import EngineConfig
 from repro.core.engine import ShardedCOAX
-from repro.core.planner import (
-    batch_overlaps_box,
-    batch_overlaps_boxes,
-    plan_query,
-    plan_query_flags,
-)
-from repro.core.query_translation import (
-    translate_bounds_batch,
-    translate_query,
-    translate_query_batch,
-    translated_predictor_interval,
-)
+from repro.core.planner import batch_overlaps_boxes
+from repro.core.query_translation import translate_bounds_batch, translate_query_batch
 from repro.core.results import merge_flat_row_ids, merge_row_ids
 from repro.data.predicates import Interval, Rectangle, batch_bounds, batch_live
 from repro.data.table import Table
@@ -65,6 +59,32 @@ def make_groups() -> list:
     return [linear, spline]
 
 
+def effective_interval(query: Rectangle, group: FDGroup) -> Interval:
+    """Equation 2 for one query: the direct predictor constraint
+    intersected with every constrained dependent's inverse-model range."""
+    effective = query.interval(group.predictor)
+    for dependent in group.dependents:
+        if query.constrains(dependent):
+            translated = group.model_for(dependent).predictor_interval(query.interval(dependent))
+            effective = effective.intersect(translated)
+    return effective
+
+
+def translated_rectangle(query: Rectangle, groups) -> Rectangle:
+    """``query`` with every group predictor narrowed by Equation 2."""
+    for group in groups:
+        query = query.with_interval(group.predictor, effective_interval(query, group))
+    return query
+
+
+@lru_cache(maxsize=None)
+def planning_index() -> COAXIndex:
+    """A COAX index over the attributes ``make_groups`` knows about."""
+    rng = np.random.default_rng(3)
+    table = Table({name: rng.uniform(0.0, 100.0, size=200) for name in ("x", "y", "u", "v", "other")})
+    return COAXIndex(table, groups=make_groups())
+
+
 @st.composite
 def query_batches(draw):
     """Random batches over the four attributes the groups know about."""
@@ -91,26 +111,36 @@ class TestPlanQueriesParity:
     @given(query_batches(), st.booleans(), st.booleans())
     @settings(max_examples=60, deadline=None)
     def test_matches_scalar_planner(self, queries, with_primary, with_outlier):
+        """COAX's batch planner against the rule evaluated query by query:
+        the outlier index serves a non-empty query that meets its box, the
+        primary one whose translated rectangle is non-empty, leaves every
+        group's Equation 2 interval non-empty and meets its box."""
         groups = make_groups()
         primary_box = BOXES["primary"] if with_primary else None
         outlier_box = BOXES["outlier"] if with_outlier else None
-        n_queries = len(queries)
-        bounds = batch_bounds(queries)
-        translated, no_inlier = translate_bounds_batch(bounds, n_queries, groups)
-        use_primary, use_outlier = plan_query_flags(
-            bounds,
-            translated,
-            no_inlier,
-            n_queries,
-            primary_box=primary_box,
-            outlier_box=outlier_box,
-        )
+        index = planning_index()
+        index._set_boxes(primary_box, outlier_box)
+        plan = index._plan_batch(queries)
+        if plan is None:
+            assert all(query.is_empty for query in queries)
+            return
+        _, _, _, use_primary, use_outlier, n_live = plan
+        assert n_live == sum(not query.is_empty for query in queries)
         for i, query in enumerate(queries):
-            scalar = plan_query(
-                query, groups, primary_box=primary_box, outlier_box=outlier_box
+            translated = translated_rectangle(query, groups)
+            expected_primary = (
+                primary_box is not None
+                and not translated.is_empty
+                and not any(effective_interval(query, group).is_empty for group in groups)
+                and translated.overlaps_box(*primary_box)
             )
-            assert bool(use_primary[i]) == scalar.use_primary, query
-            assert bool(use_outlier[i]) == scalar.use_outlier, query
+            expected_outlier = (
+                outlier_box is not None
+                and not query.is_empty
+                and query.overlaps_box(*outlier_box)
+            )
+            assert bool(use_primary[i]) == expected_primary, query
+            assert bool(use_outlier[i]) == expected_outlier, query
 
 
 class TestTranslateBatchParity:
@@ -120,10 +150,9 @@ class TestTranslateBatchParity:
         groups = make_groups()
         rewritten, no_inlier = translate_query_batch(queries, groups)
         for i, query in enumerate(queries):
-            assert rewritten[i] == translate_query(query, groups), query
+            assert rewritten[i] == translated_rectangle(query, groups), query
             scalar_no_inlier = any(
-                translated_predictor_interval(query, group).is_empty
-                for group in groups
+                effective_interval(query, group).is_empty for group in groups
             )
             assert bool(no_inlier[i]) == scalar_no_inlier, query
 
@@ -134,7 +163,7 @@ class TestTranslateBatchParity:
             translated, _ = translate_bounds_batch(batch_bounds(queries), len(queries), [group])
             lows, highs = translated[group.predictor]
             for i, query in enumerate(queries):
-                interval = translated_predictor_interval(query, group)
+                interval = effective_interval(query, group)
                 assert lows[i] == interval.low, (query, group.predictor)
                 assert highs[i] == interval.high, (query, group.predictor)
 
@@ -186,7 +215,7 @@ class TestBoxOverlapParity:
         overlaps = batch_overlaps_boxes(bounds, len(queries), boxes)
         assert overlaps.shape == (len(boxes), len(queries))
         for i, box in enumerate(boxes):
-            single = batch_overlaps_box(bounds, len(queries), box)
+            single = batch_overlaps_boxes(bounds, len(queries), [box])[0]
             assert np.array_equal(single, overlaps[i])
             for j, query in enumerate(queries):
                 expected = box is not None and query.overlaps_box(*box)
@@ -213,15 +242,18 @@ def planning_engine() -> ShardedCOAX:
     )
     shards = engine.shards
     # A shard whose primary holds no row.
-    shards[1]._primary_box = None
+    shards[1]._set_boxes(None, shards[1].outlier_box)
     # NaN box bounds (a partially reclaimed shard) overlap everything.
     lows, highs = shards[2].outlier_box
-    shards[2]._outlier_box = ({**lows, "x": NAN}, {**highs, "y": NAN})
+    shards[2]._set_boxes(shards[2].primary_box, ({**lows, "x": NAN}, {**highs, "y": NAN}))
     # A box that does not carry a queried dimension.
     lows, highs = shards[0].primary_box
-    shards[0]._primary_box = (
-        {k: v for k, v in lows.items() if k != "z"},
-        {k: v for k, v in highs.items() if k != "z"},
+    shards[0]._set_boxes(
+        (
+            {k: v for k, v in lows.items() if k != "z"},
+            {k: v for k, v in highs.items() if k != "z"},
+        ),
+        shards[0].outlier_box,
     )
     # Pending delta rows in the last shard's key range only.
     engine.insert_batch({
@@ -260,18 +292,14 @@ class TestEngineShardPruningParity:
             if not live.any():
                 assert plan is None
                 return
-            translated, no_inlier = translate_bounds_batch(bounds, n_queries, engine.groups)
             tasks = []
             pruned_per_query = np.zeros(n_queries, dtype=np.int64)
             hits_by, pruned_by = [], []
             for shard_no, shard in enumerate(engine.shards):
-                use_primary, use_outlier = plan_query_flags(
-                    bounds, translated, no_inlier, n_queries,
-                    primary_box=shard.primary_box, outlier_box=shard.outlier_box,
-                )
+                _, _, _, use_primary, use_outlier, _ = shard._plan_batch(queries)
                 visible = use_primary | use_outlier
                 if shard.n_pending:
-                    visible |= live & batch_overlaps_box(bounds, n_queries, shard.delta.box)
+                    visible |= live & batch_overlaps_boxes(bounds, n_queries, [shard.delta.box])[0]
                 pruned = live & ~visible
                 pruned_per_query += pruned
                 pruned_by.append(int(pruned.sum()))

@@ -5,8 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.coax import COAXIndex
 from repro.core.partitioner import partition_rows
-from repro.core.planner import bounding_box_of_columns, plan_query
+from repro.core.planner import bounding_box_of_columns
 from repro.data.predicates import Interval, Rectangle
 from repro.data.table import Table
 from repro.fd.groups import FDGroup
@@ -101,57 +102,67 @@ class TestBoundingBox:
         assert bounding_box_of_rows(fd_table, np.empty(0, dtype=np.int64)) is None
 
 
+def routing(fd_table, group, query, primary_box, outlier_box):
+    """``(use_primary, use_outlier)`` of COAX's planner over ``fd_table``
+    with the given sub-index boxes, or ``None`` when it runs nothing."""
+    index = COAXIndex(fd_table, groups=[group])
+    index._set_boxes(primary_box, outlier_box)
+    plan = index._plan_batch([query])
+    if plan is None:
+        return None
+    _, _, _, use_primary, use_outlier, _ = plan
+    return bool(use_primary[0]), bool(use_outlier[0])
+
+
 class TestPlanner:
     def test_both_indexes_used_for_ordinary_query(self, fd_table, group):
         inlier_ids, outlier_ids, _ = split(fd_table, [group])
-        plan = plan_query(
+        assert routing(
+            fd_table,
+            group,
             Rectangle({"x": Interval(10.0, 20.0)}),
-            [group],
-            primary_box=bounding_box_of_rows(fd_table, inlier_ids),
-            outlier_box=bounding_box_of_rows(fd_table, outlier_ids),
-        )
-        assert plan.use_primary and plan.use_outlier
+            bounding_box_of_rows(fd_table, inlier_ids),
+            bounding_box_of_rows(fd_table, outlier_ids),
+        ) == (True, True)
 
     def test_primary_skipped_when_translation_is_empty(self, fd_table, group):
         inlier_ids, outlier_ids, _ = split(fd_table, [group])
         # x small forces y near 3x; asking for y in the outlier band cannot
         # match any inlier.
         query = Rectangle({"x": Interval(0.0, 10.0), "y": Interval(700.0, 800.0)})
-        plan = plan_query(
+        assert routing(
+            fd_table,
+            group,
             query,
-            [group],
-            primary_box=bounding_box_of_rows(fd_table, inlier_ids),
-            outlier_box=bounding_box_of_rows(fd_table, outlier_ids),
-        )
-        assert not plan.use_primary
-        assert plan.use_outlier
-        assert "primary" in plan.skip_reasons
+            bounding_box_of_rows(fd_table, inlier_ids),
+            bounding_box_of_rows(fd_table, outlier_ids),
+        ) == (False, True)
 
     def test_outlier_skipped_when_empty(self, fd_table, group):
-        plan = plan_query(
+        use_primary, use_outlier = routing(
+            fd_table,
+            group,
             Rectangle({"x": Interval(0.0, 1.0)}),
-            [group],
-            primary_box=bounding_box_of_rows(fd_table, np.arange(10, dtype=np.int64)),
-            outlier_box=None,
+            bounding_box_of_rows(fd_table, np.arange(10, dtype=np.int64)),
+            None,
         )
-        assert not plan.use_outlier
-        assert plan.skip_reasons["outlier"] == "outlier index is empty"
+        assert not use_outlier
 
     def test_query_outside_primary_box(self, fd_table, group):
-        plan = plan_query(
+        use_primary, _ = routing(
+            fd_table,
+            group,
             Rectangle({"x": Interval(10_000.0, 20_000.0)}),
-            [group],
-            primary_box=({"x": 0.0, "y": 0.0}, {"x": 100.0, "y": 301.0}),
-            outlier_box=({"x": 0.0, "y": 500.0}, {"x": 100.0, "y": 1000.0}),
+            ({"x": 0.0, "y": 0.0}, {"x": 100.0, "y": 301.0}),
+            ({"x": 0.0, "y": 500.0}, {"x": 100.0, "y": 1000.0}),
         )
-        assert not plan.use_primary
+        assert not use_primary
 
     def test_empty_query_touches_nothing(self, fd_table, group):
-        plan = plan_query(
+        assert routing(
+            fd_table,
+            group,
             Rectangle({"x": Interval(5.0, 1.0)}),
-            [group],
-            primary_box=({"x": 0.0}, {"x": 100.0}),
-            outlier_box=({"x": 0.0}, {"x": 100.0}),
-        )
-        assert not plan.use_primary
-        assert not plan.use_outlier
+            ({"x": 0.0}, {"x": 100.0}),
+            ({"x": 0.0}, {"x": 100.0}),
+        ) is None

@@ -5,11 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.query_translation import (
-    dependent_attributes,
-    translate_query,
-    translated_predictor_interval,
-)
+from repro.core.query_translation import dependent_attributes, translate_query
 from repro.data.predicates import Interval, Rectangle
 from repro.fd.groups import FDGroup
 from repro.fd.model import LinearFDModel
@@ -26,6 +22,11 @@ def group() -> FDGroup:
             "z": LinearFDModel(slope=-1.0, intercept=100.0, eps_lb=2.0, eps_ub=2.0),
         },
     )
+
+
+def translated_predictor_interval(query: Rectangle, group: FDGroup) -> Interval:
+    """The effective predictor constraint Equation 2 gives the primary."""
+    return translate_query(query, [group]).interval(group.predictor)
 
 
 class TestTranslatedPredictorInterval:
